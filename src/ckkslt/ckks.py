@@ -20,14 +20,18 @@ import numpy as np
 from .modarith import Modulus, find_ntt_primes
 from .ring import (
     Domain,
-    Poly,
     RotationIndex,
     automorphism_eval,
-    intt,
+    coef_permutation,
+    mod_mul_vec,
+    modulus_column,
     ntt,
     pointwise_add,
     pointwise_mul,
     pointwise_sub,
+    scalar_mul,
+    to_coef,
+    to_ntt,
 )
 from .rns import (
     RnsBasis,
@@ -94,13 +98,12 @@ class SecretKey:
     coeffs: np.ndarray  # ternary entries in {-1, 0, 1}
     _ntt_cache: dict = field(default_factory=dict, repr=False)
 
-    def ntt_form(self, m: Modulus) -> Poly:
-        cached = self._ntt_cache.get(m.q)
-        if cached is None:
-            reduced = np.where(self.coeffs < 0, m.q + self.coeffs, self.coeffs)
-            cached = ntt(Poly(reduced.astype(np.uint64), m, Domain.COEF))
-            self._ntt_cache[m.q] = cached
-        return cached
+    def ntt_form(self, moduli: tuple[Modulus, ...]) -> RnsPoly:
+        missing = [m for m in moduli if m.q not in self._ntt_cache]
+        if missing:
+            rows = ntt(rns_from_ints(self.coeffs, missing)).coeffs
+            self._ntt_cache.update(zip((m.q for m in missing), rows))
+        return RnsPoly(np.stack([self._ntt_cache[m.q] for m in moduli]), moduli, Domain.NTT)
 
 
 @dataclass
@@ -178,20 +181,14 @@ def encode(v, params: CkksParams, scale: float | None = None,
     peak = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
     if peak > 2**62:
         raise Overflow("scaled coefficients exceed the integer range")
-    ints = [int(x) for x in np.rint(coeffs)]
     target = params.basis.q_moduli if moduli is None else moduli
-    poly = rns_from_ints(ints, target)
-    if domain == Domain.NTT:
-        poly = RnsPoly([ntt(limb) for limb in poly.limbs])
-    return Plaintext(poly, scale)
+    poly = rns_from_ints(np.rint(coeffs).astype(np.int64), target)
+    return Plaintext(to_ntt(poly) if domain == Domain.NTT else poly, scale)
 
 
 def decode(pt: Plaintext, params: CkksParams) -> np.ndarray:
-    poly = pt.poly
-    if poly.domain == Domain.NTT:
-        poly = RnsPoly([intt(limb) for limb in poly.limbs])
-    centered = crt_reconstruct_centered(poly)
-    coeffs = np.array([c / pt.scale for c in centered], dtype=np.float64)
+    centered = crt_reconstruct_centered(to_coef(pt.poly))
+    coeffs = np.array(centered, dtype=object).astype(np.float64) / pt.scale
     return embed_forward(coeffs, params.ring_dim)
 
 
@@ -210,34 +207,23 @@ def sample_gaussian_ints(rng: np.random.Generator, n: int) -> list[int]:
 def uniform_rns(rng: np.random.Generator, moduli: list[Modulus],
                 ring_dim: int, domain: Domain = Domain.NTT) -> RnsPoly:
     # independent uniform residues per limb are CRT-equivalent to uniform mod the product
-    limbs = [
-        Poly(rng.integers(0, m.q, ring_dim, dtype=np.uint64), m, domain)
-        for m in moduli
-    ]
-    return RnsPoly(limbs)
+    moduli = tuple(moduli)
+    block = rng.integers(0, modulus_column(moduli), (len(moduli), ring_dim), dtype=np.uint64)
+    return RnsPoly(block, moduli, domain)
 
 
 def gaussian_rns(rng: np.random.Generator, moduli: list[Modulus],
                  ring_dim: int, domain: Domain = Domain.NTT) -> RnsPoly:
-    ints = sample_gaussian_ints(rng, ring_dim)
-    poly = rns_from_ints(ints, moduli)
-    if domain == Domain.NTT:
-        poly = RnsPoly([ntt(limb) for limb in poly.limbs])
-    return poly
+    poly = rns_from_ints(sample_gaussian_ints(rng, ring_dim), moduli)
+    return to_ntt(poly) if domain == Domain.NTT else poly
 
 
 def mul_secret(p: RnsPoly, sk: SecretKey) -> RnsPoly:
-    return RnsPoly([
-        pointwise_mul(limb, sk.ntt_form(limb.modulus)) for limb in p.limbs
-    ])
+    return pointwise_mul(p, sk.ntt_form(p.moduli))
 
 
-def rns_add(a: RnsPoly, b: RnsPoly) -> RnsPoly:
-    return RnsPoly([pointwise_add(x, y) for x, y in zip(a.limbs, b.limbs)])
-
-
-def rns_sub(a: RnsPoly, b: RnsPoly) -> RnsPoly:
-    return RnsPoly([pointwise_sub(x, y) for x, y in zip(a.limbs, b.limbs)])
+rns_add = pointwise_add
+rns_sub = pointwise_sub
 
 
 def keygen(params: CkksParams, rng: np.random.Generator) -> tuple[SecretKey, PublicKey]:
@@ -246,18 +232,6 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> tuple[SecretKey, Pub
     e = gaussian_rns(rng, params.basis.q_moduli, params.ring_dim)
     k0 = rns_sub(e, mul_secret(a, sk))
     return sk, PublicKey(k0, a)
-
-
-def to_ntt(p: RnsPoly) -> RnsPoly:
-    if p.domain == Domain.NTT:
-        return p
-    return RnsPoly([ntt(limb) for limb in p.limbs])
-
-
-def to_coef(p: RnsPoly) -> RnsPoly:
-    if p.domain == Domain.COEF:
-        return p
-    return RnsPoly([intt(limb) for limb in p.limbs])
 
 
 def encrypt(pt: Plaintext, key, params: CkksParams,
@@ -280,15 +254,12 @@ def encrypt(pt: Plaintext, key, params: CkksParams,
 
 def trivial_encrypt(pt: Plaintext) -> Ciphertext:
     m = to_ntt(pt.poly)
-    zero = RnsPoly([
-        Poly(np.zeros(limb.n, dtype=np.uint64), limb.modulus, Domain.NTT)
-        for limb in m.limbs
-    ])
-    return Ciphertext(m, zero, len(m.limbs) - 1, pt.scale)
+    zero = RnsPoly(np.zeros_like(m.coeffs), m.moduli, Domain.NTT)
+    return Ciphertext(m, zero, len(m.moduli) - 1, pt.scale)
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey) -> Plaintext:
-    if len(ct.c0.limbs) != len(ct.c1.limbs):
+    if len(ct.c0.moduli) != len(ct.c1.moduli):
         raise LevelMismatch("ciphertext components at different levels")
     m = rns_add(ct.c0, mul_secret(ct.c1, sk))
     return Plaintext(to_coef(m), ct.scale)
@@ -306,11 +277,9 @@ def add_ct(a: Ciphertext, b: Ciphertext) -> Ciphertext:
 
 def automorphism_ints(coeffs: np.ndarray, rot: RotationIndex) -> np.ndarray:
     """x -> x^{g_r} on a signed integer coefficient vector (exact)."""
-    n = len(coeffs)
-    idx = (np.arange(n, dtype=np.int64) * rot.g_r) % (2 * n)
-    pos = idx % n
-    out = np.zeros(n, dtype=np.int64)
-    out[pos] = np.where(idx >= n, -coeffs, coeffs)
+    pos, flip = coef_permutation(len(coeffs), rot.g_r)
+    out = np.empty_like(coeffs)
+    out[pos] = np.where(flip, -coeffs, coeffs)
     return out
 
 
@@ -329,23 +298,14 @@ def gadget_constants(basis: RnsBasis) -> list[list[int]]:
 def swk_gen(s_from: np.ndarray, s_to: SecretKey, params: CkksParams,
             rng: np.random.Generator) -> SwitchingKey:
     """Key switching s_from -> s_to over PQ (s_from as signed coefficients)."""
-    basis = params.basis
-    pq = basis.pq_moduli
-    from_key = SecretKey(np.asarray(s_from, dtype=np.int64))
-    gadgets = gadget_constants(basis)
+    pq = params.basis.pq_moduli
+    s_ntt = ntt(rns_from_ints(np.asarray(s_from, dtype=np.int64), pq))
     digits = []
-    for b in range(basis.beta):
+    for gadget in gadget_constants(params.basis):
         k1 = uniform_rns(rng, pq, params.ring_dim)
         e = gaussian_rns(rng, pq, params.ring_dim)
-        limbs = []
-        for idx, m in enumerate(pq):
-            g = gadgets[b][idx]
-            gs = pointwise_mul(
-                from_key.ntt_form(m),
-                Poly(np.full(params.ring_dim, g, dtype=np.uint64), m, Domain.NTT),
-            )
-            limbs.append(gs)
-        term = RnsPoly(limbs)
+        gadget = np.array(gadget, dtype=np.uint64)[:, None]
+        term = s_ntt.like(mod_mul_vec(s_ntt.coeffs, gadget, modulus_column(pq)), Domain.NTT)
         k0 = rns_add(rns_sub(e, mul_secret(k1, s_to)), term)
         digits.append((k0, k1))
     return SwitchingKey(digits)
@@ -363,20 +323,15 @@ def rotation_keygen(sk: SecretKey, r: int, params: CkksParams,
     key = swk_gen(s_rot, sk, params, rng)
     if hoisted and r % (params.ring_dim // 2) != 0:
         inv = rot.inverse()
-        twisted = []
-        for k0, k1 in key.digits:
-            twisted.append((
-                RnsPoly([automorphism_eval(l, inv) for l in k0.limbs]),
-                RnsPoly([automorphism_eval(l, inv) for l in k1.limbs]),
-            ))
+        twisted = [(automorphism_eval(k0, inv), automorphism_eval(k1, inv))
+                   for k0, k1 in key.digits]
         key = SwitchingKey(twisted, hoist_offset=r)
     return key
 
 
 def hoist_digits(c1: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
-    """Decompose an NTT-domain component into NTT-domain PQ digits."""
-    coef = to_coef(c1)
-    return [to_ntt(d) for d in decompose(coef, basis)]
+    """Decompose a component into NTT-domain PQ digits."""
+    return [to_ntt(d) for d in decompose(c1, basis)]
 
 
 def key_switch(digits: list[RnsPoly], swk: SwitchingKey) -> tuple[RnsPoly, RnsPoly]:
@@ -387,8 +342,8 @@ def key_switch(digits: list[RnsPoly], swk: SwitchingKey) -> tuple[RnsPoly, RnsPo
         )
     acc0 = acc1 = None
     for d, (k0, k1) in zip(digits, swk.digits):
-        t0 = RnsPoly([pointwise_mul(a, b) for a, b in zip(d.limbs, k0.limbs)])
-        t1 = RnsPoly([pointwise_mul(a, b) for a, b in zip(d.limbs, k1.limbs)])
+        t0 = pointwise_mul(d, k0)
+        t1 = pointwise_mul(d, k1)
         acc0 = t0 if acc0 is None else rns_add(acc0, t0)
         acc1 = t1 if acc1 is None else rns_add(acc1, t1)
     return acc0, acc1
@@ -396,26 +351,26 @@ def key_switch(digits: list[RnsPoly], swk: SwitchingKey) -> tuple[RnsPoly, RnsPo
 
 def raise_to_pq(p: RnsPoly, basis: RnsBasis) -> RnsPoly:
     """Multiply by P and extend to the PQ basis (special limbs are zero)."""
-    big_p = basis.p_product
-    n = p.n
-    dom = p.domain
-    limbs = [Poly(np.zeros(n, dtype=np.uint64), m, dom) for m in basis.p_moduli]
-    for limb in p.limbs:
-        q = limb.modulus.q
-        scaled = pointwise_mul(
-            limb, Poly(np.full(n, big_p % q, dtype=np.uint64), limb.modulus, dom)
-        )
-        limbs.append(scaled)
-    return RnsPoly(limbs)
+    block = np.zeros((basis.alpha + len(p.moduli), p.n), dtype=np.uint64)
+    block[basis.alpha:] = scalar_mul(p, basis.p_product).coeffs
+    return RnsPoly(block, basis.p_moduli + p.moduli, p.domain)
 
 
 def moddown_ntt(p: RnsPoly, basis: RnsBasis) -> RnsPoly:
     """ModDown of an NTT-domain PQ polynomial, result back in NTT over Q."""
-    return to_ntt(moddown(to_coef(p), basis))
+    return to_ntt(moddown(p, basis))
 
 
 def apply_rotation(p: RnsPoly, rot: RotationIndex) -> RnsPoly:
-    return RnsPoly([automorphism_eval(limb, rot) for limb in p.limbs])
+    return automorphism_eval(p, rot)
+
+
+def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
+                     rot: RotationIndex) -> tuple[RnsPoly, RnsPoly]:
+    """Rotate the PQ pair (a + <digits, k0>, <digits, k1>) with a hoisted key:
+    the inner product runs first, the automorphism after it."""
+    u0, u1 = key_switch(digits, swk)
+    return apply_rotation(rns_add(a, u0), rot), apply_rotation(u1, rot)
 
 
 def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Ciphertext:
@@ -437,15 +392,14 @@ def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Cip
 
 def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:
     f = to_ntt(pt.poly)
-    if [m.q for m in f.moduli] != [m.q for m in ct.c0.moduli]:
+    if f.moduli != ct.c0.moduli:
         raise LevelMismatch("plaintext basis does not match ciphertext basis")
-    c0 = RnsPoly([pointwise_mul(a, b) for a, b in zip(ct.c0.limbs, f.limbs)])
-    c1 = RnsPoly([pointwise_mul(a, b) for a, b in zip(ct.c1.limbs, f.limbs)])
-    return Ciphertext(c0, c1, ct.level, ct.scale * pt.scale)
+    return Ciphertext(pointwise_mul(ct.c0, f), pointwise_mul(ct.c1, f), ct.level,
+                      ct.scale * pt.scale)
 
 
 def rescale_ct(ct: Ciphertext, params: CkksParams) -> Ciphertext:
-    c0 = to_ntt(RnsPoly(rescale(to_coef(ct.c0)).limbs))
-    c1 = to_ntt(RnsPoly(rescale(to_coef(ct.c1)).limbs))
-    dropped = ct.c0.limbs[-1].modulus.q
+    c0 = to_ntt(rescale(to_coef(ct.c0)))
+    c1 = to_ntt(rescale(to_coef(ct.c1)))
+    dropped = ct.c0.moduli[-1].q
     return Ciphertext(c0, c1, ct.level - 1, ct.scale / dropped)

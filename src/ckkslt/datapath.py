@@ -42,17 +42,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .costmodel import (
     CATEGORIES,
-    ConfigOutOfRange,
     HeParams,
     ParallelismConfig,
     offchip_access,
     peak_onchip,
     validate_config,
 )
+from .linear import OpTrace
 
 
 class OnchipOverflow(RuntimeError):
@@ -117,15 +115,9 @@ class OffchipStore:
 
 
 @dataclass
-class OpTraceCounts:
-    decompose: int = 0
-    moddown: int = 0
-
-
-@dataclass
 class SimResult:
     meter: MemoryMeter
-    trace: OpTraceCounts
+    trace: OpTrace
     ciphertext: object = None
 
 
@@ -152,7 +144,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     lp = params.levels
     limbs = params.pq_limbs
     meter = MemoryMeter()
-    trace = OpTraceCounts()
+    trace = OpTrace()
     store = OffchipStore()
     compute = mode == "compute"
     if compute:
@@ -160,7 +152,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             raise ValueError("compute mode requires inputs")
         from . import ckks as ck
         from .ring import RotationIndex
-        from .rns import RnsPoly
         ap = inputs.params_arith
         if (ap.ring_dim != params.ring_dim
                 or ap.basis.level_count != params.levels
@@ -199,11 +190,8 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         for i in batch:
             a_i = b_i = None
             if compute:
-                rot = RotationIndex(i, ap.ring_dim)
-                swk = inputs.keys.get(i, hoisted=True)
-                u0, u1 = ck.key_switch(digits0, swk)
-                a_i = ck.apply_rotation(ck.rns_add(a0, u0), rot)
-                b_i = ck.apply_rotation(u1, rot)
+                a_i, b_i = ck.hoisted_rotation(a0, digits0, inputs.keys.get(i, hoisted=True),
+                                               RotationIndex(i, ap.ring_dim))
             store.write(meter, 1, f"a:{i}", limbs, a_i)
             store.write(meter, 1, f"b:{i}", limbs, b_i)
 
@@ -245,11 +233,9 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             for i in range(n1):
                 a_m = b_m = None
                 if compute:
-                    rot = RotationIndex(n1 * j, ap.ring_dim)
-                    swk = inputs.keys.get(n1 * j, hoisted=True)
-                    v0, v1 = ck.key_switch(d_vals[i], swk)
-                    a_m = ck.apply_rotation(ck.rns_add(a_vals[i], v0), rot)
-                    b_m = ck.apply_rotation(v1, rot)
+                    a_m, b_m = ck.hoisted_rotation(
+                        a_vals[i], d_vals[i], inputs.keys.get(n1 * j, hoisted=True),
+                        RotationIndex(n1 * j, ap.ring_dim))
                 store.write(meter, 3, f"a:{n1 * j + i}", limbs, a_m)
                 store.write(meter, 3, f"b:{n1 * j + i}", limbs, b_m)
 
@@ -275,16 +261,12 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                 store.read(meter, 4, f"u1:{k}")
         if compute:
             for k in range(n3):
-                acc = partials[k]
                 for m, (a_m, b_m) in zip(mbatch, pairs):
-                    f = inputs.dm.diagonals[total_m * k + m]
-                    t0 = RnsPoly([_pmul(x, y) for x, y in zip(a_m.limbs, f.poly.limbs)])
-                    t1 = RnsPoly([_pmul(x, y) for x, y in zip(b_m.limbs, f.poly.limbs)])
-                    if acc is None:
-                        acc = (t0, t1)
-                    else:
-                        acc = (ck.rns_add(acc[0], t0), ck.rns_add(acc[1], t1))
-                partials[k] = acc
+                    f = inputs.dm.diagonals[total_m * k + m].poly
+                    t0, t1 = ck.pointwise_mul(a_m, f), ck.pointwise_mul(b_m, f)
+                    acc = partials[k]
+                    partials[k] = (t0, t1) if acc is None else (
+                        ck.rns_add(acc[0], t0), ck.rns_add(acc[1], t1))
         for k in range(n3):
             store.write(meter, 4, f"u0:{k}", limbs,
                         partials[k][0] if compute else None)
@@ -326,14 +308,10 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             trace.moddown += 1
             trace.decompose += 1
             if compute:
-                from .rns import moddown as rns_moddown
-                u1_down = ck.to_ntt(rns_moddown(u1, ap.basis))
-                d = ck.hoist_digits(u1_down, ap.basis)
-                rot = RotationIndex(total_m * k, ap.ring_dim)
-                swk = inputs.keys.get(total_m * k, hoisted=True)
-                v0, v1 = ck.key_switch(d, swk)
-                c0_add = ck.apply_rotation(ck.rns_add(u0, v0), rot)
-                c1_add = ck.apply_rotation(v1, rot)
+                d = ck.hoist_digits(ck.moddown_ntt(u1, ap.basis), ap.basis)
+                c0_add, c1_add = ck.hoisted_rotation(
+                    u0, d, inputs.keys.get(total_m * k, hoisted=True),
+                    RotationIndex(total_m * k, ap.ring_dim))
                 acc_pair = (ck.rns_add(acc_pair[0], c0_add),
                             ck.rns_add(acc_pair[1], c1_add))
         store.write(meter, 5, "acc:c0", limbs, acc_pair[0] if compute else None)
@@ -356,11 +334,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     store.write(meter, 6, "out:c0", lp - 1, out_ct.c0 if compute else None)
     store.write(meter, 6, "out:c1", lp - 1, out_ct.c1 if compute else None)
     return SimResult(meter, trace, out_ct)
-
-
-def _pmul(x, y):
-    from .ring import pointwise_mul
-    return pointwise_mul(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -35,17 +36,18 @@ from .ckks import (
     Plaintext,
     SecretKey,
     SwitchingKey,
-    apply_rotation,
+    add_ct,
     decode,
     decrypt,
     encode,
     hoist_digits,
-    key_switch,
+    hoisted_rotation,
     moddown_ntt,
     pt_ct_mult,
     raise_to_pq,
     rescale_ct,
     rns_add,
+    rotate,
     rotation_keygen,
 )
 from .ring import RotationIndex, automorphism_coef, ntt, pointwise_mul
@@ -78,7 +80,7 @@ class LtPlan:
     factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n & (self.n - 1):
+        if self.n < 1 or self.n & (self.n - 1):
             raise BadFactors("transform dimension must be a power of two")
         need = {
             LtMethod.DIAGONAL: 0,
@@ -176,14 +178,10 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
         tiled = np.tile(vec, reps)
         pt = encode(tiled, params, moduli=moduli)
         offset = _prerotation_offset(plan, i)
+        poly = pt.poly
         if offset:
-            rot = RotationIndex((-offset) % half, params.ring_dim)
-            pt = Plaintext(
-                RnsPoly([automorphism_coef(l, rot) for l in pt.poly.limbs]),
-                pt.scale,
-            )
-        pt = Plaintext(RnsPoly([ntt(l) for l in pt.poly.limbs]), pt.scale)
-        diagonals.append(pt)
+            poly = automorphism_coef(poly, RotationIndex((-offset) % half, params.ring_dim))
+        diagonals.append(Plaintext(ntt(poly), pt.scale))
     return DiagMatrix(plan, diagonals, over_pq)
 
 
@@ -207,17 +205,17 @@ def _pq_limb_count(params: CkksParams) -> int:
 
 def _mul_pair(f: Plaintext, pair: tuple[RnsPoly, RnsPoly], trace: OpTrace,
               limbs: int) -> tuple[RnsPoly, RnsPoly]:
-    fp = f.poly
-    out0 = RnsPoly([pointwise_mul(x, y) for x, y in zip(pair[0].limbs, fp.limbs)])
-    out1 = RnsPoly([pointwise_mul(x, y) for x, y in zip(pair[1].limbs, fp.limbs)])
     trace.cwise_mult_limbs += 2 * limbs
-    return out0, out1
+    return pointwise_mul(pair[0], f.poly), pointwise_mul(pair[1], f.poly)
 
 
-def _key_switch_traced(digits, swk, trace: OpTrace, params: CkksParams):
-    out = key_switch(digits, swk)
-    trace.cwise_mult_limbs += 2 * len(swk.digits) * _pq_limb_count(params)
-    return out
+def _dot(diagonals, pairs, trace: OpTrace, limbs: int):
+    """sum_m diagonals[m] * pairs[m] over PQ; pairs may be a generator."""
+    acc = None
+    for f, pair in zip(diagonals, pairs):
+        term = _mul_pair(f, pair, trace, limbs)
+        acc = term if acc is None else _pair_add(acc, term)
+    return acc
 
 
 def _hoist_traced(c1: RnsPoly, trace: OpTrace, params: CkksParams):
@@ -230,12 +228,24 @@ def _moddown_traced(p: RnsPoly, trace: OpTrace, params: CkksParams) -> RnsPoly:
     return moddown_ntt(p, params.basis)
 
 
+def _hoisted_rotate(a: RnsPoly, digits, offset: int, keys: RotationKeys, trace: OpTrace,
+                    params: CkksParams) -> tuple[RnsPoly, RnsPoly]:
+    swk = keys.get(offset, hoisted=True)
+    trace.key_offsets.add(offset)
+    trace.cwise_mult_limbs += 2 * len(swk.digits) * _pq_limb_count(params)
+    return hoisted_rotation(a, digits, swk, RotationIndex(offset, params.ring_dim))
+
+
+def _delayed_rotate(pair, offset: int, keys: RotationKeys, trace: OpTrace,
+                    params: CkksParams) -> tuple[RnsPoly, RnsPoly]:
+    """Giant step on an accumulated PQ pair: ModDown and Decompose its
+    second component, then rotate with the hoisted key."""
+    digits = _hoist_traced(_moddown_traced(pair[1], trace, params), trace, params)
+    return _hoisted_rotate(pair[0], digits, offset, keys, trace, params)
+
+
 def _pair_add(a, b):
     return rns_add(a[0], b[0]), rns_add(a[1], b[1])
-
-
-def _pair_rotate(pair, rot: RotationIndex):
-    return apply_rotation(pair[0], rot), apply_rotation(pair[1], rot)
 
 
 def _finish(pair, scale: float, level: int, trace: OpTrace,
@@ -244,11 +254,6 @@ def _finish(pair, scale: float, level: int, trace: OpTrace,
     c1 = _moddown_traced(pair[1], trace, params)
     ct = Ciphertext(c0, c1, level, scale)
     return rescale_ct(ct, params)
-
-
-def _check_plan(dm: DiagMatrix, plan: LtPlan):
-    if dm.plan != plan:
-        raise PlanMismatch("diagonal matrix was packed for a different plan")
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +267,12 @@ def lt_diagonal(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     if plan.method != LtMethod.DIAGONAL:
         raise PlanMismatch("plan is not diagonal")
     trace = OpTrace()
-    limbs = _pq_limb_count(params)
     digits = _hoist_traced(ct.c1, trace, params)
     a0 = raise_to_pq(ct.c0, params.basis)
-    b0 = raise_to_pq(ct.c1, params.basis)
-    acc = _mul_pair(dm.diagonals[0], (a0, b0), trace, limbs)
-    for i in range(1, plan.n):
-        rot = RotationIndex(i, params.ring_dim)
-        swk = keys.get(i, hoisted=True)
-        trace.key_offsets.add(i)
-        u0, u1 = _key_switch_traced(digits, swk, trace, params)
-        pair = _pair_rotate((rns_add(a0, u0), u1), rot)
-        acc = _pair_add(acc, _mul_pair(dm.diagonals[i], pair, trace, limbs))
+    pairs = chain([(a0, raise_to_pq(ct.c1, params.basis))],
+                  (_hoisted_rotate(a0, digits, i, keys, trace, params)
+                   for i in range(1, plan.n)))
+    acc = _dot(dm.diagonals, pairs, trace, _pq_limb_count(params))
     out = _finish(acc, ct.scale * dm.diagonals[0].scale, ct.level, trace, params)
     return out, trace
 
@@ -283,16 +282,12 @@ def _rotate_traced(ct: Ciphertext, r: int, keys: RotationKeys, trace: OpTrace,
     """Full rotation (automorphism + complete key switch), trace-counted."""
     if r == 0:
         return ct
-    rot = RotationIndex(r, params.ring_dim)
     swk = keys.get(r, hoisted=False)
     trace.key_offsets.add(r)
-    c0r = apply_rotation(ct.c0, rot)
-    c1r = apply_rotation(ct.c1, rot)
-    digits = _hoist_traced(c1r, trace, params)
-    u0, u1 = _key_switch_traced(digits, swk, trace, params)
-    d0 = _moddown_traced(u0, trace, params)
-    d1 = _moddown_traced(u1, trace, params)
-    return Ciphertext(rns_add(c0r, d0), d1, ct.level, ct.scale)
+    trace.decompose += 1
+    trace.moddown += 2
+    trace.cwise_mult_limbs += 2 * len(swk.digits) * _pq_limb_count(params)
+    return rotate(ct, r, swk, params)
 
 
 def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
@@ -313,14 +308,10 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
         for i in range(n1):
             term = pt_ct_mult(dm.diagonals[n1 * j + i], baby[i])
             trace.cwise_mult_limbs += 2 * q_limbs
-            inner = term if inner is None else _add_ct_unchecked(inner, term)
+            inner = term if inner is None else add_ct(inner, term)
         rotated = _rotate_traced(inner, n1 * j, keys, trace, params)
-        acc = rotated if acc is None else _add_ct_unchecked(acc, rotated)
+        acc = rotated if acc is None else add_ct(acc, rotated)
     return rescale_ct(acc, params), trace
-
-
-def _add_ct_unchecked(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    return Ciphertext(rns_add(a.c0, b.c0), rns_add(a.c1, b.c1), a.level, a.scale)
 
 
 def lt_dh_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
@@ -338,40 +329,14 @@ def lt_dh_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     limbs = _pq_limb_count(params)
     digits0 = _hoist_traced(ct.c1, trace, params)
     a0 = raise_to_pq(ct.c0, params.basis)
-    b0 = raise_to_pq(ct.c1, params.basis)
-    a = [a0]
-    b = [b0]
-    for i in range(1, n1):
-        rot = RotationIndex(i, params.ring_dim)
-        swk = keys.get(i, hoisted=True)
-        trace.key_offsets.add(i)
-        u0, u1 = _key_switch_traced(digits0, swk, trace, params)
-        a.append(apply_rotation(rns_add(a0, u0), rot))
-        b.append(apply_rotation(u1, rot))
-    acc = None
-    for j in range(n2):
-        inner = None
-        for i in range(n1):
-            term = _mul_pair(dm.diagonals[n1 * j + i], (a[i], b[i]), trace, limbs)
-            inner = term if inner is None else _pair_add(inner, term)
-        if j == 0:
-            acc = inner
-            continue
-        u0, u1 = inner
-        u1_down = _moddown_traced(u1, trace, params)
-        d = _hoist_traced_from_q(u1_down, trace, params)
-        rot = RotationIndex(n1 * j, params.ring_dim)
-        swk = keys.get(n1 * j, hoisted=True)
-        trace.key_offsets.add(n1 * j)
-        v0, v1 = _key_switch_traced(d, swk, trace, params)
-        acc = _pair_add(acc, _pair_rotate((rns_add(u0, v0), v1), rot))
+    baby = [(a0, raise_to_pq(ct.c1, params.basis))]
+    baby += [_hoisted_rotate(a0, digits0, i, keys, trace, params) for i in range(1, n1)]
+    acc = _dot(dm.diagonals[:n1], baby, trace, limbs)
+    for j in range(1, n2):
+        inner = _dot(dm.diagonals[n1 * j:n1 * (j + 1)], baby, trace, limbs)
+        acc = _pair_add(acc, _delayed_rotate(inner, n1 * j, keys, trace, params))
     out = _finish(acc, ct.scale * dm.diagonals[0].scale, ct.level, trace, params)
     return out, trace
-
-
-def _hoist_traced_from_q(p: RnsPoly, trace: OpTrace, params: CkksParams):
-    trace.decompose += 1
-    return hoist_digits(p, params.basis)
 
 
 def lt_th_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
@@ -392,44 +357,19 @@ def lt_th_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     limbs = _pq_limb_count(params)
     digit_sets = [_hoist_traced(ct.c1, trace, params)]
     a0 = raise_to_pq(ct.c0, params.basis)
-    b0 = raise_to_pq(ct.c1, params.basis)
-    a = {0: a0}
-    b = {0: b0}
+    pairs = [(a0, raise_to_pq(ct.c1, params.basis))]
     for i in range(1, n1):
-        rot = RotationIndex(i, params.ring_dim)
-        swk = keys.get(i, hoisted=True)
-        trace.key_offsets.add(i)
-        u0, u1 = _key_switch_traced(digit_sets[0], swk, trace, params)
-        a[i] = apply_rotation(rns_add(a0, u0), rot)
-        b[i] = apply_rotation(u1, rot)
-        b_down = _moddown_traced(b[i], trace, params)
-        digit_sets.append(_hoist_traced_from_q(b_down, trace, params))
+        pairs.append(_hoisted_rotate(a0, digit_sets[0], i, keys, trace, params))
+        b_down = _moddown_traced(pairs[i][1], trace, params)
+        digit_sets.append(_hoist_traced(b_down, trace, params))
     for j in range(1, n2):
-        rot = RotationIndex(n1 * j, params.ring_dim)
-        swk = keys.get(n1 * j, hoisted=True)
-        trace.key_offsets.add(n1 * j)
-        for i in range(n1):
-            v0, v1 = _key_switch_traced(digit_sets[i], swk, trace, params)
-            a[n1 * j + i] = apply_rotation(rns_add(a[i], v0), rot)
-            b[n1 * j + i] = apply_rotation(v1, rot)
-    acc = None
-    for m in range(n1 * n2):
-        term = _mul_pair(dm.diagonals[m], (a[m], b[m]), trace, limbs)
-        acc = term if acc is None else _pair_add(acc, term)
+        pairs += [_hoisted_rotate(pairs[i][0], digit_sets[i], n1 * j, keys, trace, params)
+                  for i in range(n1)]
+    acc = _dot(dm.diagonals, pairs, trace, limbs)
     for k in range(1, n3):
-        u = None
         base = n1 * n2 * k
-        for m in range(n1 * n2):
-            term = _mul_pair(dm.diagonals[base + m], (a[m], b[m]), trace, limbs)
-            u = term if u is None else _pair_add(u, term)
-        u0, u1 = u
-        u1_down = _moddown_traced(u1, trace, params)
-        d = _hoist_traced_from_q(u1_down, trace, params)
-        rot = RotationIndex(base, params.ring_dim)
-        swk = keys.get(base, hoisted=True)
-        trace.key_offsets.add(base)
-        v0, v1 = _key_switch_traced(d, swk, trace, params)
-        acc = _pair_add(acc, _pair_rotate((rns_add(u0, v0), v1), rot))
+        u = _dot(dm.diagonals[base:], pairs, trace, limbs)
+        acc = _pair_add(acc, _delayed_rotate(u, base, keys, trace, params))
     out = _finish(acc, ct.scale * dm.diagonals[0].scale, ct.level, trace, params)
     return out, trace
 

@@ -1,4 +1,4 @@
-"""Negacyclic polynomial ring Z_q[x]/(x^N + 1).
+"""Negacyclic polynomial ring Z_q[x]/(x^N + 1), batched over RNS limbs.
 
 Polynomials live either in coefficient form or in evaluation (NTT) form.
 The forward transform takes natural-order coefficients to bit-reversed
@@ -7,11 +7,19 @@ at the root psi^(2*bitrev(s)+1). That layout is load-bearing: the banked
 permutation network in :mod:`ckkslt.permutation` derives its address math
 from it, so it is not configurable.
 
+Every kernel works on a block: an (L, N) uint64 array whose row j holds
+residues mod the j-th of L moduli, with the moduli as an (L, 1) column
+and, for the transforms, stacked (L, N) twiddle tables, so one numpy call
+per butterfly stage or per operation covers all limbs. The polynomial
+functions take :class:`Poly` (one limb) or :class:`ckkslt.rns.RnsPoly`;
+both carry ``coeffs``, ``moduli``, ``domain``, ``n`` and ``like``.
+
 Vectorized modular multiplication: for q < 2^53 the quotient of the
 128-bit product is approximated in float64 and the residual recovered
 exactly through uint64 wraparound; the approximation error is at most a
 few multiples of q, removed by one exact remainder. Wider moduli fall
-back to object-dtype (native big-int) arithmetic.
+back to object-dtype (native big-int) arithmetic; a block that mixes
+widths splits its rows between the two.
 """
 
 from __future__ import annotations
@@ -19,12 +27,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .modarith import Modulus, mod_pow
+from .modarith import Modulus
 
-_FAST_LIMIT_BITS = 53
+_FAST_LIMIT = 1 << 53
 
 
 class DomainMismatch(ValueError):
@@ -44,33 +53,59 @@ class Domain(enum.Enum):
 # vector kernels
 
 
-def mod_mul_vec(a: np.ndarray, b, q: int) -> np.ndarray:
+def _mul_fast(a, b, q):
+    # the truncated quotient is floor(a*b/q) up to a few units: non-negative
+    quot = a.astype(np.float64) * (np.asarray(b, np.float64) / np.asarray(q, np.float64))
+    r = a * np.asarray(b, np.uint64) - quot.astype(np.uint64) * np.asarray(q, np.uint64)
+    return np.remainder(r.view(np.int64), np.asarray(q, np.int64)).view(np.uint64)
+
+
+def _mul_exact(a, b, q):
+    prod = a.astype(object) * (b.astype(object) if isinstance(b, np.ndarray) else int(b))
+    return (prod % (q.astype(object) if isinstance(q, np.ndarray) else q)).astype(np.uint64)
+
+
+def mod_mul_vec(a: np.ndarray, b, q) -> np.ndarray:
     """Elementwise a*b mod q for uint64 operands.
 
-    Requires one operand < q and the other < 2^53 when the fast path is
-    used; arbitrary word-sized values go through the exact object path.
+    ``q`` is an int, or a uint64 array with the limb axis first that
+    broadcasts against the operands (an (L, 1) column for (L, N) blocks).
+    Requires one operand < q and the other < 2^53 on rows that take the
+    fast path; arbitrary word-sized values go through the exact path.
     """
-    if q.bit_length() > _FAST_LIMIT_BITS:
-        prod = a.astype(object) * (b.astype(object) if isinstance(b, np.ndarray) else int(b))
-        return (prod % q).astype(np.uint64)
-    b_arr = b if isinstance(b, np.ndarray) else np.uint64(b)
-    quot = np.floor(a.astype(np.float64) * np.asarray(b_arr, np.float64) / q)
-    r = a * b_arr - quot.astype(np.uint64) * np.uint64(q)
-    return np.remainder(r.view(np.int64), np.int64(q)).view(np.uint64)
+    if not isinstance(q, np.ndarray):
+        q = int(q)
+        return _mul_exact(a, b, q) if q >= _FAST_LIMIT else _mul_fast(a, b, q)
+    wide = q.reshape(-1) >= _FAST_LIMIT
+    if not wide.any():
+        return _mul_fast(a, b, q)
+    if wide.all():
+        return _mul_exact(a, b, q)
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(b), q.shape), dtype=np.uint64)
+    for rows, kernel in ((~wide, _mul_fast), (wide, _mul_exact)):
+        # operands without a limb axis of their own broadcast over every row
+        a_rows, b_rows = (x[rows] if np.ndim(x) and len(x) == len(rows) else x for x in (a, b))
+        out[rows] = kernel(a_rows, b_rows, q[rows])
+    return out
 
 
-def mod_add_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def mod_add_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     s = a + b
-    return np.where(s >= np.uint64(q), s - np.uint64(q), s)
+    # s - q wraps above s exactly when s < q, so the minimum is s mod q
+    return np.minimum(s, s - np.asarray(q, np.uint64))
 
 
-def mod_sub_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def mod_sub_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     d = a - b
-    return np.where(a >= b, d, d + np.uint64(q))
+    return np.minimum(d, d + np.asarray(q, np.uint64))
 
 
-def mod_neg_vec(a: np.ndarray, q: int) -> np.ndarray:
-    return np.where(a == 0, np.uint64(0), np.uint64(q) - a)
+@lru_cache(maxsize=None)
+def modulus_column(moduli: tuple[Modulus, ...]) -> np.ndarray:
+    """The moduli as a read-only (L, 1) uint64 column."""
+    col = np.array([[m.q] for m in moduli], dtype=np.uint64)
+    col.flags.writeable = False
+    return col
 
 
 @lru_cache(maxsize=None)
@@ -85,65 +120,59 @@ def bitrev_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ntt_tables(q: int, ring_dim: int, root: int):
-    """Butterfly twiddles: psi powers in bit-reversed index order."""
-    n = ring_dim
-    rev = bitrev_table(n)
-    powers = np.empty(n, dtype=np.uint64)
-    ipowers = np.empty(n, dtype=np.uint64)
-    inv_root = pow(root, -1, q)
-    acc = 1
-    iacc = 1
-    plain = [0] * n
-    iplain = [0] * n
-    for i in range(n):
-        plain[i] = acc
-        iplain[i] = iacc
-        acc = acc * root % q
-        iacc = iacc * inv_root % q
-    for i in range(n):
-        powers[i] = plain[rev[i]]
-        ipowers[i] = iplain[rev[i]]
-    return powers, ipowers
+def _powers(q: int, root: int, n: int) -> np.ndarray:
+    """root^0 .. root^(n-1) mod q in bit-reversed index order."""
+    return np.array(list(accumulate(range(n - 1), lambda x, _: x * root % q, initial=1)),
+                    dtype=np.uint64)[bitrev_table(n)]
 
 
-def _forward_ntt(values: np.ndarray, m: Modulus) -> np.ndarray:
-    q = m.q
-    n = m.ring_dim
-    psi_rev, _ = _ntt_tables(q, n, m.two_n_root)
+@lru_cache(maxsize=None)
+def _block_tables(moduli: tuple[Modulus, ...]):
+    """Stacked (L, N) butterfly twiddles (psi powers and their inverses in
+    bit-reversed index order) plus the N^-1 column, read-only."""
+    psi = np.stack([_powers(m.q, m.two_n_root, m.ring_dim) for m in moduli])
+    ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), m.ring_dim) for m in moduli])
+    n_inv = np.array([[m.n_inv] for m in moduli], dtype=np.uint64)
+    for table in (psi, ipsi, n_inv):
+        table.flags.writeable = False
+    return psi, ipsi, n_inv
+
+
+def _forward_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
+    psi_rev, _, _ = _block_tables(moduli)
+    q = modulus_column(moduli)[:, :, None]
     a = values.copy()
+    limbs, n = a.shape
     t = n
     mm = 1
     while mm < n:
         t //= 2
-        view = a.reshape(mm, 2 * t)
-        lo = view[:, :t].copy()
-        tw = psi_rev[mm : 2 * mm].reshape(mm, 1)
-        v = mod_mul_vec(view[:, t:], tw, q)
-        view[:, :t] = mod_add_vec(lo, v, q)
-        view[:, t:] = mod_sub_vec(lo, v, q)
+        view = a.reshape(limbs, mm, 2 * t)
+        lo = view[:, :, :t].copy()
+        v = mod_mul_vec(view[:, :, t:], psi_rev[:, mm : 2 * mm, None], q)
+        view[:, :, :t] = mod_add_vec(lo, v, q)
+        view[:, :, t:] = mod_sub_vec(lo, v, q)
         mm *= 2
     return a
 
 
-def _inverse_ntt(values: np.ndarray, m: Modulus) -> np.ndarray:
-    q = m.q
-    n = m.ring_dim
-    _, ipsi_rev = _ntt_tables(q, n, m.two_n_root)
+def _inverse_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
+    _, ipsi_rev, n_inv = _block_tables(moduli)
+    q = modulus_column(moduli)[:, :, None]
     a = values.copy()
+    limbs, n = a.shape
     t = 1
     mm = n
     while mm > 1:
         h = mm // 2
-        view = a.reshape(h, 2 * t)
-        lo = view[:, :t].copy()
-        hi = view[:, t:].copy()
-        tw = ipsi_rev[h : 2 * h].reshape(h, 1)
-        view[:, :t] = mod_add_vec(lo, hi, q)
-        view[:, t:] = mod_mul_vec(mod_sub_vec(lo, hi, q), tw, q)
+        view = a.reshape(limbs, h, 2 * t)
+        lo = view[:, :, :t].copy()
+        hi = view[:, :, t:].copy()
+        view[:, :, :t] = mod_add_vec(lo, hi, q)
+        view[:, :, t:] = mod_mul_vec(mod_sub_vec(lo, hi, q), ipsi_rev[:, h : 2 * h, None], q)
         t *= 2
         mm //= 2
-    return mod_mul_vec(a, np.uint64(m.n_inv), q)
+    return mod_mul_vec(a, n_inv, q[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +202,43 @@ class RotationIndex:
         return RotationIndex((half - self.r) % half, self.ring_dim)
 
 
-@dataclass
 class Poly:
-    """One residue polynomial: N values mod a single prime."""
+    """One residue polynomial: N values mod a single prime.
 
-    coeffs: np.ndarray
-    modulus: Modulus
-    domain: Domain
+    The one-limb case of :class:`ckkslt.rns.RnsPoly`. Assigning to
+    ``coeffs`` writes into the existing array, so a limb taken from
+    ``RnsPoly.limbs`` stays a view of its block.
+    """
 
-    def __post_init__(self):
-        if self.coeffs.dtype != np.uint64:
-            self.coeffs = self.coeffs.astype(np.uint64)
-        if len(self.coeffs) != self.modulus.ring_dim:
+    __slots__ = ("_coeffs", "modulus", "domain")
+
+    def __init__(self, coeffs: np.ndarray, modulus: Modulus, domain: Domain):
+        if coeffs.dtype != np.uint64:
+            coeffs = coeffs.astype(np.uint64)
+        if coeffs.shape != (modulus.ring_dim,):
             raise ModulusMismatch("coefficient count != ring dimension")
+        self._coeffs = coeffs
+        self.modulus = modulus
+        self.domain = domain
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, values):
+        self._coeffs[...] = values
+
+    @property
+    def moduli(self) -> tuple[Modulus]:
+        return (self.modulus,)
 
     @property
     def n(self) -> int:
         return self.modulus.ring_dim
+
+    def like(self, block: np.ndarray, domain: Domain) -> "Poly":
+        return Poly(block.reshape(-1), self.modulus, domain)
 
     def copy(self) -> "Poly":
         return Poly(self.coeffs.copy(), self.modulus, self.domain)
@@ -203,64 +252,83 @@ def random_poly(m: Modulus, rng: np.random.Generator, domain: Domain = Domain.CO
     return Poly(rng.integers(0, m.q, m.ring_dim, dtype=np.uint64), m, domain)
 
 
-def _require(p: Poly, domain: Domain):
+def _block(p) -> np.ndarray:
+    return p.coeffs.reshape(-1, p.n)
+
+
+def _require(p, domain: Domain):
     if p.domain != domain:
         raise DomainMismatch(f"expected {domain}, got {p.domain}")
 
 
-def ntt(p: Poly) -> Poly:
+def ntt(p):
     _require(p, Domain.COEF)
-    return Poly(_forward_ntt(p.coeffs, p.modulus), p.modulus, Domain.NTT)
+    return p.like(_forward_ntt(_block(p), p.moduli), Domain.NTT)
 
 
-def intt(p: Poly) -> Poly:
+def intt(p):
     _require(p, Domain.NTT)
-    return Poly(_inverse_ntt(p.coeffs, p.modulus), p.modulus, Domain.COEF)
+    return p.like(_inverse_ntt(_block(p), p.moduli), Domain.COEF)
 
 
-def _check_pair(a: Poly, b: Poly):
-    if a.modulus.q != b.modulus.q or a.n != b.n:
-        raise ModulusMismatch("operands disagree on modulus or length")
+def to_ntt(p):
+    return p if p.domain == Domain.NTT else ntt(p)
+
+
+def to_coef(p):
+    return p if p.domain == Domain.COEF else intt(p)
+
+
+def _same_basis(a, b):
+    if a.moduli != b.moduli:
+        raise ModulusMismatch("operands disagree on moduli or length")
     if a.domain != b.domain:
         raise DomainMismatch("operands in different domains")
+    return modulus_column(a.moduli)
 
 
-def pointwise_mul(a: Poly, b: Poly) -> Poly:
-    _check_pair(a, b)
-    return Poly(mod_mul_vec(a.coeffs, b.coeffs, a.modulus.q), a.modulus, a.domain)
+def pointwise_mul(a, b):
+    q = _same_basis(a, b)
+    return a.like(mod_mul_vec(_block(a), _block(b), q), a.domain)
 
 
-def pointwise_add(a: Poly, b: Poly) -> Poly:
-    _check_pair(a, b)
-    return Poly(mod_add_vec(a.coeffs, b.coeffs, a.modulus.q), a.modulus, a.domain)
+def pointwise_add(a, b):
+    q = _same_basis(a, b)
+    return a.like(mod_add_vec(_block(a), _block(b), q), a.domain)
 
 
-def pointwise_sub(a: Poly, b: Poly) -> Poly:
-    _check_pair(a, b)
-    return Poly(mod_sub_vec(a.coeffs, b.coeffs, a.modulus.q), a.modulus, a.domain)
+def pointwise_sub(a, b):
+    q = _same_basis(a, b)
+    return a.like(mod_sub_vec(_block(a), _block(b), q), a.domain)
 
 
-def scalar_mul(p: Poly, c: int) -> Poly:
-    return Poly(mod_mul_vec(p.coeffs, c % p.modulus.q, p.modulus.q), p.modulus, p.domain)
+def scalar_mul(p, c: int):
+    """Multiply by the integer c, reduced mod every limb's modulus."""
+    residues = np.array([[c % m.q] for m in p.moduli], dtype=np.uint64)
+    return p.like(mod_mul_vec(_block(p), residues, modulus_column(p.moduli)), p.domain)
 
 
 # ---------------------------------------------------------------------------
 # automorphisms
 
 
-def automorphism_coef(p: Poly, rot: RotationIndex) -> Poly:
+@lru_cache(maxsize=None)
+def coef_permutation(ring_dim: int, g_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter positions g_r*i mod N of x -> x^{g_r} and where the sign flips."""
+    n = ring_dim
+    idx = (np.arange(n, dtype=np.int64) * g_r) % (2 * n)
+    return idx % n, idx >= n
+
+
+def automorphism_coef(p, rot: RotationIndex):
     """Substitution x -> x^{g_r}: coefficient i lands at g_r*i mod 2N,
     negated whenever the exponent wraps past N."""
     _require(p, Domain.COEF)
-    n = p.n
-    q = p.modulus.q
-    idx = (np.arange(n, dtype=np.int64) * rot.g_r) % (2 * n)
-    pos = idx % n
-    flip = idx >= n
-    vals = np.where(flip, mod_neg_vec(p.coeffs, q), p.coeffs)
-    out = np.zeros(n, dtype=np.uint64)
-    out[pos] = vals
-    return Poly(out, p.modulus, Domain.COEF)
+    block = _block(p)
+    pos, flip = coef_permutation(p.n, rot.g_r)
+    out = np.empty_like(block)
+    out[:, pos] = np.where(flip & (block != 0), modulus_column(p.moduli) - block, block)
+    return p.like(out, Domain.COEF)
 
 
 @lru_cache(maxsize=None)
@@ -280,11 +348,10 @@ def eval_permutation(ring_dim: int, g_r: int) -> np.ndarray:
     return src
 
 
-def automorphism_eval(p: Poly, rot: RotationIndex) -> Poly:
+def automorphism_eval(p, rot: RotationIndex):
     """NTT-domain automorphism: a pure index permutation, no transform."""
     _require(p, Domain.NTT)
-    src = eval_permutation(p.n, rot.g_r)
-    return Poly(p.coeffs[src], p.modulus, Domain.NTT)
+    return p.like(_block(p)[:, eval_permutation(p.n, rot.g_r)], Domain.NTT)
 
 
 def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

@@ -117,6 +117,8 @@ def test_plan_validation():
         linear.LtPlan(linear.LtMethod.TH_BSGS, 16, (4, 4))
     with pytest.raises(linear.BadFactors):
         linear.LtPlan(linear.LtMethod.DIAGONAL, 12)
+    with pytest.raises(linear.BadFactors):
+        linear.LtPlan(linear.LtMethod.DIAGONAL, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -163,3 +163,28 @@ def test_vector_kernel_object_path_matches():
     got = ring.mod_mul_vec(a, b, q)
     ref = (a.astype(object) * b.astype(object)) % q
     assert np.array_equal(got.astype(object), ref)
+
+
+def test_mixed_width_block_matches_single_limbs():
+    # 30/44-bit rows take the float path, 54/60-bit rows the exact path
+    from ckkslt.rns import RnsPoly
+
+    n = 64
+    moduli = [find_ntt_primes(bits, n, 1)[0] for bits in (30, 44, 54, 60)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = (RnsPoly([ring.random_poly(m, rng) for m in moduli]) for _ in range(2))
+        xn, yn = ring.ntt(x), ring.ntt(y)
+        assert np.array_equal(ring.intt(xn).coeffs, x.coeffs)
+        prod = ring.intt(ring.pointwise_mul(xn, yn))
+        rot = ring.RotationIndex(int(rng.integers(1, n // 2)), n)
+        auto_eval = ring.automorphism_eval(xn, rot)
+        auto_coef = ring.automorphism_coef(x, rot)
+        for j, m in enumerate(moduli):
+            a, b = x.limbs[j], y.limbs[j]
+            assert np.array_equal(xn.coeffs[j], ring.ntt(a).coeffs)
+            assert np.array_equal(prod.coeffs[j],
+                                  ring.negacyclic_mul_schoolbook(a.coeffs, b.coeffs, m.q))
+            assert np.array_equal(auto_eval.coeffs[j],
+                                  ring.automorphism_eval(ring.ntt(a), rot).coeffs)
+            assert np.array_equal(auto_coef.coeffs[j], ring.automorphism_coef(a, rot).coeffs)

@@ -1,11 +1,14 @@
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckkslt import rns
 from ckkslt.modarith import Modulus, find_ntt_primes
-from ckkslt.ring import Domain
+from ckkslt.ring import Domain, intt, ntt
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +214,71 @@ def test_moddown_lift_identity_within_margin(toy_basis):
     lifted = rns.rns_from_ints([big_p * v for v in vals], toy_basis.pq_moduli)
     down = rns.crt_reconstruct_centered(rns.moddown(lifted, toy_basis))
     assert down == vals
+
+
+# ---------------------------------------------------------------------------
+# every prime width Modulus accepts: 20..60 bits, 1..16 source limbs
+
+
+@lru_cache(maxsize=None)
+def _primes(bits):
+    return find_ntt_primes(bits, 16, 20)
+
+
+width = st.integers(20, 60)
+limbs = st.integers(1, 16)
+
+
+@settings(max_examples=40, deadline=None)
+@example(bits=60, src=16, seed=0)
+@given(bits=width, src=limbs, seed=st.integers(0, 2**32 - 1))
+def test_bconv_overshoot_bound_any_width(bits, src, seed):
+    primes = _primes(bits)
+    basis = rns.RnsBasis(primes[:src], primes[src:])
+    vals, p = random_rns(np.random.default_rng(seed), basis.q_moduli, 16)
+    out = rns.bconv(p, basis.p_moduli, basis)
+    big = basis.q_product
+    for i, m in enumerate(basis.p_moduli):
+        for t in range(16):
+            got = int(out.limbs[i].coeffs[t])
+            assert any((vals[t] + u * big) % m.q == got for u in range(src))
+
+
+@settings(max_examples=40, deadline=None)
+@example(bits=60, src=16, seed=0)
+@given(bits=width, src=limbs, seed=st.integers(0, 2**32 - 1))
+def test_moddown_error_bound_any_width(bits, src, seed):
+    primes = _primes(bits)
+    basis = rns.RnsBasis(primes[16:], primes[:src])  # alpha = src special limbs
+    vals, c = random_rns(np.random.default_rng(seed), basis.pq_moduli, 16)
+    down = rns.crt_reconstruct_centered(rns.moddown(c, basis))
+    big_p, big_q = basis.p_product, basis.q_product
+    for t in range(16):
+        err = centered((down[t] - vals[t] // big_p) % big_q, big_q)
+        assert -basis.alpha < err <= 0
+
+
+@settings(max_examples=40, deadline=None)
+@example(bits=60, src=16, seed=0)
+@given(bits=width, src=limbs, seed=st.integers(0, 2**32 - 1))
+def test_rescale_error_bound_any_width(bits, src, seed):
+    moduli = _primes(bits)[:src + 1]
+    vals, c = random_rns(np.random.default_rng(seed), moduli, 16)
+    out = rns.crt_reconstruct_centered(rns.rescale(c))
+    reduced = prod(m.q for m in moduli[:-1])
+    for t in range(16):
+        err = centered((out[t] - vals[t] // moduli[-1].q) % reduced, reduced)
+        assert abs(err) <= 1
+
+
+def test_ntt_domain_decompose_and_moddown_match_coefficient_domain(toy_basis):
+    # only the converted limbs change domain; NTT linearity makes the rest exact
+    rng = np.random.default_rng(12)
+    _, c = random_rns(rng, toy_basis.q_moduli, 64)
+    for got, want in zip(rns.decompose(ntt(c), toy_basis), rns.decompose(c, toy_basis)):
+        assert got.domain == Domain.NTT
+        assert np.array_equal(intt(got).coeffs, want.coeffs)
+    _, pc = random_rns(rng, toy_basis.pq_moduli, 64)
+    down = rns.moddown(ntt(pc), toy_basis)
+    assert down.domain == Domain.NTT
+    assert np.array_equal(intt(down).coeffs, rns.moddown(pc, toy_basis).coeffs)
