@@ -255,7 +255,7 @@ def _factors_and_config(args, params):
 def cmd_simulate(args) -> int:
     params = _shape_params(args)
     factors, cfg = _factors_and_config(args, params)
-    sim = dp.simulate(params, factors, cfg, mode="count_only")
+    sim = dp.simulate(params, factors, cfg)
     text = json.dumps(dp.report_json(params, factors, cfg, sim), indent=2) + "\n"
     _emit(text, args.out)
     return 0
@@ -328,14 +328,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args, parser):
+def _explicit_dests(argv) -> set[str]:
+    """Destinations the command line sets itself: the same argv parsed
+    with every default suppressed."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        p._defaults.clear()
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config_file(args, argv):
     if not args.config:
         return args
     values = load_config_file(args.config)
-    explicit = {a for a in sys.argv[1:] if a.startswith("--")}
+    explicit = _explicit_dests(argv)
     for key, val in values.items():
         name = key.split(".", 1)[-1].replace("-", "_")
-        if not hasattr(args, name) or f"--{name.replace('_', '-')}" in explicit:
+        if not hasattr(args, name) or name in explicit:
             continue
         current = getattr(args, name)
         if isinstance(current, bool):
@@ -355,7 +367,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser)
+        args = _apply_config_file(args, argv)
         return args.func(args)
     except (cm.ConfigOutOfRange, cm.BadFactors, cm.Infeasible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,9 +14,12 @@ on every logical transfer, attributing each to exactly one category:
     poly_read      polynomial reads
     poly_write     polynomial writes
 
-In compute mode the same walk executes the actual arithmetic at toy
-scale and returns a ciphertext that matches the reference evaluator
-bit for bit (identical accumulation order).
+Given live inputs (a ComputeContext), the same walk also executes the
+arithmetic and returns the output ciphertext: this walk is the th-bsgs
+evaluator, and ``linear.lt_th_bsgs`` runs it at unit parallelism. The
+operation trace (Decompose, ModDown, coefficient-wise limb multiplies)
+is counted in both modes; key offsets are recorded only where a key is
+actually fetched, so shape-only runs leave that set empty.
 
 Modeling conventions that differ from the printed closed forms are
 collected in WHITELIST with their exact deltas:
@@ -50,7 +53,9 @@ from .costmodel import (
     peak_onchip,
     validate_config,
 )
-from .linear import OpTrace
+from . import ckks as ck
+from .linear import LtMethod, OpTrace, PlanMismatch
+from .ring import RotationIndex
 
 
 class OnchipOverflow(RuntimeError):
@@ -123,7 +128,7 @@ class SimResult:
 
 @dataclass
 class ComputeContext:
-    """Live arithmetic objects for compute mode."""
+    """Live arithmetic inputs; passing them makes ``simulate`` compute."""
 
     params_arith: object  # ckks.CkksParams
     ct: object            # ckks.Ciphertext, top level, NTT domain
@@ -132,11 +137,11 @@ class ComputeContext:
 
 
 def simulate(params: HeParams, factors, cfg: ParallelismConfig,
-             mode: str = "count_only", inputs: ComputeContext | None = None) -> SimResult:
+             inputs: ComputeContext | None = None) -> SimResult:
     """Run the six phases, metering every off-chip transfer.
 
-    count_only walks the loop nests on shapes alone; compute also
-    performs the arithmetic and returns the output ciphertext.
+    Without inputs the walk runs on shapes alone; with inputs it also
+    performs the th-bsgs arithmetic and returns the output ciphertext.
     """
     validate_config(params, factors, cfg)
     n1, n2, n3 = factors
@@ -146,23 +151,31 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     meter = MemoryMeter()
     trace = OpTrace()
     store = OffchipStore()
-    compute = mode == "compute"
+    compute = inputs is not None
     if compute:
-        if inputs is None:
-            raise ValueError("compute mode requires inputs")
-        from . import ckks as ck
-        from .ring import RotationIndex
         ap = inputs.params_arith
         if (ap.ring_dim != params.ring_dim
                 or ap.basis.level_count != params.levels
                 or ap.basis.alpha != params.alpha):
             raise ValueError("arithmetic parameters disagree with shape parameters")
+        plan = inputs.dm.plan
+        if plan.method != LtMethod.TH_BSGS or tuple(plan.factors) != tuple(factors):
+            raise PlanMismatch(f"diagonals are packed for {plan.method.value} "
+                               f"{plan.factors}, not th-bsgs {tuple(factors)}")
     envelope = peak_onchip(params, factors, cfg)
 
     def bound(phase: int, used: int):
         meter.residency(phase, used)
         if used > envelope[phase]:
             raise OnchipOverflow(f"phase {phase} used {used} > {envelope[phase]} limbs")
+
+    def rotate(a, digits, offset: int):
+        """Hoisted rotation of (a, digits) by offset; (None, None) on shapes."""
+        if not compute:
+            return None, None
+        trace.key_offsets.add(offset)
+        return ck.hoisted_rotation(a, digits, inputs.keys.get(offset, hoisted=True),
+                                   RotationIndex(offset, ap.ring_dim))
 
     # ---- phase 1: initial decomposition and first-layer rotations --------
     store.preload("input:c0", lp, inputs.ct.c0 if compute else None)
@@ -181,17 +194,16 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     store.write(meter, 1, "d:0", beta * limbs, digits0)
     for i0 in range(1, n1, cfg.m1):
         batch = range(i0, min(i0 + cfg.m1, n1))
-        meter.add(1, "switching_key", len(batch) * 2 * beta * limbs)
+        key_limbs = len(batch) * 2 * beta * limbs
+        meter.add(1, "switching_key", key_limbs)
+        trace.cwise_mult_limbs += key_limbs  # each key limb multiplies one digit limb
         for l0 in range(0, limbs, cfg.l1):
             meter.tick(1)
             chunk = min(cfg.l1, limbs - l0)
             used = 2 * lp + (beta + 4) * chunk + (4 * beta + 6) * len(batch) * chunk
             bound(1, used)
         for i in batch:
-            a_i = b_i = None
-            if compute:
-                a_i, b_i = ck.hoisted_rotation(a0, digits0, inputs.keys.get(i, hoisted=True),
-                                               RotationIndex(i, ap.ring_dim))
+            a_i, b_i = rotate(a0, digits0, i)
             store.write(meter, 1, f"a:{i}", limbs, a_i)
             store.write(meter, 1, f"b:{i}", limbs, b_i)
 
@@ -206,17 +218,15 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             b_i = store.read(meter, 2, f"b:{i}")
             trace.moddown += 1
             trace.decompose += 1
-            if compute:
-                b_down = ck.moddown_ntt(b_i, ap.basis)
-                d_i = ck.hoist_digits(b_down, ap.basis)
-                store.write(meter, 2, f"d:{i}", beta * limbs, d_i)
-            else:
-                store.write(meter, 2, f"d:{i}", beta * limbs)
+            d_i = ck.hoist_digits(ck.moddown_ntt(b_i, ap.basis), ap.basis) if compute else None
+            store.write(meter, 2, f"d:{i}", beta * limbs, d_i)
 
     # ---- phase 3: second-layer rotations, keys cached per batch ----------
     for j0 in range(1, n2, cfg.m3):
         jbatch = range(j0, min(j0 + cfg.m3, n2))
-        meter.add(3, "switching_key", len(jbatch) * 2 * beta * limbs)
+        key_limbs = len(jbatch) * 2 * beta * limbs
+        meter.add(3, "switching_key", key_limbs)
+        trace.cwise_mult_limbs += n1 * key_limbs  # each cached key serves all n1 inputs
         for l0 in range(0, limbs, cfg.l3):
             chunk = min(cfg.l3, limbs - l0)
             for i0 in range(0, n1, cfg.m4):
@@ -231,11 +241,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         d_vals = [store.read(meter, 3, f"d:{i}") for i in range(n1)]
         for j in jbatch:
             for i in range(n1):
-                a_m = b_m = None
-                if compute:
-                    a_m, b_m = ck.hoisted_rotation(
-                        a_vals[i], d_vals[i], inputs.keys.get(n1 * j, hoisted=True),
-                        RotationIndex(n1 * j, ap.ring_dim))
+                a_m, b_m = rotate(a_vals[i], d_vals[i], n1 * j)
                 store.write(meter, 3, f"a:{n1 * j + i}", limbs, a_m)
                 store.write(meter, 3, f"b:{n1 * j + i}", limbs, b_m)
 
@@ -243,7 +249,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     meter.add(4, "ntt", limbs)  # one inverse table set for the final transforms
     total_m = n1 * n2
     chunks = _ceil(total_m, cfg.m5)
-    partials = [None] * n3 if compute else None
+    partials = [(None, None)] * n3
     for c in range(chunks):
         meter.tick(4)
         mbatch = range(c * cfg.m5, min((c + 1) * cfg.m5, total_m))
@@ -255,6 +261,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             b_m = store.read(meter, 4, f"b:{m}")
             pairs.append((a_m, b_m))
         meter.add(4, "lt_matrix", len(mbatch) * n3 * limbs)
+        trace.cwise_mult_limbs += 2 * len(mbatch) * n3 * limbs
         if c > 0:
             for k in range(n3):
                 store.read(meter, 4, f"u0:{k}")
@@ -265,24 +272,15 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                     f = inputs.dm.diagonals[total_m * k + m].poly
                     t0, t1 = ck.pointwise_mul(a_m, f), ck.pointwise_mul(b_m, f)
                     acc = partials[k]
-                    partials[k] = (t0, t1) if acc is None else (
+                    partials[k] = (t0, t1) if acc[0] is None else (
                         ck.rns_add(acc[0], t0), ck.rns_add(acc[1], t1))
         for k in range(n3):
-            store.write(meter, 4, f"u0:{k}", limbs,
-                        partials[k][0] if compute else None)
-            store.write(meter, 4, f"u1:{k}", limbs,
-                        partials[k][1] if compute else None)
-    if compute:
-        # k = 0 feeds the phase-5 accumulator in NTT form; k >= 1 second
-        # components drop to coefficient form for the coming ModDown
-        for k in range(1, n3):
-            u0, u1 = partials[k]
-            store._data[f"u1:{k}"] = (limbs, ck.to_coef(u1))
+            store.write(meter, 4, f"u0:{k}", limbs, partials[k][0])
+            store.write(meter, 4, f"u1:{k}", limbs, partials[k][1])
 
     # ---- phase 5: outer-layer rotations with delayed ModDown -------------
-    rounds = list(range(0, n3, cfg.m6))
-    acc_pair = None
-    for r0 in rounds:
+    acc_pair = (None, None)
+    for r0 in range(0, n3, cfg.m6):
         meter.tick(5)
         kbatch = range(r0, min(r0 + cfg.m6, n3))
         meter.add(5, "ntt", limbs)  # one table set per round
@@ -291,31 +289,24 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                 + 2 * cfg.l5)
         bound(5, used)
         if r0 != 0:
-            acc0 = store.read(meter, 5, "acc:c0")
-            acc1 = store.read(meter, 5, "acc:c1")
-            if compute:
-                acc_pair = (acc0, acc1)
+            acc_pair = (store.read(meter, 5, "acc:c0"), store.read(meter, 5, "acc:c1"))
         for k in kbatch:
-            if k == 0:
-                u0 = store.read(meter, 5, "u0:0")
-                u1 = store.read(meter, 5, "u1:0")
-                if compute:
-                    acc_pair = (u0, u1)
-                continue
             u0 = store.read(meter, 5, f"u0:{k}")
             u1 = store.read(meter, 5, f"u1:{k}")
+            if k == 0:
+                acc_pair = (u0, u1)
+                continue
             meter.add(5, "switching_key", 2 * beta * limbs)
+            trace.cwise_mult_limbs += 2 * beta * limbs
             trace.moddown += 1
             trace.decompose += 1
             if compute:
                 d = ck.hoist_digits(ck.moddown_ntt(u1, ap.basis), ap.basis)
-                c0_add, c1_add = ck.hoisted_rotation(
-                    u0, d, inputs.keys.get(total_m * k, hoisted=True),
-                    RotationIndex(total_m * k, ap.ring_dim))
+                c0_add, c1_add = rotate(u0, d, total_m * k)
                 acc_pair = (ck.rns_add(acc_pair[0], c0_add),
                             ck.rns_add(acc_pair[1], c1_add))
-        store.write(meter, 5, "acc:c0", limbs, acc_pair[0] if compute else None)
-        store.write(meter, 5, "acc:c1", limbs, acc_pair[1] if compute else None)
+        store.write(meter, 5, "acc:c0", limbs, acc_pair[0])
+        store.write(meter, 5, "acc:c1", limbs, acc_pair[1])
 
     # ---- phase 6: combined ModDown and rescale ----------------------------
     meter.tick(6)
@@ -372,7 +363,7 @@ def _whitelist(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
 
 def validate_against_model(params: HeParams, factors, cfg: ParallelismConfig) -> list[dict]:
     """Per-cell comparison of simulated traffic against the closed forms."""
-    sim = simulate(params, factors, cfg, mode="count_only")
+    sim = simulate(params, factors, cfg)
     model = offchip_access(params, factors, cfg)
     wl = _whitelist(params, factors, cfg)
     rows = []

@@ -11,11 +11,13 @@ switching-key storage:
   inner-layer ModDown delayed onto the accumulated sum.
 * th-bsgs: a three-layer split n = n1*n2*n3 with hoisting across all
   layers; only the second baby layer pays per-index ModDown/Decompose,
-  so rotation overhead scales with n1 + n3 instead of n2.
+  so rotation overhead scales with n1 + n3 instead of n2. Its one
+  implementation is the six-phase walk in ``datapath.simulate``; with
+  n1 = 1 it reduces exactly to dh-bsgs (n2, n3).
 
 Every evaluator records an operation trace (Decompose / ModDown /
 coefficient-wise limb multiplies / key offsets touched) that the cost
-model and the datapath simulator cross-check.
+model cross-checks.
 
 Zero-offset rotations are identities and never consume a key or a
 decomposition; the traces reflect that.
@@ -50,16 +52,13 @@ from .ckks import (
     rotate,
     rotation_keygen,
 )
+from .costmodel import BadFactors, HeParams, ParallelismConfig
 from .ring import RotationIndex, automorphism_coef, ntt, pointwise_mul
 from .rns import RnsPoly
 
 
 class PlanMismatch(ValueError):
     """Plan factors do not fit the method or the diagonal matrix."""
-
-
-class BadFactors(ValueError):
-    """Factorization does not multiply to the transform dimension."""
 
 
 class DimensionTooLarge(ValueError):
@@ -346,32 +345,21 @@ def lt_th_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     Layer structure: inner offsets i < n1 each pay ModDown + Decompose so
     the middle layer can key-switch them; middle offsets n1*j reuse those
     digit sets; outer offsets n1*n2*k behave like giant steps with the
-    ModDown delayed onto accumulated sums. Degenerate factors collapse
-    loops cleanly (n3 = 1 reduces to the double-hoisted route).
+    ModDown delayed onto accumulated sums. The arithmetic is the six-phase
+    datapath walk at unit parallelism. Degenerate factors collapse loops
+    cleanly: (1, n2, n3) is dh-bsgs (n2, n3) bit for bit, and n3 = 1
+    matches dh-bsgs (n1, n2) within the approximation error.
     """
+    from . import datapath  # datapath imports this module
+
     plan = dm.plan
     if plan.method != LtMethod.TH_BSGS:
         raise PlanMismatch("plan is not th-bsgs")
-    n1, n2, n3 = plan.factors
-    trace = OpTrace()
-    limbs = _pq_limb_count(params)
-    digit_sets = [_hoist_traced(ct.c1, trace, params)]
-    a0 = raise_to_pq(ct.c0, params.basis)
-    pairs = [(a0, raise_to_pq(ct.c1, params.basis))]
-    for i in range(1, n1):
-        pairs.append(_hoisted_rotate(a0, digit_sets[0], i, keys, trace, params))
-        b_down = _moddown_traced(pairs[i][1], trace, params)
-        digit_sets.append(_hoist_traced(b_down, trace, params))
-    for j in range(1, n2):
-        pairs += [_hoisted_rotate(pairs[i][0], digit_sets[i], n1 * j, keys, trace, params)
-                  for i in range(n1)]
-    acc = _dot(dm.diagonals, pairs, trace, limbs)
-    for k in range(1, n3):
-        base = n1 * n2 * k
-        u = _dot(dm.diagonals[base:], pairs, trace, limbs)
-        acc = _pair_add(acc, _delayed_rotate(u, base, keys, trace, params))
-    out = _finish(acc, ct.scale * dm.diagonals[0].scale, ct.level, trace, params)
-    return out, trace
+    shape = HeParams(params.ring_dim, params.basis.level_count, params.basis.alpha,
+                     n=plan.n)
+    sim = datapath.simulate(shape, plan.factors, ParallelismConfig(),
+                            datapath.ComputeContext(params, ct, dm, keys))
+    return sim.ciphertext, sim.trace
 
 
 _EVALUATORS = {

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import Domain, Poly, RotationIndex, bitrev_table
+from .ring import RotationIndex, bitrev_table
 
 
 def bitrev(x: int, bits: int) -> int:
@@ -257,18 +257,9 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
 def apply_rotation_banked(layout: BankLayout, r: int) -> None:
     """Apply the full rotation to the banks via the move schedule."""
     steps = schedule(r, layout)
-    n = layout.ring_dim
-    src = layout.to_storage()
-    out = np.empty_like(src)
-    seen = np.zeros(n, dtype=bool)
-    per_bank = n // layout.dp
-    for step in steps:
-        for sb, sa, db, da in step.moves:
-            out[db * per_bank + da] = src[sb * per_bank + sa]
-            assert not seen[db * per_bank + da]
-            seen[db * per_bank + da] = True
-    assert seen.all(), "schedule did not cover every position"
-    layout.banks = out.reshape(layout.dp, per_bank)
+    covered = {(db, da) for step in steps for _, _, db, da in step.moves}
+    assert len(covered) == layout.ring_dim, "schedule did not cover every position"
+    apply_schedule(layout, steps)
 
 
 def mux_controls(r: int, layout: BankLayout) -> np.ndarray:

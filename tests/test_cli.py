@@ -159,6 +159,16 @@ def test_config_file_merging(capsys, tmp_path):
     assert "th-bsgs" in out
 
 
+@pytest.mark.parametrize("flag", [["--n", "32"], ["--n=32"]])
+def test_explicit_flag_beats_config_file(capsys, tmp_path, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 16\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "analyze", "--params",
+                           "toy-small", *flag, "--method", "th-bsgs")
+    assert code == 0
+    assert json.loads(out)["params"]["n"] == 32
+
+
 def test_budget_search_flag(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--params", "set-a",

@@ -141,6 +141,14 @@ def compute_env(toy_params, toy_keys):
     return plan, keys, F, v, dm, ct
 
 
+# the second configuration batches phases 2-5 as well, within the (4, 2, 2) bounds
+COMPUTE_CONFIGS = [
+    cm.ParallelismConfig(m1=2, m3=1, m5=3, m6=2, l1=2),
+    cm.ParallelismConfig(m1=3, m2=3, m4=2, m5=8, m6=2,
+                         l1=3, l2=4, l3=2, l4=5, l5=10),
+]
+
+
 def test_compute_mode_matches_evaluator_bit_for_bit(
         compute_env, toy_params, toy_keys):
     sk, _ = toy_keys
@@ -148,29 +156,68 @@ def test_compute_mode_matches_evaluator_bit_for_bit(
     ref, _ = linear.lt_th_bsgs(ct, dm, keys, toy_params)
     shape = cm.HeParams(toy_params.ring_dim, toy_params.basis.level_count,
                         toy_params.basis.alpha, 44, n=plan.n)
-    cfg = cm.ParallelismConfig(m1=2, m3=1, m5=3, m6=2, l1=2)
     ctx = dp.ComputeContext(toy_params, ct, dm, keys)
-    sim = dp.simulate(shape, plan.factors, cfg, mode="compute", inputs=ctx)
-    for a, b in zip(sim.ciphertext.c0.limbs, ref.c0.limbs):
-        assert np.array_equal(a.coeffs, b.coeffs)
-    for a, b in zip(sim.ciphertext.c1.limbs, ref.c1.limbs):
-        assert np.array_equal(a.coeffs, b.coeffs)
-    # and the decoded result is the right linear transform
-    out = ckks.decode(ckks.decrypt(sim.ciphertext, sk), toy_params)
-    expect = np.tile(F @ v, toy_params.slots // plan.n)
-    assert np.max(np.abs(out - expect)) < 1e-3
+    for cfg in COMPUTE_CONFIGS:
+        sim = dp.simulate(shape, plan.factors, cfg, inputs=ctx)
+        for a, b in zip(sim.ciphertext.c0.limbs, ref.c0.limbs):
+            assert np.array_equal(a.coeffs, b.coeffs), cfg
+        for a, b in zip(sim.ciphertext.c1.limbs, ref.c1.limbs):
+            assert np.array_equal(a.coeffs, b.coeffs), cfg
+        # and the decoded result is the right linear transform
+        out = ckks.decode(ckks.decrypt(sim.ciphertext, sk), toy_params)
+        expect = np.tile(F @ v, toy_params.slots // plan.n)
+        assert np.max(np.abs(out - expect)) < 1e-3, cfg
 
 
 def test_compute_and_count_meters_agree(compute_env, toy_params):
     plan, keys, F, v, dm, ct = compute_env
     shape = cm.HeParams(toy_params.ring_dim, toy_params.basis.level_count,
                         toy_params.basis.alpha, 44, n=plan.n)
-    cfg = cm.ParallelismConfig(m1=2, m3=1, m5=3, m6=2, l1=2)
     ctx = dp.ComputeContext(toy_params, ct, dm, keys)
-    sim_c = dp.simulate(shape, plan.factors, cfg, mode="compute", inputs=ctx)
-    sim_n = dp.simulate(shape, plan.factors, cfg, mode="count_only")
-    assert sim_c.meter.offchip == sim_n.meter.offchip
-    assert sim_c.meter.onchip_peak == sim_n.meter.onchip_peak
+    for cfg in COMPUTE_CONFIGS:
+        sim_c = dp.simulate(shape, plan.factors, cfg, inputs=ctx)
+        sim_n = dp.simulate(shape, plan.factors, cfg)
+        assert sim_c.meter.offchip == sim_n.meter.offchip, cfg
+        assert sim_c.meter.onchip_peak == sim_n.meter.onchip_peak, cfg
+
+
+@pytest.mark.parametrize("cfg", COMPUTE_CONFIGS)
+def test_count_only_trace_matches_compute(compute_env, toy_params, cfg):
+    # every count is a property of the shape; key offsets are recorded
+    # only where compute mode fetches a key
+    plan, keys, F, v, dm, ct = compute_env
+    shape = cm.HeParams(toy_params.ring_dim, toy_params.basis.level_count,
+                        toy_params.basis.alpha, 44, n=plan.n)
+    ctx = dp.ComputeContext(toy_params, ct, dm, keys)
+    tr_c = dp.simulate(shape, plan.factors, cfg, inputs=ctx).trace
+    tr_n = dp.simulate(shape, plan.factors, cfg).trace
+    assert ((tr_c.decompose, tr_c.moddown, tr_c.cwise_mult_limbs)
+            == (tr_n.decompose, tr_n.moddown, tr_n.cwise_mult_limbs))
+    assert tr_c.key_offsets == set(linear.required_offsets(plan)[0])
+    assert tr_n.key_offsets == set()
+
+
+def test_compute_mode_rejects_mismatched_plan(small_params):
+    # keys from a diagonal plan are hoisted and cover every offset, so
+    # only the plan check can stop a wrong answer
+    rng = np.random.default_rng(56)
+    sk, pk = ckks.keygen(small_params, rng)
+    n = 16
+    keys = linear.generate_lt_keys(
+        sk, linear.LtPlan(linear.LtMethod.DIAGONAL, n), small_params, rng)
+    F = rng.uniform(-1, 1, (n, n))
+    v = rng.uniform(-1, 1, n)
+    ct = ckks.encrypt(ckks.encode(np.tile(v, small_params.slots // n), small_params),
+                      pk, small_params, rng)
+    shape = cm.HeParams(small_params.ring_dim, small_params.basis.level_count,
+                        small_params.basis.alpha, 30, n=n)
+    th = linear.LtPlan(linear.LtMethod.TH_BSGS, n, (4, 2, 2))
+    dh = linear.LtPlan(linear.LtMethod.DH_BSGS, n, (4, 4))
+    for plan, factors in ((th, (2, 2, 4)), (dh, (4, 4, 1))):
+        dm = linear.diagonalize(F, plan, small_params)
+        ctx = dp.ComputeContext(small_params, ct, dm, keys)
+        with pytest.raises(linear.PlanMismatch):
+            dp.simulate(shape, factors, cm.ParallelismConfig(), inputs=ctx)
 
 
 def test_report_json_schema():

@@ -225,6 +225,20 @@ def test_th_with_unit_outer_factor_matches_dh(env, toy_params, toy_keys):
     d_dh = ckks.decode(ckks.decrypt(out_dh, sk), toy_params)
     assert np.max(np.abs(d_th - d_dh)) < 1e-4
     assert tr_th.key_offsets == tr_dh.key_offsets
+    # (1, a, b) is the two-layer method (a, b) exactly: same packing, same
+    # keys, same operations, so the ciphertexts agree bit for bit
+    for a, b in ((4, 4), (2, 8), (8, 2)):
+        plan_th = linear.LtPlan(linear.LtMethod.TH_BSGS, N1, (1, a, b))
+        plan_dh = linear.LtPlan(linear.LtMethod.DH_BSGS, N1, (a, b))
+        keys = linear.generate_lt_keys(sk, plan_dh, toy_params, rng)
+        out_th, tr_th = linear.lt_th_bsgs(
+            ct, linear.diagonalize(F, plan_th, toy_params), keys, toy_params)
+        out_dh, tr_dh = linear.lt_dh_bsgs(
+            ct, linear.diagonalize(F, plan_dh, toy_params), keys, toy_params)
+        for x, y in ((out_th.c0, out_dh.c0), (out_th.c1, out_dh.c1)):
+            assert np.array_equal(x.coeffs, y.coeffs), (a, b)
+        assert (out_th.level, out_th.scale) == (out_dh.level, out_dh.scale)
+        assert tr_th == tr_dh, (a, b)
 
 
 def test_equivalence_check_report(toy_params):
