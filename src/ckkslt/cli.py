@@ -31,7 +31,7 @@ TOY_PROFILES = {
     # name: (ring_dim, levels, alpha, prime_bits)
     "toy": (2**10, 5, 5, 44),
     "toy-small": (2**8, 3, 3, 30),
-    "set-a": (2**13, 5, 5, 44),
+    "toy-large": (2**13, 5, 5, 44),
 }
 
 
@@ -114,19 +114,13 @@ def cmd_demo(args) -> int:
                else [args.method])
     plans = []
     for name in methods:
-        method = linear.LtMethod(name)
-        if method == linear.LtMethod.DIAGONAL:
-            plans.append(linear.LtPlan(method, n))
-        elif method in (linear.LtMethod.BSGS, linear.LtMethod.DH_BSGS):
-            fs = args.factors if args.factors and len(args.factors) == 2 \
-                else cm.search_factors(name, cm.HeParams(
-                    ring_dim, levels, alpha, bits, n=n), "min_compute")
-            plans.append(linear.LtPlan(method, n, tuple(fs)))
-        else:
-            fs = args.factors if args.factors and len(args.factors) == 3 \
-                else cm.search_factors(name, cm.HeParams(
-                    ring_dim, levels, alpha, bits, n=n), "min_keys")
-            plans.append(linear.LtPlan(method, n, tuple(fs)))
+        # a single method takes --factors as given, so a wrong arity is an
+        # error; "all" hands them only to the methods whose arity they fit
+        fs = args.factors
+        if fs is None or (args.method == "all" and len(fs) != cm.METHOD_ARITY[name]):
+            fs = cm.search_factors(name, cm.HeParams(ring_dim, levels, alpha, bits, n=n),
+                                   "min_keys" if name == "th-bsgs" else "min_compute")
+        plans.append(linear.LtPlan(linear.LtMethod(name), n, tuple(fs)))
 
     t0 = time.time()
     report = linear.lt_equivalence_check(f_matrix, v, params, plans,
@@ -289,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--params", default="toy",
-                       help="toy | toy-small | set-a | set-b | set-c")
+                       help="toy | toy-small | toy-large (demo profiles, "
+                            "44/30-bit primes) | set-a | set-b | set-c "
+                            "(54-bit evaluation shapes)")
         p.add_argument("--n", type=int, default=0, help="transform dimension")
         p.add_argument("--factors", type=_parse_int_list, default=None)
         p.add_argument("--seed", type=int, default=0)

@@ -5,6 +5,13 @@ multiplies, switching-key limbs) and the six-phase off-chip / on-chip
 memory model of the streaming datapath, plus factorization and
 parallelism searches and the key-size/compute trade-off sweep.
 
+Every route is a split of the transform dimension n into three layers
+(n1, n2, n3) whose rotations step by (1, n1, n1*n2): diagonal is
+(1, n, 1), a two-layer split (a, b) is (1, a, b), and th-bsgs takes its
+three factors as they are. ``plan_layers`` is the one place that rule
+and the factor checks live; plans, keys, packing, the cost formulas and
+the datapath all read its triple.
+
 Two counting conventions exist for the three-layer method: the published
 summary table charges n1+n3 Decompose and n1+n3+1 ModDown, while a line
 count of the algorithm (zero-offset rotations skipped) gives n1+n3-1 and
@@ -119,8 +126,37 @@ def reference_config(name: str) -> tuple[HeParams, tuple[int, int, int], Paralle
     return params, factors, cfg
 
 
-def validate_config(params: HeParams, factors, cfg: ParallelismConfig):
-    n1, n2, n3 = factors
+# number of factors each method takes
+METHOD_ARITY = {"diagonal": 0, "bsgs": 2, "dh-bsgs": 2, "th-bsgs": 3}
+
+
+def plan_layers(method: str, n: int, factors=()) -> tuple[int, int, int]:
+    """Validate a factorization and return its layers (n1, n2, n3).
+
+    The only factor validator: raises BadFactors for an unknown method,
+    an n that is not a power of two, the wrong number of factors, a
+    factor below 1, or factors whose product is not n.
+    """
+    if method not in METHOD_ARITY:
+        raise BadFactors(f"unknown method {method}")
+    if n < 1 or n & (n - 1):
+        raise BadFactors(f"transform dimension {n} is not a power of two")
+    factors = tuple(factors)
+    want = METHOD_ARITY[method]
+    if len(factors) != want:
+        raise BadFactors(f"{method} needs {want} factors, got {factors}")
+    if any(f < 1 for f in factors):
+        raise BadFactors("factors must be >= 1")
+    if not factors:
+        return 1, n, 1
+    if math.prod(factors) != n:
+        raise BadFactors(f"factors {factors} do not multiply to {n}")
+    return (1,) * (3 - want) + factors
+
+
+def validate_config(params: HeParams, factors, cfg: ParallelismConfig) -> tuple[int, int, int]:
+    """Check a six-phase configuration; returns the th-bsgs layers."""
+    n1, n2, n3 = plan_layers("th-bsgs", params.n, factors)
     limbs = params.pq_limbs
     bounds = {
         "m1": max(n1 - 1, 1), "m2": max(n1 - 1, 1), "m3": max(n2 - 1, 1),
@@ -134,6 +170,7 @@ def validate_config(params: HeParams, factors, cfg: ParallelismConfig):
         val = getattr(cfg, name)
         if not 1 <= val <= limbs:
             raise ConfigOutOfRange(f"{name}={val} outside [1, {limbs}]")
+    return n1, n2, n3
 
 
 @dataclass
@@ -150,20 +187,6 @@ class CostReport:
         return self.switching_key_limbs * KEY_PAIR_FACTOR * params.limb_bytes
 
 
-def _check_factors(method: str, params: HeParams, factors) -> tuple:
-    factors = tuple(factors)
-    if method == "diagonal":
-        if factors not in ((), (params.n,)):
-            raise BadFactors("diagonal takes no factorization")
-        return ()
-    want = 2 if method in ("bsgs", "dh-bsgs") else 3
-    if len(factors) != want or math.prod(factors) != params.n:
-        raise BadFactors(f"{method} needs {want} factors multiplying to {params.n}")
-    if any(f < 1 for f in factors):
-        raise BadFactors("factors must be >= 1")
-    return factors
-
-
 def complexity(method: str, params: HeParams, factors=(),
                convention: str = "algorithm") -> CostReport:
     """Operation counts for one transform evaluation.
@@ -172,35 +195,24 @@ def complexity(method: str, params: HeParams, factors=(),
     three-layer method; "table" charges the published summary values
     (one Decompose and one ModDown more).
     """
-    factors = _check_factors(method, params, factors)
+    n1, n2, n3 = plan_layers(method, params.n, factors)
+    factors = tuple(factors)
     n = params.n
     beta = params.beta
     limbs = params.pq_limbs
-    if method == "diagonal":
-        dec, mdown = 1, 2
-        cwise = 2 * beta * (n - 1) * limbs + 2 * n * limbs
-        keys = beta * (n - 1) * limbs
-    elif method == "bsgs":
-        n1, n2 = factors
-        rot = n1 + n2 - 2
+    rot = n1 + n2 + n3 - 3  # nonzero rotation offsets over the three layers
+    keys = beta * rot * limbs
+    if method == "bsgs":
+        # unhoisted: every rotation pays a full key switch, products over Q
         dec, mdown = rot, 2 * rot
         cwise = 2 * beta * rot * limbs + 2 * n * params.levels
-        keys = beta * rot * limbs
-    elif method == "dh-bsgs":
-        n1, n2 = factors
-        dec, mdown = n2, n2 + 1
-        cwise = 2 * beta * (n1 + n2 - 2) * limbs + 2 * n * limbs
-        keys = beta * (n1 + n2 - 2) * limbs
-    elif method == "th-bsgs":
-        n1, n2, n3 = factors
-        if convention == "table":
-            dec, mdown = n1 + n3, n1 + n3 + 1
-        else:
-            dec, mdown = n1 + n3 - 1, n1 + n3
-        cwise = 2 * beta * (n1 + n2 + n3 - 3) * limbs + 2 * n * limbs
-        keys = beta * (n1 + n2 + n3 - 3) * limbs
     else:
-        raise BadFactors(f"unknown method {method}")
+        # hoisted: n1 + n3 - 1 digit sets, a ModDown for each past the
+        # first plus the final pair
+        dec, mdown = n1 + n3 - 1, n1 + n3
+        if convention == "table" and method == "th-bsgs":
+            dec, mdown = dec + 1, mdown + 1
+        cwise = 2 * beta * rot * limbs + 2 * n * limbs
     report = CostReport(method, factors, dec, mdown, cwise, keys)
     report.modmul_total = (
         report.decompose * decompose_modmuls(params)
@@ -259,58 +271,45 @@ def _pow2_divisors(n: int) -> list[int]:
     return [1 << k for k in range(n.bit_length()) if (1 << k) <= n]
 
 
-def _split_two(n: int) -> list[tuple[int, int]]:
-    return [(d, n // d) for d in _pow2_divisors(n)]
-
-
-def _split_three(n: int) -> list[tuple[int, int, int]]:
-    out = []
-    for a in _pow2_divisors(n):
-        for b in _pow2_divisors(n // a):
-            out.append((a, b, n // (a * b)))
-    return out
+def _splits(n: int, arity: int) -> list[tuple[int, ...]]:
+    """Every power-of-two split of n into arity ordered factors."""
+    if arity == 0:
+        return [()]
+    if arity == 1:
+        return [(n,)]
+    return [(d, *rest) for d in _pow2_divisors(n) for rest in _splits(n // d, arity - 1)]
 
 
 def search_factors(method: str, params: HeParams, objective: str = "min_keys"):
-    """Pick power-of-two factorizations.
+    """Pick a power-of-two factorization of the method's arity.
 
     min_keys minimizes switching-key limbs; min_compute minimizes total
-    modular multiplications; pareto returns the full sweep ordered by
-    the middle (or giant) factor ascending with one best split each.
-    Ties break toward the lexicographically smallest factor tuple.
+    modular multiplications. Ties break toward the lexicographically
+    smallest factor tuple.
     """
-    n = params.n
-    if method == "diagonal":
-        return ()
-    splits = _split_two(n) if method in ("bsgs", "dh-bsgs") else _split_three(n)
-    if objective == "pareto":
-        return pareto_factorizations(method, params)
     if objective == "min_keys":
         key = lambda fs: (complexity(method, params, fs).switching_key_limbs, fs)
     elif objective == "min_compute":
         key = lambda fs: (complexity(method, params, fs).modmul_total, fs)
     else:
         raise ValueError(f"unknown objective {objective}")
-    return min(splits, key=key)
+    # an unknown method gets the empty split, which complexity rejects
+    return min(_splits(params.n, METHOD_ARITY.get(method, 0)), key=key)
 
 
 def pareto_factorizations(method: str, params: HeParams) -> list[tuple]:
-    """One point per sweep value: n2 for two-layer splits, the middle
-    factor for three-layer splits (outer pair chosen nearly equal,
-    smaller factor first)."""
-    n = params.n
+    """One point per value of the second factor, ascending: the giant
+    step of a two-layer split, the middle layer of a three-layer split
+    (outer pair chosen for least compute, smaller first factor on ties)."""
+    arity = METHOD_ARITY.get(method, 0)
+    if arity < 2:
+        raise BadFactors(f"{method} has no second factor to sweep")
     out = []
-    if method in ("bsgs", "dh-bsgs"):
-        for n2 in _pow2_divisors(n):
-            out.append((n // n2, n2))
-        return out
-    for n2 in _pow2_divisors(n):
-        rest = n // n2
-        best = min(
-            ((a, n2, rest // a) for a in _pow2_divisors(rest)),
-            key=lambda fs: (complexity(method, params, fs).modmul_total, fs),
-        )
-        out.append(best)
+    for n2 in _pow2_divisors(params.n):
+        rest = params.n // n2
+        outer = ([(rest, n2)] if arity == 2
+                 else [(a, n2, rest // a) for a in _pow2_divisors(rest)])
+        out.append(min(outer, key=lambda fs: (complexity(method, params, fs).modmul_total, fs)))
     return out
 
 
@@ -318,20 +317,19 @@ def pareto_factorizations(method: str, params: HeParams) -> list[tuple]:
 # six-phase memory model
 
 
-def _ceil(a: int, b: int) -> int:
+def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
 def offchip_access(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
     """Off-chip traffic per phase and category, in limbs."""
-    validate_config(params, factors, cfg)
-    n1, n2, n3 = factors
+    n1, n2, n3 = validate_config(params, factors, cfg)
     n = params.n
     lp = params.levels  # L + 1
     limbs = params.pq_limbs
     beta = params.beta
-    c5 = _ceil(n3, cfg.m6)
-    c4 = _ceil(n1 * n2, cfg.m5)
+    c5 = ceil_div(n3, cfg.m6)
+    c4 = ceil_div(n1 * n2, cfg.m5)
     table = {
         1: {
             "ntt": 2 * limbs,
@@ -341,7 +339,7 @@ def offchip_access(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
             "poly_write": 2 * n1 * limbs,
         },
         2: {
-            "ntt": _ceil(n1 - 1, cfg.m1) * limbs,
+            "ntt": ceil_div(n1 - 1, cfg.m1) * limbs,
             "lt_matrix": 0,
             "switching_key": 0,
             "poly_read": (n1 - 1) * limbs,
@@ -351,7 +349,7 @@ def offchip_access(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
             "ntt": 0,
             "lt_matrix": 0,
             "switching_key": 2 * (n2 - 1) * beta * limbs,
-            "poly_read": _ceil(n2 - 1, cfg.m3) * n1 * (beta + 1) * limbs,
+            "poly_read": ceil_div(n2 - 1, cfg.m3) * n1 * (beta + 1) * limbs,
             "poly_write": 2 * n1 * n2 * limbs,
         },
         4: {
@@ -416,9 +414,9 @@ def search_parallelism(params: HeParams, factors, onchip_budget_bytes: int,
     couples to a single phase's peak, so the phases optimize
     independently.
     """
-    n1, n2, n3 = factors
     budget_limbs = onchip_budget_bytes // params.limb_bytes
     base = ParallelismConfig(dp=dp)
+    n1, n2, n3 = validate_config(params, factors, base)
     if max_peak_limbs(params, factors, base) > budget_limbs:
         raise Infeasible("budget below the minimal-footprint configuration")
 
@@ -465,14 +463,9 @@ def tradeoff_curve(methods, params: HeParams) -> list[TradeoffPoint]:
     minimum-memory and best-tradeoff (minimum-compute) points tagged."""
     points: list[TradeoffPoint] = []
     for method in methods:
-        if method == "diagonal":
-            rep = complexity(method, params)
-            points.append(TradeoffPoint(method, (), rep.switching_key_limbs,
-                                        rep.key_bytes(params), rep.modmul_total,
-                                        "single"))
-            continue
-        if method == "bsgs":
-            # key count and compute both bottom out at a near-square split
+        if method in ("diagonal", "bsgs"):
+            # diagonal has no split; bsgs keys and compute both bottom
+            # out at a near-square split
             fs = search_factors(method, params, "min_compute")
             rep = complexity(method, params, fs)
             points.append(TradeoffPoint(method, fs, rep.switching_key_limbs,

@@ -49,6 +49,7 @@ from .costmodel import (
     CATEGORIES,
     HeParams,
     ParallelismConfig,
+    ceil_div,
     offchip_access,
     peak_onchip,
     validate_config,
@@ -60,10 +61,6 @@ from .ring import RotationIndex
 
 class OnchipOverflow(RuntimeError):
     """A phase exceeded its declared buffer envelope (a plan bug)."""
-
-
-def _ceil(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass
@@ -115,9 +112,6 @@ class OffchipStore:
         meter.add(phase, category, limbs)
         return payload
 
-    def size(self, name: str) -> int:
-        return self._data[name][0]
-
 
 @dataclass
 class SimResult:
@@ -143,8 +137,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     Without inputs the walk runs on shapes alone; with inputs it also
     performs the th-bsgs arithmetic and returns the output ciphertext.
     """
-    validate_config(params, factors, cfg)
-    n1, n2, n3 = factors
+    n1, n2, n3 = validate_config(params, factors, cfg)
     beta = params.beta
     lp = params.levels
     limbs = params.pq_limbs
@@ -248,7 +241,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     # ---- phase 4: diagonal products into n3 accumulated pairs ------------
     meter.add(4, "ntt", limbs)  # one inverse table set for the final transforms
     total_m = n1 * n2
-    chunks = _ceil(total_m, cfg.m5)
+    chunks = ceil_div(total_m, cfg.m5)
     partials = [(None, None)] * n3
     for c in range(chunks):
         meter.tick(4)
@@ -339,7 +332,7 @@ def _whitelist(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
     limbs = params.pq_limbs
     return {
         (2, "ntt"): (
-            (_ceil(n1 - 1, cfg.m2) - _ceil(n1 - 1, cfg.m1)) * limbs,
+            (ceil_div(n1 - 1, cfg.m2) - ceil_div(n1 - 1, cfg.m1)) * limbs,
             "twiddle reloads batch by m2 (phase 2's own parallelism); "
             "the printed cell divides by m1",
         ),

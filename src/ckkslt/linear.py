@@ -4,7 +4,8 @@ Four routes from ciphertext to F*v, trading rotation count against
 switching-key storage:
 
 * diagonal: one product per matrix diagonal, every rotation hoisted over
-  a single shared digit decomposition.
+  a single shared digit decomposition. It runs as dh-bsgs (n, 1): one
+  giant step, whose baby rotations stream into the sum.
 * bsgs: two-layer baby-step giant-step split n = n1*n2 with full
   (unhoisted) rotations.
 * dh-bsgs: the two-layer split with hoisting in both layers and the
@@ -14,6 +15,10 @@ switching-key storage:
   so rotation overhead scales with n1 + n3 instead of n2. Its one
   implementation is the six-phase walk in ``datapath.simulate``; with
   n1 = 1 it reduces exactly to dh-bsgs (n2, n3).
+
+Each plan carries its layers (n1, n2, n3) from ``costmodel.plan_layers``:
+diagonal is (1, n, 1) and a two-layer split (a, b) is (1, a, b), so key
+offsets and diagonal pre-rotation follow one stride rule.
 
 Every evaluator records an operation trace (Decompose / ModDown /
 coefficient-wise limb multiplies / key offsets touched) that the cost
@@ -52,7 +57,7 @@ from .ckks import (
     rotate,
     rotation_keygen,
 )
-from .costmodel import BadFactors, HeParams, ParallelismConfig
+from .costmodel import BadFactors, HeParams, ParallelismConfig, plan_layers
 from .ring import RotationIndex, automorphism_coef, ntt, pointwise_mul
 from .rns import RnsPoly
 
@@ -77,22 +82,11 @@ class LtPlan:
     method: LtMethod
     n: int
     factors: tuple[int, ...] = ()
+    layers: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.n & (self.n - 1):
-            raise BadFactors("transform dimension must be a power of two")
-        need = {
-            LtMethod.DIAGONAL: 0,
-            LtMethod.BSGS: 2,
-            LtMethod.DH_BSGS: 2,
-            LtMethod.TH_BSGS: 3,
-        }[self.method]
-        if len(self.factors) != need:
-            raise BadFactors(f"{self.method.value} needs {need} factors")
-        if self.factors and int(np.prod(self.factors)) != self.n:
-            raise BadFactors(f"factors {self.factors} do not multiply to {self.n}")
-        if any(f < 1 for f in self.factors):
-            raise BadFactors("factors must be >= 1")
+        layers = plan_layers(self.method.value, self.n, self.factors)
+        object.__setattr__(self, "layers", layers)
 
 
 @dataclass
@@ -124,20 +118,12 @@ class RotationKeys:
 
 
 def required_offsets(plan: LtPlan) -> tuple[list[int], bool]:
-    """Rotation offsets a plan consumes and whether it wants hoisted keys."""
-    if plan.method == LtMethod.DIAGONAL:
-        return list(range(1, plan.n)), True
-    if plan.method in (LtMethod.BSGS, LtMethod.DH_BSGS):
-        n1, n2 = plan.factors
-        offs = list(range(1, n1)) + [n1 * j for j in range(1, n2)]
-        return offs, plan.method == LtMethod.DH_BSGS
-    n1, n2, n3 = plan.factors
-    offs = (
-        list(range(1, n1))
-        + [n1 * j for j in range(1, n2)]
-        + [n1 * n2 * k for k in range(1, n3)]
-    )
-    return offs, True
+    """Rotation offsets a plan consumes, layer by layer at strides
+    (1, n1, n1*n2), and whether it wants hoisted keys."""
+    n1, n2, n3 = plan.layers
+    offs = [stride * k for stride, count in ((1, n1), (n1, n2), (n1 * n2, n3))
+            for k in range(1, count)]
+    return offs, plan.method != LtMethod.BSGS
 
 
 def generate_lt_keys(sk: SecretKey, plan: LtPlan, params: CkksParams,
@@ -171,27 +157,19 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     over_pq = plan.method != LtMethod.BSGS
     moduli = params.basis.pq_moduli if over_pq else params.basis.q_moduli
     half = params.ring_dim // 2
+    n1, n2, _ = plan.layers
+    giant = n1 * n2  # diagonals are pre-rotated by their giant-step offset
     diagonals = []
     for i in range(n):
         vec = np.array([f_matrix[t % n, (t + i) % n] for t in range(n)])
         tiled = np.tile(vec, reps)
         pt = encode(tiled, params, moduli=moduli)
-        offset = _prerotation_offset(plan, i)
+        offset = giant * (i // giant)
         poly = pt.poly
         if offset:
             poly = automorphism_coef(poly, RotationIndex((-offset) % half, params.ring_dim))
         diagonals.append(Plaintext(ntt(poly), pt.scale))
     return DiagMatrix(plan, diagonals, over_pq)
-
-
-def _prerotation_offset(plan: LtPlan, i: int) -> int:
-    if plan.method == LtMethod.DIAGONAL:
-        return 0
-    if plan.method in (LtMethod.BSGS, LtMethod.DH_BSGS):
-        n1, _ = plan.factors
-        return n1 * (i // n1)
-    n1, n2, _ = plan.factors
-    return n1 * n2 * (i // (n1 * n2))
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +237,6 @@ def _finish(pair, scale: float, level: int, trace: OpTrace,
 # evaluators
 
 
-def lt_diagonal(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
-                params: CkksParams) -> tuple[Ciphertext, OpTrace]:
-    """Sum of rotated-ciphertext x diagonal products, all rotations hoisted."""
-    plan = dm.plan
-    if plan.method != LtMethod.DIAGONAL:
-        raise PlanMismatch("plan is not diagonal")
-    trace = OpTrace()
-    digits = _hoist_traced(ct.c1, trace, params)
-    a0 = raise_to_pq(ct.c0, params.basis)
-    pairs = chain([(a0, raise_to_pq(ct.c1, params.basis))],
-                  (_hoisted_rotate(a0, digits, i, keys, trace, params)
-                   for i in range(1, plan.n)))
-    acc = _dot(dm.diagonals, pairs, trace, _pq_limb_count(params))
-    out = _finish(acc, ct.scale * dm.diagonals[0].scale, ct.level, trace, params)
-    return out, trace
-
-
 def _rotate_traced(ct: Ciphertext, r: int, keys: RotationKeys, trace: OpTrace,
                    params: CkksParams) -> Ciphertext:
     """Full rotation (automorphism + complete key switch), trace-counted."""
@@ -295,7 +256,7 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     plan = dm.plan
     if plan.method != LtMethod.BSGS:
         raise PlanMismatch("plan is not bsgs")
-    n1, n2 = plan.factors
+    _, n1, n2 = plan.layers
     trace = OpTrace()
     q_limbs = params.basis.level_count
     baby = [ct]
@@ -319,17 +280,20 @@ def lt_dh_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
 
     One decomposition serves every baby rotation; each giant step past
     j=0 pays one ModDown and one Decompose on the accumulated inner sum.
+    Runs any hoisted plan whose layers are (1, n1, n2), diagonal included.
     """
     plan = dm.plan
-    if plan.method != LtMethod.DH_BSGS:
-        raise PlanMismatch("plan is not dh-bsgs")
-    n1, n2 = plan.factors
+    if not dm.over_pq or plan.layers[0] != 1:
+        raise PlanMismatch(f"{plan.method.value} {plan.factors} is not a hoisted two-layer plan")
+    _, n1, n2 = plan.layers
     trace = OpTrace()
     limbs = _pq_limb_count(params)
     digits0 = _hoist_traced(ct.c1, trace, params)
     a0 = raise_to_pq(ct.c0, params.basis)
-    baby = [(a0, raise_to_pq(ct.c1, params.basis))]
-    baby += [_hoisted_rotate(a0, digits0, i, keys, trace, params) for i in range(1, n1)]
+    baby = chain([(a0, raise_to_pq(ct.c1, params.basis))],
+                 (_hoisted_rotate(a0, digits0, i, keys, trace, params) for i in range(1, n1)))
+    if n2 > 1:
+        baby = list(baby)  # every giant step reuses them; one step streams
     acc = _dot(dm.diagonals[:n1], baby, trace, limbs)
     for j in range(1, n2):
         inner = _dot(dm.diagonals[n1 * j:n1 * (j + 1)], baby, trace, limbs)
@@ -363,7 +327,7 @@ def lt_th_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
 
 
 _EVALUATORS = {
-    LtMethod.DIAGONAL: lt_diagonal,
+    LtMethod.DIAGONAL: lt_dh_bsgs,
     LtMethod.BSGS: lt_bsgs,
     LtMethod.DH_BSGS: lt_dh_bsgs,
     LtMethod.TH_BSGS: lt_th_bsgs,

@@ -29,14 +29,6 @@ import numpy as np
 from .ring import RotationIndex, bitrev_table
 
 
-def bitrev(x: int, bits: int) -> int:
-    out = 0
-    for _ in range(bits):
-        out = (out << 1) | (x & 1)
-        x >>= 1
-    return out
-
-
 @dataclass
 class BankLayout:
     ring_dim: int
@@ -97,14 +89,12 @@ def source_index(f: int, n_f: int, layout: BankLayout) -> tuple[int, int, int, i
     n, dp = layout.ring_dim, layout.dp
     if not (0 <= f < dp and 0 <= n_f < n // dp):
         raise ValueError("bank or address out of range")
-    log_n = n.bit_length() - 1
-    log_dp = dp.bit_length() - 1
-    idx = bitrev(f * (n // dp) + n_f, log_n)
+    idx = int(bitrev_table(n)[f * (n // dp) + n_f])
     k_f = idx % dp
     rest = idx // dp
     j_f = rest % (n // (dp * dp))
     i_f = rest // (n // (dp * dp))
-    assert k_f == bitrev(f, log_dp)
+    assert k_f == bitrev_table(dp)[f]
     return idx, i_f, j_f, k_f
 
 
@@ -131,27 +121,19 @@ def target(f: int, n_f: int, r: int, layout: BankLayout) -> PermTarget:
     i_fp = (m * i_f + t_f + carry) % dp
     idx_prime = i_fp * (n // dp) + j_fp * dp + k_fp
     assert idx_prime == (m * idx + (m - 1) // 2) % n, "field split disagrees with direct formula"
-    log_n = n.bit_length() - 1
-    log_dp = dp.bit_length() - 1
-    flat = bitrev(idx_prime, log_n)
+    flat = int(bitrev_table(n)[idx_prime])
     f_prime = flat // (n // dp)
     n_f_prime = flat % (n // dp)
-    assert f_prime == bitrev(k_fp, log_dp)
+    assert f_prime == bitrev_table(dp)[k_fp]
     return PermTarget(f, n_f, idx, i_f, j_f, k_f, t_f, u_f, v_f,
                       i_fp, j_fp, k_fp, f_prime, n_f_prime, idx_prime)
 
 
 def bank_map(r: int, layout: BankLayout) -> np.ndarray:
     """Destination bank per source bank; address-independent by construction."""
-    n, dp = layout.ring_dim, layout.dp
-    m = perm_multiplier(r, n)
-    log_dp = dp.bit_length() - 1
-    out = np.empty(dp, dtype=np.int64)
-    for f in range(dp):
-        k_f = bitrev(f, log_dp)
-        v_f = (m * k_f + (m - 1) // 2) % dp
-        out[f] = bitrev(v_f, log_dp)
-    return out
+    m = perm_multiplier(r, layout.ring_dim)
+    rev = bitrev_table(layout.dp)
+    return rev[(m * rev + (m - 1) // 2) % layout.dp]  # k_f -> v_f, back to banks
 
 
 @dataclass
@@ -229,37 +211,32 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
 
 def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     """Execute in place, asserting the read-before-write step discipline:
-    within each step all dp reads land before any write, and no position
-    is ever read after it has been overwritten."""
-    written: set[tuple[int, int]] = set()
-    read: set[tuple[int, int]] = set()
-    staged: dict[tuple[int, int], np.uint64] = {}
-    for step in steps:
-        values = {}
-        for src_bank, src_addr, _, _ in step.moves:
-            key = (src_bank, src_addr)
-            assert key not in written, "read of an already-overwritten position"
-            assert key not in read, "double read"
-            read.add(key)
-            values[key] = layout.banks[src_bank, src_addr]
-        for src_bank, src_addr, dst_bank, dst_addr in step.moves:
-            dst = (dst_bank, dst_addr)
-            assert dst not in staged, "double write"
-            staged[dst] = values[(src_bank, src_addr)]
-            if dst in read:
-                layout.banks[dst_bank, dst_addr] = staged[dst]
-                written.add(dst)
-    for (bank, addr), val in staged.items():
-        if (bank, addr) not in written:
-            layout.banks[bank, addr] = val
+    within each step all dp reads land before any write; no position is
+    read twice, written twice, or read after a write to it has landed (a
+    write lands once its position has been read); every position is
+    written."""
+    n, per_bank = layout.ring_dim, layout.ring_dim // layout.dp
+    moves = np.array([m for step in steps for m in step.moves], dtype=np.int64).reshape(-1, 4)
+    when = np.repeat(np.arange(len(steps)), [len(step.moves) for step in steps])
+    src = moves[:, 0] * per_bank + moves[:, 1]
+    dst = moves[:, 2] * per_bank + moves[:, 3]
+    first_read = np.full(n, len(steps))
+    first_write = np.full(n, len(steps))
+    np.minimum.at(first_read, src, when)
+    np.minimum.at(first_write, dst, when)
+    landed = first_read <= first_write
+    assert not (landed[src] & (when > first_write[src])).any(), \
+        "read of an already-overwritten position"
+    assert np.bincount(src, minlength=n).max() <= 1, "double read"
+    assert np.bincount(dst, minlength=n).max() <= 1, "double write"
+    assert dst.size == n, "schedule did not cover every position"
+    # every read sees the value from before the schedule ran
+    layout.banks[moves[:, 2], moves[:, 3]] = layout.banks[moves[:, 0], moves[:, 1]]
 
 
 def apply_rotation_banked(layout: BankLayout, r: int) -> None:
     """Apply the full rotation to the banks via the move schedule."""
-    steps = schedule(r, layout)
-    covered = {(db, da) for step in steps for _, _, db, da in step.moves}
-    assert len(covered) == layout.ring_dim, "schedule did not cover every position"
-    apply_schedule(layout, steps)
+    apply_schedule(layout, schedule(r, layout))
 
 
 def mux_controls(r: int, layout: BankLayout) -> np.ndarray:

@@ -64,6 +64,28 @@ def test_demo_tolerance_breach_exit_code(capsys):
 def test_demo_bad_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "demo", "--params", "set-c")
     assert code == 1
+    # set-a is the 54-bit evaluation shape everywhere; the 44-bit demo
+    # ring of that size is toy-large
+    code, _, err = run_cli(capsys, "demo", "--params", "set-a")
+    assert code == 1
+
+
+@pytest.mark.parametrize("method,factors", [("th-bsgs", "4,4"), ("diagonal", "4,4"),
+                                            ("bsgs", "2,2,4")])
+def test_demo_single_method_rejects_wrong_arity(capsys, method, factors):
+    code, _, err = run_cli(
+        capsys, "demo", "--params", "toy-small", "--method", method,
+        "--n", "16", "--factors", factors)
+    assert code == 1
+    assert f"{method} needs" in err
+
+
+def test_demo_all_methods_take_factors_of_their_arity(capsys):
+    code, out, _ = run_cli(
+        capsys, "demo", "--params", "toy-small", "--method", "all",
+        "--n", "16", "--factors", "2,8", "--seed", "3")
+    assert code == 0
+    assert out.count("method=") == 4
 
 
 def test_analyze_csv_with_ratio(capsys):
@@ -102,6 +124,15 @@ def test_simulate_explicit_parallelism(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["params"]["parallelism"]["m1"] == 1
+
+
+@pytest.mark.parametrize("factors", ["8,8,8", "3,5,7", "4,4"])
+def test_simulate_rejects_bad_factors(capsys, factors):
+    code, out, err = run_cli(capsys, "simulate", "--params", "set-a",
+                             "--factors", factors)
+    assert code == 1
+    assert out == ""
+    assert "factors" in err
 
 
 def test_validate_clean(capsys):

@@ -47,6 +47,34 @@ def test_bad_factors():
         cm.complexity("bsgs", params, (3, 4))
 
 
+def test_plan_layers():
+    assert cm.plan_layers("diagonal", 64) == (1, 64, 1)
+    assert cm.plan_layers("bsgs", 64, [2, 32]) == (1, 2, 32)
+    assert cm.plan_layers("dh-bsgs", 64, (8, 8)) == (1, 8, 8)
+    assert cm.plan_layers("th-bsgs", 64, (4, 4, 4)) == (4, 4, 4)
+    bad = [("lt", 64, ()), ("diagonal", 48, ()), ("diagonal", 0, ()),
+           ("diagonal", 64, (64,)), ("th-bsgs", 64, (8, 8)),
+           ("dh-bsgs", 64, (-8, -8)), ("bsgs", 64, (4, 8))]
+    for method, n, factors in bad:
+        with pytest.raises(cm.BadFactors):
+            cm.plan_layers(method, n, factors)
+
+
+def test_diagonal_and_two_layer_counts_are_th_at_unit_first_layer():
+    # (1, n, 1) and (1, a, b) are the diagonal and two-layer hoisted routes
+    def counts(rep):
+        return (rep.decompose, rep.moddown, rep.cwise_mult_limbs,
+                rep.switching_key_limbs, rep.modmul_total)
+
+    for params in (*cm.NAMED_SETS.values(), cm.HeParams(2**10, 5, 5, 44, n=64)):
+        n = params.n
+        assert counts(cm.complexity("diagonal", params)) == \
+            counts(cm.complexity("th-bsgs", params, (1, n, 1)))
+        for a, b in cm.pareto_factorizations("dh-bsgs", params):
+            assert counts(cm.complexity("dh-bsgs", params, (a, b))) == \
+                counts(cm.complexity("th-bsgs", params, (1, a, b)))
+
+
 def test_key_bytes_convention():
     # pair of polynomials, N*w/8 bytes per limb; reproduces the published
     # 62.43 / 17.08 GiB figures for the two best-tradeoff settings

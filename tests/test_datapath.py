@@ -40,6 +40,16 @@ def test_whitelisted_deltas_equal_documented_formulas(set_name):
         assert rows[cell]["whitelisted"]
 
 
+@pytest.mark.parametrize("factors", [(8, 8, 8), (3, 5, 7), (4, 4), (-8, 64, -8)])
+def test_six_phase_entry_points_reject_bad_factors(factors):
+    params, cfg = cm.SET_A, cm.ParallelismConfig()
+    for entry in (dp.simulate, cm.offchip_access, cm.peak_onchip):
+        with pytest.raises(cm.BadFactors):
+            entry(params, factors, cfg)
+    with pytest.raises(cm.BadFactors):
+        cm.search_parallelism(params, factors, 64 << 20)
+
+
 def test_onchip_peak_below_envelope():
     for set_name in ("set-a", "set-b", "set-c"):
         params, factors, cfg = cm.reference_config(set_name)

@@ -273,7 +273,7 @@ def test_missing_key_raises(env, toy_params, toy_keys):
     ct = encrypt_vec(np.ones(N1), toy_params, pk, rng)
     dm = linear.diagonalize(np.eye(N1), plans["diagonal"], toy_params)
     with pytest.raises(ckks.MissingKey):
-        linear.lt_diagonal(ct, dm, linear.RotationKeys(), toy_params)
+        linear.evaluate_lt(ct, dm, linear.RotationKeys(), toy_params)
 
 
 def test_plan_mismatch_raises(env, toy_params, toy_keys):

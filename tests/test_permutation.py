@@ -12,9 +12,9 @@ def layout_for(n, dp, fill=None):
 
 
 def test_bitrev_examples():
-    assert pm.bitrev(1, 3) == 4  # '001' -> '100'
-    assert pm.bitrev(0, 5) == 0
-    assert pm.bitrev(3, 2) == 3
+    assert ring.bitrev_table(8)[1] == 4  # '001' -> '100'
+    assert ring.bitrev_table(32)[0] == 0
+    assert ring.bitrev_table(4)[3] == 3
 
 
 def test_source_index_origin():
@@ -26,17 +26,16 @@ def test_source_index_origin():
 def test_source_index_spec_point():
     lay = layout_for(16, 4)
     idx, *_ = pm.source_index(1, 0, lay)
-    assert idx == pm.bitrev(4, 4) == 2
+    assert idx == ring.bitrev_table(16)[4] == 2
 
 
 def test_source_index_kf_field_exhaustive():
     for n, dp in [(64, 4), (256, 8), (1024, 16)]:
         lay = layout_for(n, dp)
-        log_dp = dp.bit_length() - 1
         for f in range(dp):
             for n_f in range(0, n // dp, 7):
                 _, _, _, k_f = pm.source_index(f, n_f, lay)
-                assert k_f == pm.bitrev(f, log_dp)
+                assert k_f == ring.bitrev_table(dp)[f]
 
 
 def test_target_zero_rotation_is_identity():
@@ -106,6 +105,21 @@ def test_apply_schedule_inplace_discipline():
         lay = pm.BankLayout.from_storage(p.coeffs, dp)
         pm.apply_schedule(lay, pm.schedule(r, lay))
         assert np.array_equal(lay.to_storage(), ref.coeffs)
+
+
+@pytest.mark.parametrize("tamper", ["read", "write", "drop"])
+def test_apply_schedule_rejects_tampered_schedule(tamper):
+    lay = layout_for(64, 4)
+    steps = pm.schedule(5, lay)
+    first, last = steps[0].moves[0], steps[-1].moves[-1]
+    if tamper == "read":  # the last move reads the first move's source again
+        steps[-1].moves[-1] = (first[0], first[1], last[2], last[3])
+    elif tamper == "write":  # the last move writes the first move's target again
+        steps[-1].moves[-1] = (last[0], last[1], first[2], first[3])
+    else:
+        del steps[-1].moves[-1]
+    with pytest.raises(AssertionError):
+        pm.apply_schedule(lay, steps)
 
 
 def test_schedule_coverage_and_occupancy():
