@@ -81,10 +81,11 @@ class Modulus:
 
     q: int
     ring_dim: int
-    reduction_constant: int = field(init=False)
-    reduction_shift: int = field(init=False)
-    two_n_root: int = field(init=False)
-    n_inv: int = field(init=False)
+    # derived from (q, ring_dim), so they take no part in equality or hashing
+    reduction_constant: int = field(init=False, compare=False)
+    reduction_shift: int = field(init=False, compare=False)
+    two_n_root: int = field(init=False, compare=False)
+    n_inv: int = field(init=False, compare=False)
 
     def __post_init__(self):
         q, n = self.q, self.ring_dim

@@ -14,12 +14,18 @@ per butterfly stage or per operation covers all limbs. The polynomial
 functions take :class:`Poly` (one limb) or :class:`ckkslt.rns.RnsPoly`;
 both carry ``coeffs``, ``moduli``, ``domain``, ``n`` and ``like``.
 
-Vectorized modular multiplication: for q < 2^53 the quotient of the
-128-bit product is approximated in float64 and the residual recovered
-exactly through uint64 wraparound; the approximation error is at most a
-few multiples of q, removed by one exact remainder. Wider moduli fall
+Vectorized modular multiplication: for q < 2^51 the quotient of the
+128-bit product is estimated in float64 and rounded to nearest, which
+leaves the residual, recovered exactly through uint64 wraparound, in
+(-q, q); one wraparound minimum then gives the residue, with no integer
+division (the bound is proved next to ``_mul_fast``). Wider moduli fall
 back to object-dtype (native big-int) arithmetic; a block that mixes
 widths splits its rows between the two.
+
+The butterfly stages keep their inner axis long: once a stage's blocks
+outnumber their half-length, the block is permuted to bit-reversed
+storage, where the remaining stages pair elements whole block-index runs
+apart, and it is permuted back at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ import numpy as np
 
 from .modarith import Modulus
 
-_FAST_LIMIT = 1 << 53
+FAST_LIMIT = 1 << 51  # the bound proved next to _mul_fast
+_ROUND = np.float64(2.0**52)
+_ROUND_BITS = _ROUND.view(np.uint64)
 
 
 class DomainMismatch(ValueError):
@@ -54,10 +62,29 @@ class Domain(enum.Enum):
 
 
 def _mul_fast(a, b, q):
-    # the truncated quotient is floor(a*b/q) up to a few units: non-negative
-    quot = a.astype(np.float64) * (np.asarray(b, np.float64) / np.asarray(q, np.float64))
-    r = a * np.asarray(b, np.uint64) - quot.astype(np.uint64) * np.asarray(q, np.uint64)
-    return np.remainder(r.view(np.int64), np.asarray(q, np.int64)).view(np.uint64)
+    # Error bound (a float-quotient reduction in the manner of Harvey,
+    # J. Symb. Comp. 2014). Let q < 2^51 and a, b < 2^51 with one of them < q,
+    # so a, b, q are exact in float64 and ab/q < 2^51 - 1.
+    # - Two roundings, each of relative error <= 2^-53, give x = fl(a * fl(b/q))
+    #   with |x - ab/q| <= (ab/q)(2^-52 + 2^-106) < (2^51 - 1)(2^-52 + 2^-106) < 1/2.
+    # - 0 <= x < 2^52, so fl(x + 2^52) = 2^52 + t with t the integer nearest to
+    #   x; its low 52 bits are t, and |x - t| <= 1/2.
+    # - Hence |ab/q - t| < 1: the residual r = ab - tq lies in (-q, q) and is
+    #   exact through uint64 wraparound.
+    # - min(r, r + q) as uint64 is r mod q: a negative r wraps above 2^63,
+    #   where r + q lands in [0, q).
+    q = np.asarray(q, np.uint64)
+    b = np.asarray(b, np.uint64)
+    # operands and moduli are below 2^63: their int64 views convert to float faster
+    quot = np.multiply(a.view(np.int64), np.true_divide(b.view(np.int64), q.astype(np.float64)))
+    quot += _ROUND
+    t = quot.view(np.uint64)
+    t -= _ROUND_BITS
+    t *= q
+    r = np.multiply(a, b, out=np.empty_like(t))
+    r -= t
+    np.add(r, q, out=t)
+    return np.minimum(r, t, out=r)
 
 
 def _mul_exact(a, b, q):
@@ -66,17 +93,22 @@ def _mul_exact(a, b, q):
 
 
 def mod_mul_vec(a: np.ndarray, b, q) -> np.ndarray:
-    """Elementwise a*b mod q for uint64 operands.
+    """Elementwise a*b mod q for uint64 operands, result in [0, q).
 
     ``q`` is an int, or a uint64 array with the limb axis first that
     broadcasts against the operands (an (L, 1) column for (L, N) blocks).
-    Requires one operand < q and the other < 2^53 on rows that take the
-    fast path; arbitrary word-sized values go through the exact path.
+
+    Operand contract: on rows with q < FAST_LIMIT (2^51), which take the
+    float-quotient path, both operands are below FAST_LIMIT and at least
+    one is below q; a residue times a residue of the same row always is.
+    Rows with q >= FAST_LIMIT take the exact path and accept any uint64
+    operands. A caller that multiplies residues of a wider modulus by a
+    narrower one reduces them first (see :func:`ckkslt.rns.bconv`).
     """
     if not isinstance(q, np.ndarray):
         q = int(q)
-        return _mul_exact(a, b, q) if q >= _FAST_LIMIT else _mul_fast(a, b, q)
-    wide = q.reshape(-1) >= _FAST_LIMIT
+        return _mul_exact(a, b, q) if q >= FAST_LIMIT else _mul_fast(a, b, q)
+    wide = q.reshape(-1) >= FAST_LIMIT
     if not wide.any():
         return _mul_fast(a, b, q)
     if wide.all():
@@ -92,12 +124,12 @@ def mod_mul_vec(a: np.ndarray, b, q) -> np.ndarray:
 def mod_add_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     s = a + b
     # s - q wraps above s exactly when s < q, so the minimum is s mod q
-    return np.minimum(s, s - np.asarray(q, np.uint64))
+    return np.minimum(s, s - np.asarray(q, np.uint64), out=s)
 
 
 def mod_sub_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     d = a - b
-    return np.minimum(d, d + np.asarray(q, np.uint64))
+    return np.minimum(d, d + np.asarray(q, np.uint64), out=d)
 
 
 @lru_cache(maxsize=None)
@@ -126,51 +158,87 @@ def _powers(q: int, root: int, n: int) -> np.ndarray:
                     dtype=np.uint64)[bitrev_table(n)]
 
 
+def _switch_stage(n: int) -> int:
+    """Block count of the first butterfly stage whose blocks outnumber their
+    half-length t = n/(2*mm); n when no stage does (n = 2)."""
+    mm = 1
+    while mm <= n // (2 * mm):
+        mm *= 2
+    return mm
+
+
 @lru_cache(maxsize=None)
 def _block_tables(moduli: tuple[Modulus, ...]):
-    """Stacked (L, N) butterfly twiddles (psi powers and their inverses in
-    bit-reversed index order) plus the N^-1 column, read-only."""
-    psi = np.stack([_powers(m.q, m.two_n_root, m.ring_dim) for m in moduli])
-    ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), m.ring_dim) for m in moduli])
+    """Stacked (L, N) butterfly twiddles (psi powers and their inverses) plus
+    the N^-1 column, read-only.
+
+    Columns mm..2mm-1 hold the twiddles of the stage with mm blocks, in the
+    order that stage reads them: block j's twiddle at j on natural storage,
+    at bitrev(j) over log2(mm) bits on bit-reversed storage.
+    """
+    n = moduli[0].ring_dim
+    order = np.arange(n)
+    mm = _switch_stage(n)
+    while mm < n:
+        order[mm : 2 * mm] = mm + bitrev_table(mm)
+        mm *= 2
+    psi = np.stack([_powers(m.q, m.two_n_root, n) for m in moduli])[:, order]
+    ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), n) for m in moduli])[:, order]
     n_inv = np.array([[m.n_inv] for m in moduli], dtype=np.uint64)
     for table in (psi, ipsi, n_inv):
         table.flags.writeable = False
     return psi, ipsi, n_inv
 
 
-def _forward_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
-    psi_rev, _, _ = _block_tables(moduli)
-    q = modulus_column(moduli)[:, :, None]
-    a = values.copy()
+def _stage(a: np.ndarray, mm: int, switch: int, table: np.ndarray):
+    """Butterfly halves of the stage with mm blocks of length 2t, and the
+    stage's twiddles broadcast against them.
+
+    Before the switch stage, storage is natural: an (L, mm, 2, t) view pairs
+    elements t apart inside each block. From it on, storage is bit-reversed
+    (slot bitrev(i) holds element i), where the same pairs are (L, t, 2, mm)
+    with the block index innermost, so every stage walks runs of at least
+    sqrt(N/2) contiguous elements.
+    """
     limbs, n = a.shape
-    t = n
+    t = n // (2 * mm)
+    twiddles = table[:, mm : 2 * mm]
+    if mm < switch:
+        view, twiddles = a.reshape(limbs, mm, 2, t), twiddles[:, :, None]
+    else:
+        view, twiddles = a.reshape(limbs, t, 2, mm), twiddles[:, None, :]
+    return view[:, :, 0], view[:, :, 1], twiddles
+
+
+def _forward_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
+    psi, _, _ = _block_tables(moduli)
+    q = modulus_column(moduli)[:, :, None]
+    n = values.shape[1]
+    switch = _switch_stage(n)
+    a = values.copy()
     mm = 1
     while mm < n:
-        t //= 2
-        view = a.reshape(limbs, mm, 2 * t)
-        lo = view[:, :, :t].copy()
-        v = mod_mul_vec(view[:, :, t:], psi_rev[:, mm : 2 * mm, None], q)
-        view[:, :, :t] = mod_add_vec(lo, v, q)
-        view[:, :, t:] = mod_sub_vec(lo, v, q)
+        if mm == switch:  # enter bit-reversed storage
+            a = a.take(bitrev_table(n), axis=1)
+        lo, hi, twiddles = _stage(a, mm, switch, psi)
+        v = mod_mul_vec(hi, twiddles, q)
+        lo[...], hi[...] = mod_add_vec(lo, v, q), mod_sub_vec(lo, v, q)
         mm *= 2
-    return a
+    return a.take(bitrev_table(n), axis=1) if switch < n else a
 
 
 def _inverse_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
-    _, ipsi_rev, n_inv = _block_tables(moduli)
+    _, ipsi, n_inv = _block_tables(moduli)
     q = modulus_column(moduli)[:, :, None]
-    a = values.copy()
-    limbs, n = a.shape
-    t = 1
-    mm = n
-    while mm > 1:
-        h = mm // 2
-        view = a.reshape(limbs, h, 2 * t)
-        lo = view[:, :, :t].copy()
-        hi = view[:, :, t:].copy()
-        view[:, :, :t] = mod_add_vec(lo, hi, q)
-        view[:, :, t:] = mod_mul_vec(mod_sub_vec(lo, hi, q), ipsi_rev[:, h : 2 * h, None], q)
-        t *= 2
+    n = values.shape[1]
+    switch = _switch_stage(n)
+    a = values.take(bitrev_table(n), axis=1) if switch < n else values.copy()
+    mm = n // 2
+    while mm >= 1:
+        if mm == switch // 2 and switch < n:  # back to natural storage
+            a = a.take(bitrev_table(n), axis=1)
+        lo, hi, twiddles = _stage(a, mm, switch, ipsi)
+        lo[...], hi[...] = mod_add_vec(lo, hi, q), mod_mul_vec(mod_sub_vec(lo, hi, q), twiddles, q)
         mm //= 2
     return mod_mul_vec(a, n_inv, q[:, :, 0])
 

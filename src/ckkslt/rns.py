@@ -25,7 +25,8 @@ from math import prod
 import numpy as np
 
 from .modarith import Modulus
-from .ring import Domain, Poly, mod_mul_vec, mod_sub_vec, modulus_column, to_coef, to_ntt
+from .ring import (FAST_LIMIT, Domain, Poly, mod_mul_vec, mod_sub_vec, modulus_column, to_coef,
+                   to_ntt)
 
 
 class BasisOverlap(ValueError):
@@ -171,9 +172,15 @@ def bconv(p: RnsPoly, target, basis: RnsBasis) -> RnsPoly:
     if {m.q for m in p.moduli} & {m.q for m in target}:
         raise BasisOverlap("source and target bases overlap")
     hat_inv, hat_mod_dst = basis.conversion_tables(p.moduli, target)
-    scaled = mod_mul_vec(p.coeffs, hat_inv, modulus_column(p.moduli))
+    scaled = mod_mul_vec(p.coeffs, hat_inv, modulus_column(p.moduli))[None]
     q = modulus_column(target)
-    terms = mod_mul_vec(scaled[None], hat_mod_dst, q[:, :, None])
+    wide = modulus_column(p.moduli)[:, 0] >= FAST_LIMIT
+    if wide.any() and q.min() < FAST_LIMIT:
+        # fast-path target rows take operands below FAST_LIMIT: reduce the
+        # residues of wider source rows into every target modulus first
+        scaled = np.repeat(scaled, len(target), axis=0)
+        scaled[:, wide] = np.remainder(scaled[:, wide], q[:, :, None])
+    terms = mod_mul_vec(scaled, hat_mod_dst, q[:, :, None])
     return RnsPoly(_sum_limbs(terms, q), target, Domain.COEF)
 
 
@@ -184,6 +191,11 @@ def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
     modulus of PQ by converting out of the group (the ModUp step). The
     digits are in c's domain; from the NTT domain only the group is
     inverse-transformed and only the converted limbs are transformed.
+
+    Only top-level input is accepted: c must carry every Q limb of
+    ``basis``, and an input below the top level (a limb dropped by
+    rescaling) raises :class:`BasisMismatch`, because the digit groups
+    and the switching keys are laid out for the full basis.
     """
     if len(c.moduli) != basis.level_count:
         raise BasisMismatch("decompose expects a full set of Q limbs")

@@ -142,3 +142,12 @@ def test_modulus_rejects_bad_inputs():
         ma.Modulus(12289, 2**13)  # 12289 != 1 mod 2^14
     with pytest.raises(ValueError):
         ma.find_ntt_primes(61, 2**4, 1)
+
+
+def test_modulus_equality_and_hash_follow_q_and_ring_dim():
+    # lookups keyed by tuples of moduli hash and compare only (q, ring_dim)
+    q = ma.find_ntt_primes(44, 2**10, 1)[0].q
+    a, b = ma.Modulus(q, 2**10), ma.Modulus(q, 2**10)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != ma.Modulus(q, 2**9)

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckkslt import ring
 from ckkslt.modarith import find_ntt_primes
@@ -166,11 +170,13 @@ def test_vector_kernel_object_path_matches():
 
 
 def test_mixed_width_block_matches_single_limbs():
-    # 30/44-bit rows take the float path, 54/60-bit rows the exact path
+    # 30/44-bit rows take the float path; 52-bit rows, just above FAST_LIMIT,
+    # and 54/60-bit rows take the exact path
     from ckkslt.rns import RnsPoly
 
     n = 64
-    moduli = [find_ntt_primes(bits, n, 1)[0] for bits in (30, 44, 54, 60)]
+    moduli = [find_ntt_primes(bits, n, 1)[0] for bits in (30, 44, 52, 54, 60)]
+    assert [m.q >= ring.FAST_LIMIT for m in moduli] == [False, False, True, True, True]
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = (RnsPoly([ring.random_poly(m, rng) for m in moduli]) for _ in range(2))
@@ -188,3 +194,90 @@ def test_mixed_width_block_matches_single_limbs():
             assert np.array_equal(auto_eval.coeffs[j],
                                   ring.automorphism_eval(ring.ntt(a), rot).coeffs)
             assert np.array_equal(auto_coef.coeffs[j], ring.automorphism_coef(a, rot).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# mod_mul_vec's operand contract, at every width the float path takes
+
+
+@lru_cache(maxsize=None)
+def _column(bits, rows):
+    return np.array([[m.q] for m in find_ntt_primes(bits, 16, rows)], dtype=np.uint64)
+
+
+L, N, S, D = 3, 16, 3, 2
+# (a, b, q) shapes of the callers: pointwise blocks, per-limb constants, the
+# NTT stages on natural and on bit-reversed storage (mm = 4 blocks, t = 2),
+# and bconv's source rows against per-target constants
+CALLER_SHAPES = [
+    ((L, N), (L, N), (L, 1)),
+    ((L, N), (L, 1), (L, 1)),
+    ((L, 4, 2), (L, 4, 1), (L, 1, 1)),
+    ((L, 2, 4), (L, 1, 4), (L, 1, 1)),
+    ((1, S, N), (D, S, 1), (D, 1, 1)),
+]
+FILLS = st.sampled_from(["random", "zero", "one", "max"])
+
+
+def _operand(rng, shape, cap, fill):
+    """uint64 values of ``shape`` below ``cap`` (broadcast against it)."""
+    cap = np.broadcast_to(cap, shape).astype(np.uint64)
+    if fill == "zero":
+        return np.zeros(shape, dtype=np.uint64)
+    if fill == "one":
+        return np.ones(shape, dtype=np.uint64)
+    if fill == "max":
+        return cap - np.uint64(1)
+    return rng.integers(0, cap, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("shapes", CALLER_SHAPES, ids=lambda s: "x".join(map(str, s[:2])))
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(20, ring.FAST_LIMIT.bit_length() - 1), b_below_q=st.booleans(),
+       fill_a=FILLS, fill_b=FILLS, seed=st.integers(0, 2**32 - 1))
+def test_mod_mul_vec_matches_big_int_oracle(shapes, bits, b_below_q, fill_a, fill_b, seed):
+    # one operand below q, the other below q or anywhere below FAST_LIMIT
+    a_shape, b_shape, q_shape = shapes
+    q = _column(bits, q_shape[0]).reshape(q_shape)
+    assert q.max() < ring.FAST_LIMIT
+    rng = np.random.default_rng(seed)
+    q_cap = q if np.broadcast_shapes(b_shape, q_shape) == b_shape else q.min()
+    b = _operand(rng, b_shape, q_cap, fill_b)
+    a_cap = q.min() if b_below_q else ring.FAST_LIMIT
+    a = _operand(rng, a_shape, a_cap, fill_a)
+    want = (a.astype(object) * b.astype(object)) % q.astype(object)
+    for x, y in ((a, b), (b, a)):
+        got = ring.mod_mul_vec(x, y, q)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got.astype(object), want)
+
+
+# ---------------------------------------------------------------------------
+# the transform against direct evaluation, on both sides of the layout switch
+
+
+def _bitrev(s, bits):
+    return int(format(s, f"0{bits}b")[::-1], 2) if bits else 0
+
+
+@pytest.mark.parametrize("log_n", range(1, 9))
+def test_ntt_matches_direct_evaluation(log_n):
+    # N = 2 never leaves natural storage; N = 4 switches to bit-reversed
+    # storage at its last forward stage, which is the inverse's first; from
+    # N = 8 on the switch falls in a middle stage
+    from ckkslt.rns import RnsPoly
+
+    n = 2**log_n
+    moduli = [find_ntt_primes(bits, n, 1)[0] for bits in (30, 44, 54)]
+    rng = np.random.default_rng(log_n)
+    p = RnsPoly([ring.random_poly(m, rng) for m in moduli])
+    got = ring.ntt(p)
+    for row, m, coeffs in zip(got.coeffs, moduli, p.coeffs.tolist()):
+        for s in range(n):
+            # storage slot s holds the value at psi^(2*bitrev(s)+1)
+            root = pow(m.two_n_root, 2 * _bitrev(s, log_n) + 1, m.q)
+            value = 0
+            for c in reversed(coeffs):
+                value = (value * root + c) % m.q
+            assert int(row[s]) == value
+    assert np.array_equal(ring.intt(got).coeffs, p.coeffs)

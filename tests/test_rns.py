@@ -271,6 +271,68 @@ def test_rescale_error_bound_any_width(bits, src, seed):
         assert abs(err) <= 1
 
 
+# ---------------------------------------------------------------------------
+# source and target widths drawn independently: bconv multiplies residues of
+# the source moduli by constants of narrower or wider target moduli
+
+
+def _disjoint(src_bits, src, dst_bits, dst):
+    # equal widths take their two bases from disjoint slices of one prime list
+    return _primes(src_bits)[:src], _primes(dst_bits)[-dst:]
+
+
+@settings(max_examples=40, deadline=None)
+@example(src_bits=58, src=3, dst_bits=44, dst=2, seed=0)
+@given(src_bits=width, src=st.integers(1, 6), dst_bits=width, dst=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_bconv_overshoot_bound_mixed_widths(src_bits, src, dst_bits, dst, seed):
+    q_src, p_dst = _disjoint(src_bits, src, dst_bits, dst)
+    basis = rns.RnsBasis(q_src, p_dst)
+    vals, p = random_rns(np.random.default_rng(seed), q_src, 16)
+    out = rns.bconv(p, p_dst, basis)
+    big = basis.q_product
+    for i, m in enumerate(p_dst):
+        for t in range(16):
+            got = int(out.limbs[i].coeffs[t])
+            assert any((vals[t] + u * big) % m.q == got for u in range(src))
+
+
+@settings(max_examples=40, deadline=None)
+@example(p_bits=58, alpha=3, q_bits=44, levels=2, seed=0)
+@given(p_bits=width, alpha=st.integers(1, 4), q_bits=width, levels=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_moddown_error_bound_mixed_widths(p_bits, alpha, q_bits, levels, seed):
+    p_mods, q_mods = _disjoint(p_bits, alpha, q_bits, levels)
+    basis = rns.RnsBasis(q_mods, p_mods)
+    vals, c = random_rns(np.random.default_rng(seed), basis.pq_moduli, 16)
+    down = rns.crt_reconstruct_centered(rns.moddown(c, basis))
+    big_p, big_q = basis.p_product, basis.q_product
+    for t in range(16):
+        err = centered((down[t] - vals[t] // big_p) % big_q, big_q)
+        assert -basis.alpha < err <= 0
+
+
+@settings(max_examples=40, deadline=None)
+@example(kept_bits=44, kept=2, top_bits=58, seed=0)
+@given(kept_bits=width, kept=st.integers(1, 4), top_bits=width, seed=st.integers(0, 2**32 - 1))
+def test_rescale_error_bound_mixed_widths(kept_bits, kept, top_bits, seed):
+    kept_mods, top = _disjoint(kept_bits, kept, top_bits, 1)
+    moduli = kept_mods + top
+    vals, c = random_rns(np.random.default_rng(seed), moduli, 16)
+    out = rns.crt_reconstruct_centered(rns.rescale(c))
+    reduced = prod(m.q for m in kept_mods)
+    for t in range(16):
+        err = centered((out[t] - vals[t] // top[0].q) % reduced, reduced)
+        assert abs(err) <= 1
+
+
+def test_decompose_rejects_input_below_top_level(toy_basis):
+    rng = np.random.default_rng(13)
+    _, c = random_rns(rng, toy_basis.q_moduli[:-1], 64)  # one level rescaled away
+    with pytest.raises(rns.BasisMismatch):
+        rns.decompose(c, toy_basis)
+
+
 def test_ntt_domain_decompose_and_moddown_match_coefficient_domain(toy_basis):
     # only the converted limbs change domain; NTT linearity makes the rest exact
     rng = np.random.default_rng(12)
