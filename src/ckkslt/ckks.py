@@ -361,16 +361,12 @@ def moddown_ntt(p: RnsPoly, basis: RnsBasis) -> RnsPoly:
     return to_ntt(moddown(p, basis))
 
 
-def apply_rotation(p: RnsPoly, rot: RotationIndex) -> RnsPoly:
-    return automorphism_eval(p, rot)
-
-
 def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
                      rot: RotationIndex) -> tuple[RnsPoly, RnsPoly]:
     """Rotate the PQ pair (a + <digits, k0>, <digits, k1>) with a hoisted key:
     the inner product runs first, the automorphism after it."""
     u0, u1 = key_switch(digits, swk)
-    return apply_rotation(rns_add(a, u0), rot), apply_rotation(u1, rot)
+    return automorphism_eval(rns_add(a, u0), rot), automorphism_eval(u1, rot)
 
 
 def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Ciphertext:
@@ -381,8 +377,8 @@ def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Cip
         return ct.copy()
     if swk.hoist_offset != 0:
         raise MissingKey("rotate expects a plain (non-hoisted) key")
-    c0r = apply_rotation(ct.c0, rot)
-    c1r = apply_rotation(ct.c1, rot)
+    c0r = automorphism_eval(ct.c0, rot)
+    c1r = automorphism_eval(ct.c1, rot)
     digits = hoist_digits(c1r, params.basis)
     u0, u1 = key_switch(digits, swk)
     d0 = moddown_ntt(u0, params.basis)

@@ -365,7 +365,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config_file(args, argv)
         return args.func(args)
-    except (cm.ConfigOutOfRange, cm.BadFactors, cm.Infeasible, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # the cm errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

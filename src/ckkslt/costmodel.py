@@ -154,9 +154,18 @@ def plan_layers(method: str, n: int, factors=()) -> tuple[int, int, int]:
     return (1,) * (3 - want) + factors
 
 
+def check_dp(dp: int, ring_dim: int):
+    """The bank count rule: dp is a power of two >= 2 with dp^2 <= N."""
+    if dp < 2 or dp & (dp - 1):
+        raise ConfigOutOfRange(f"dp={dp} is not a power of two >= 2")
+    if dp * dp > ring_dim:
+        raise ConfigOutOfRange(f"dp={dp} needs dp^2 <= N={ring_dim}")
+
+
 def validate_config(params: HeParams, factors, cfg: ParallelismConfig) -> tuple[int, int, int]:
     """Check a six-phase configuration; returns the th-bsgs layers."""
     n1, n2, n3 = plan_layers("th-bsgs", params.n, factors)
+    check_dp(cfg.dp, params.ring_dim)
     limbs = params.pq_limbs
     bounds = {
         "m1": max(n1 - 1, 1), "m2": max(n1 - 1, 1), "m3": max(n2 - 1, 1),

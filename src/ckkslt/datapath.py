@@ -21,6 +21,11 @@ operation trace (Decompose, ModDown, coefficient-wise limb multiplies)
 is counted in both modes; key offsets are recorded only where a key is
 actually fetched, so shape-only runs leave that set empty.
 
+Each object written to the off-chip store declares how many modeled
+reads it gets, and the store frees its payload at the last one. A read
+after the drop, or an object still live when the walk ends, raises, so
+the walk's liveness is checked rather than assumed.
+
 Modeling conventions that differ from the printed closed forms are
 collected in WHITELIST with their exact deltas:
 
@@ -90,27 +95,36 @@ class MemoryMeter:
 
 
 class OffchipStore:
-    """Named off-chip objects with limb counts and optional payloads."""
+    """Named off-chip objects, each freed at its last declared read.
+
+    ``write`` declares how many modeled reads an object gets; ``read``
+    counts them down and drops the payload at zero, so a read of a dropped
+    or never-written name raises, and ``live`` lists what was written
+    but not yet read out.
+    """
 
     def __init__(self):
-        self._data: dict[str, tuple[int, object]] = {}
-
-    def preload(self, name: str, limbs: int, payload=None):
-        """Place an object without metering (inputs that preexist)."""
-        self._data[name] = (limbs, payload)
+        # a spent name maps to None and keeps its slot, so writing it again
+        # (the phase-4 partials, the phase-5 accumulator) does not grow the dict
+        self._data: dict[str, tuple[int, object, int] | None] = {}
 
     def write(self, meter: MemoryMeter, phase: int, name: str, limbs: int,
-              payload=None, category: str = "poly_write"):
+              payload=None, reads: int = 1, category: str = "poly_write"):
         meter.add(phase, category, limbs)
-        self._data[name] = (limbs, payload)
+        self._data[name] = (limbs, payload, reads) if reads else None
 
     def read(self, meter: MemoryMeter, phase: int, name: str,
              category: str = "poly_read"):
-        if name not in self._data:
-            raise KeyError(f"off-chip object {name} was never written")
-        limbs, payload = self._data[name]
+        entry = self._data.get(name)
+        if entry is None:
+            raise KeyError(f"off-chip object {name} is not live")
+        limbs, payload, left = entry
         meter.add(phase, category, limbs)
+        self._data[name] = (limbs, payload, left - 1) if left > 1 else None
         return payload
+
+    def live(self) -> list[str]:
+        return sorted(name for name, entry in self._data.items() if entry)
 
 
 @dataclass
@@ -170,21 +184,22 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         return ck.hoisted_rotation(a, digits, inputs.keys.get(offset, hoisted=True),
                                    RotationIndex(offset, ap.ring_dim))
 
+    # a:i (i < n1) and d:i stream back once per phase-3 key batch; a:i is
+    # read once more in phase 4, b:i (0 < i < n1) in phases 2 and 4
+    key_batches = ceil_div(n2 - 1, cfg.m3)
+
     # ---- phase 1: initial decomposition and first-layer rotations --------
-    store.preload("input:c0", lp, inputs.ct.c0 if compute else None)
-    store.preload("input:c1", lp, inputs.ct.c1 if compute else None)
-    c0_in = store.read(meter, 1, "input:c0")
-    c1_in = store.read(meter, 1, "input:c1")
+    meter.add(1, "poly_read", 2 * lp)  # the input ciphertext
     meter.add(1, "ntt", 2 * limbs)  # forward + inverse table sets, held all phase
     trace.decompose += 1
     digits0 = a0 = b0 = None
     if compute:
-        digits0 = ck.hoist_digits(c1_in, ap.basis)
-        a0 = ck.raise_to_pq(c0_in, ap.basis)
-        b0 = ck.raise_to_pq(c1_in, ap.basis)
-    store.write(meter, 1, "a:0", limbs, a0)
+        digits0 = ck.hoist_digits(inputs.ct.c1, ap.basis)
+        a0 = ck.raise_to_pq(inputs.ct.c0, ap.basis)
+        b0 = ck.raise_to_pq(inputs.ct.c1, ap.basis)
+    store.write(meter, 1, "a:0", limbs, a0, reads=key_batches + 1)
     store.write(meter, 1, "b:0", limbs, b0)
-    store.write(meter, 1, "d:0", beta * limbs, digits0)
+    store.write(meter, 1, "d:0", beta * limbs, digits0, reads=key_batches)
     for i0 in range(1, n1, cfg.m1):
         batch = range(i0, min(i0 + cfg.m1, n1))
         key_limbs = len(batch) * 2 * beta * limbs
@@ -197,8 +212,8 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             bound(1, used)
         for i in batch:
             a_i, b_i = rotate(a0, digits0, i)
-            store.write(meter, 1, f"a:{i}", limbs, a_i)
-            store.write(meter, 1, f"b:{i}", limbs, b_i)
+            store.write(meter, 1, f"a:{i}", limbs, a_i, reads=key_batches + 1)
+            store.write(meter, 1, f"b:{i}", limbs, b_i, reads=2)
 
     # ---- phase 2: per-index ModDown + Decompose of the first layer -------
     for i0 in range(1, n1, cfg.m2):
@@ -212,7 +227,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             trace.moddown += 1
             trace.decompose += 1
             d_i = ck.hoist_digits(ck.moddown_ntt(b_i, ap.basis), ap.basis) if compute else None
-            store.write(meter, 2, f"d:{i}", beta * limbs, d_i)
+            store.write(meter, 2, f"d:{i}", beta * limbs, d_i, reads=key_batches)
 
     # ---- phase 3: second-layer rotations, keys cached per batch ----------
     for j0 in range(1, n2, cfg.m3):
@@ -315,8 +330,9 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         ct_full = ck.Ciphertext(c0, c1, inputs.ct.level, inputs.ct.scale
                                 * inputs.dm.diagonals[0].scale)
         out_ct = ck.rescale_ct(ct_full, ap)
-    store.write(meter, 6, "out:c0", lp - 1, out_ct.c0 if compute else None)
-    store.write(meter, 6, "out:c1", lp - 1, out_ct.c1 if compute else None)
+    meter.add(6, "poly_write", 2 * (lp - 1))  # the output ciphertext
+    if store.live():
+        raise RuntimeError(f"off-chip objects never read out: {store.live()}")
     return SimResult(meter, trace, out_ct)
 
 

@@ -1,11 +1,11 @@
-"""Exact modular arithmetic over word-sized NTT-friendly primes.
+"""Word-sized NTT-friendly primes and their transform constants.
 
 Every modulus q managed here satisfies q = 1 (mod 2N) for the ring
 dimension N it was generated for, so a primitive 2N-th root of unity
-exists and negacyclic transforms are available. Scalar reductions go
-through a Barrett path with a precomputed constant; a vectorized numpy
-kernel lives in :mod:`ckkslt.ring` and is checked against the same
-wide-integer oracle.
+exists and negacyclic transforms are available. The module holds no
+arithmetic of its own: the vectorized modular kernels live in
+:mod:`ckkslt.ring`, and scalar set-up work uses Python's ``%`` and
+``pow``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 
 class NotEnoughPrimes(ValueError):
     """Raised when the requested prime count cannot be met in the bit width."""
-
-
-class NoInverse(ZeroDivisionError):
-    """Raised when a modular inverse of a non-unit is requested."""
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -73,8 +69,6 @@ class Modulus:
     Attributes:
         q: the prime.
         ring_dim: N, the transform length the root was generated for.
-        reduction_constant: Barrett constant floor(2^(2*shift) / q).
-        reduction_shift: bit width used for the Barrett constant.
         two_n_root: primitive 2N-th root of unity mod q.
         n_inv: N^-1 mod q.
     """
@@ -82,8 +76,6 @@ class Modulus:
     q: int
     ring_dim: int
     # derived from (q, ring_dim), so they take no part in equality or hashing
-    reduction_constant: int = field(init=False, compare=False)
-    reduction_shift: int = field(init=False, compare=False)
     two_n_root: int = field(init=False, compare=False)
     n_inv: int = field(init=False, compare=False)
 
@@ -97,9 +89,6 @@ class Modulus:
             raise ValueError(f"{q} != 1 mod 2N for N={n}")
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
-        shift = q.bit_length()
-        object.__setattr__(self, "reduction_shift", shift)
-        object.__setattr__(self, "reduction_constant", (1 << (2 * shift)) // q)
         object.__setattr__(self, "two_n_root", _find_two_n_root(q, n))
         object.__setattr__(self, "n_inv", pow(n, -1, q))
 
@@ -132,48 +121,3 @@ def find_ntt_primes(bit_width: int, ring_dim: int, count: int) -> list[Modulus]:
             out.append(Modulus(cand, ring_dim))
         k -= 1
     return out
-
-
-def barrett_reduce(x: int, m: Modulus) -> int:
-    """Reduce 0 <= x < q^2 using the precomputed constant (no division)."""
-    approx = (x * m.reduction_constant) >> (2 * m.reduction_shift)
-    r = x - approx * m.q
-    if r >= m.q:
-        r -= m.q
-    if r >= m.q:
-        r -= m.q
-    return r
-
-
-def mod_add(a: int, b: int, m: Modulus) -> int:
-    s = a + b
-    return s - m.q if s >= m.q else s
-
-
-def mod_sub(a: int, b: int, m: Modulus) -> int:
-    d = a - b
-    return d + m.q if d < 0 else d
-
-
-def mod_mul(a: int, b: int, m: Modulus) -> int:
-    return barrett_reduce(a * b, m)
-
-
-def mod_pow(a: int, e: int, m: Modulus) -> int:
-    if e < 0:
-        a = mod_inv(a, m)
-        e = -e
-    result = 1
-    base = a % m.q
-    while e:
-        if e & 1:
-            result = mod_mul(result, base, m)
-        base = mod_mul(base, base, m)
-        e >>= 1
-    return result
-
-
-def mod_inv(a: int, m: Modulus) -> int:
-    if a % m.q == 0:
-        raise NoInverse(f"0 has no inverse mod {m.q}")
-    return pow(a, -1, m.q)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import check_dp
 from .ring import RotationIndex, bitrev_table
 
 
@@ -37,10 +38,7 @@ class BankLayout:
 
     def __post_init__(self):
         n, dp = self.ring_dim, self.dp
-        if dp & (dp - 1) or dp < 2:
-            raise ValueError("dp must be a power of two >= 2")
-        if dp * dp > n:
-            raise ValueError("requires dp^2 <= N")
+        check_dp(dp, n)
         if self.banks.shape != (dp, n // dp):
             raise ValueError("bank array has the wrong shape")
 

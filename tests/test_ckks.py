@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ckkslt import ckks
-from ckkslt.ring import Domain, RotationIndex, automorphism_coef
+from ckkslt.ring import Domain, RotationIndex, automorphism_coef, automorphism_eval
 from ckkslt.rns import RnsPoly, crt_reconstruct, crt_reconstruct_centered
 
 
@@ -204,8 +204,8 @@ def test_hoisted_key_twist_is_exact_inverse(toy_params, toy_keys):
         sk, 6, toy_params, np.random.default_rng(14), hoisted=True)
     rot = RotationIndex(6, toy_params.ring_dim)
     for (p0, p1), (h0, h1) in zip(plain.digits, hoisted.digits):
-        back0 = ckks.apply_rotation(h0, rot)
-        back1 = ckks.apply_rotation(h1, rot)
+        back0 = automorphism_eval(h0, rot)
+        back1 = automorphism_eval(h1, rot)
         for a, b in zip(back0.limbs, p0.limbs):
             assert np.array_equal(a.coeffs, b.coeffs)
         for a, b in zip(back1.limbs, p1.limbs):
@@ -236,9 +236,9 @@ def test_hoisted_rotation_equals_plain(toy_params, toy_keys, r):
     digits = ckks.hoist_digits(ct.c1, toy_params.basis)
     u0, u1 = ckks.key_switch(digits, hoisted)
     a0 = ckks.raise_to_pq(ct.c0, toy_params.basis)
-    c0 = ckks.moddown_ntt(ckks.apply_rotation(ckks.rns_add(a0, u0), rot),
+    c0 = ckks.moddown_ntt(automorphism_eval(ckks.rns_add(a0, u0), rot),
                           toy_params.basis)
-    c1 = ckks.moddown_ntt(ckks.apply_rotation(u1, rot), toy_params.basis)
+    c1 = ckks.moddown_ntt(automorphism_eval(u1, rot), toy_params.basis)
     got = ckks.Ciphertext(c0, c1, ct.level, ct.scale)
     d_ref = ckks.decode(ckks.decrypt(ref, sk), toy_params)
     d_got = ckks.decode(ckks.decrypt(got, sk), toy_params)

@@ -200,6 +200,12 @@ def test_explicit_flag_beats_config_file(capsys, tmp_path, flag):
     assert json.loads(out)["params"]["n"] == 32
 
 
+def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "--config", str(tmp_path / "absent.cfg"), "simulate")
+    assert code == 1
+    assert err.startswith("error: ") and "absent.cfg" in err
+
+
 def test_budget_search_flag(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--params", "set-a",

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ckkslt import ckks
+from ckkslt import ckks, cli
 from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
 from ckkslt import linear
@@ -48,6 +48,52 @@ def test_six_phase_entry_points_reject_bad_factors(factors):
             entry(params, factors, cfg)
     with pytest.raises(cm.BadFactors):
         cm.search_parallelism(params, factors, 64 << 20)
+
+
+@pytest.mark.parametrize("dp_val", [0, -4, 3, 512])
+def test_six_phase_entry_points_reject_bad_dp(dp_val, capsys):
+    # set-a has N=2^16, so dp=512 breaks dp^2 <= N
+    params, factors, _ = cm.reference_config("set-a")
+    cfg = cm.ParallelismConfig(dp=dp_val)
+    for entry in (dp.simulate, cm.offchip_access, cm.peak_onchip):
+        with pytest.raises(cm.ConfigOutOfRange):
+            entry(params, factors, cfg)
+    with pytest.raises(cm.ConfigOutOfRange):
+        cm.search_parallelism(params, factors, 64 << 20, dp=dp_val)
+    argv = ["simulate", "--params", "set-a", "--factors", "8,64,8", "--dp", str(dp_val)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: dp=")
+
+
+def test_store_read_past_declared_count_raises():
+    meter, store = dp.MemoryMeter(), dp.OffchipStore()
+    store.write(meter, 1, "x", 3, "payload", reads=2)
+    assert [store.read(meter, 2, "x"), store.read(meter, 3, "x")] == ["payload"] * 2
+    assert store.live() == []
+    with pytest.raises(KeyError):
+        store.read(meter, 3, "x")
+    assert (meter.offchip[2]["poly_read"], meter.offchip[3]["poly_read"]) == (3, 3)
+
+
+def test_store_write_with_no_reads_meters_but_keeps_nothing():
+    meter, store = dp.MemoryMeter(), dp.OffchipStore()
+    store.write(meter, 1, "x", 3, "payload", reads=0)
+    assert meter.offchip[1]["poly_write"] == 3
+    assert store.live() == []
+    with pytest.raises(KeyError):
+        store.read(meter, 2, "x")
+
+
+def test_object_live_at_end_of_walk_raises(monkeypatch):
+    params, factors, cfg = cm.reference_config("set-a")
+    write = dp.OffchipStore.write
+
+    def one_read_too_many(self, meter, phase, name, limbs, payload=None, reads=1, **kw):
+        write(self, meter, phase, name, limbs, payload, reads + (name == "b:0"), **kw)
+
+    monkeypatch.setattr(dp.OffchipStore, "write", one_read_too_many)
+    with pytest.raises(RuntimeError, match=r"never read out: \['b:0'\]"):
+        dp.simulate(params, factors, cfg)
 
 
 def test_onchip_peak_below_envelope():
