@@ -11,6 +11,12 @@ Reports are deterministic for a fixed seed and configuration; timing
 goes to stderr so saved output stays byte-identical. Exit codes:
 0 success, 1 usage or configuration error, 2 tolerance or validation
 failure.
+
+``--config FILE`` holds ``key = value`` lines, read as ``--key=value``
+flags placed straight after the subcommand, so command-line flags win.
+Keys before any ``[section]`` apply to every subcommand, keys under
+``[<subcommand>]`` to that one only; switches take ``true``/``false``.
+Unknown keys, sections and values are usage errors, as on the command line.
 """
 
 from __future__ import annotations
@@ -35,14 +41,26 @@ TOY_PROFILES = {
 }
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+COMMANDS = ("demo", "analyze", "simulate", "validate")
+
+
+class UsageError(ValueError):
+    """A command line or config file that the parser rejects."""
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines with optional [section] headers; section names
-    prefix their keys as section.key."""
-    out = {}
+def config_flags(path: str, command: str) -> list[str]:
+    """The flags a config file gives ``command``: ``--key=value`` per line
+    in scope, ``--key``/``--no-key`` for ``true``/``false``."""
+    flags = []
     section = ""
     with open(path) as fh:
         for raw in fh:
@@ -51,12 +69,17 @@ def load_config_file(path: str) -> dict:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
+                if section not in COMMANDS:
+                    raise UsageError(f"unknown config section [{section}]")
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw!r}")
+                raise UsageError(f"bad config line: {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[f"{section}.{key}" if section else key] = val
-    return out
+            if section in ("", command):
+                key = key.replace("_", "-")
+                flags.append({"true": f"--{key}", "false": f"--no-{key}"}
+                             .get(val, f"--{key}={val}"))
+    return flags
 
 
 def _emit(text: str, out_path: str | None):
@@ -75,11 +98,9 @@ def _shape_params(args) -> cm.HeParams:
         n = args.n or base.n
         return cm.HeParams(base.ring_dim, base.levels, base.alpha,
                            base.word_bits, n=n)
-    if args.params in TOY_PROFILES:
-        ring_dim, levels, alpha, bits = TOY_PROFILES[args.params]
-        n = args.n or ring_dim // 2
-        return cm.HeParams(ring_dim, levels, alpha, bits, n=n)
-    raise SystemExit(f"unknown parameter set {args.params!r}")
+    ring_dim, levels, alpha, bits = TOY_PROFILES[args.params]
+    n = args.n or ring_dim // 2
+    return cm.HeParams(ring_dim, levels, alpha, bits, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +110,12 @@ def _shape_params(args) -> cm.HeParams:
 def cmd_demo(args) -> int:
     from . import ckks, linear
 
-    if args.params not in TOY_PROFILES:
-        print(f"demo needs a toy-feasible profile, not {args.params!r}",
-              file=sys.stderr)
-        return 1
     ring_dim, levels, alpha, bits = TOY_PROFILES[args.params]
-    if ring_dim > 2**13 and not args.force:
-        print("ring dimension above the demo guard; pass --force", file=sys.stderr)
-        return 1
     params = ckks.CkksParams.make(ring_dim=ring_dim, levels=levels,
                                   alpha=alpha, prime_bits=bits)
     n = args.n
     if n > params.slots:
-        print(f"--n {n} exceeds slot count {params.slots}", file=sys.stderr)
-        return 1
+        raise UsageError(f"--n {n} exceeds slot count {params.slots}")
     rng = np.random.default_rng(args.seed)
     if args.identity:
         f_matrix = np.eye(n)
@@ -238,7 +251,7 @@ def _factors_and_config(args, params):
     if args.parallelism:
         vals = args.parallelism
         if len(vals) != 11:
-            raise SystemExit("--parallelism wants m1,...,m6,l1,...,l5")
+            raise UsageError("--parallelism wants m1,...,m6,l1,...,l5")
         cfg = cm.ParallelismConfig(*vals[:6], *vals[6:], dp=args.dp)
     if args.budget_bytes:
         cfg = cm.search_parallelism(params, factors, args.budget_bytes,
@@ -273,97 +286,66 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="ckkslt",
         description="Encrypted linear transforms: demos, cost sweeps, and "
                     "datapath simulation (not for production cryptography).",
     )
     parser.add_argument("--config", help="key=value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
+    methods = ("diagonal", "bsgs", "dh-bsgs", "th-bsgs", "all")
 
-    def common(p):
-        p.add_argument("--params", default="toy",
-                       help="toy | toy-small | toy-large (demo profiles, "
-                            "44/30-bit primes) | set-a | set-b | set-c "
-                            "(54-bit evaluation shapes)")
-        p.add_argument("--n", type=int, default=0, help="transform dimension")
-        p.add_argument("--factors", type=_parse_int_list, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+    def command(name, func, profiles, n=0, help=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--params", default="toy", choices=profiles,
+                       help="toy* are the demo profiles (44/30-bit primes), "
+                            "set-a/b/c the 54-bit evaluation shapes")
+        p.add_argument("--n", type=int, default=n, help="transform dimension")
         p.add_argument("--out", default=None)
+        return p
 
-    d = sub.add_parser("demo", help="run encrypted transforms end to end")
-    common(d)
-    d.add_argument("--method", default="th-bsgs",
-                   choices=("diagonal", "bsgs", "dh-bsgs", "th-bsgs", "all"))
+    d = command("demo", cmd_demo, tuple(TOY_PROFILES), n=64,
+                help="run encrypted transforms end to end")
+    d.add_argument("--factors", type=int_list, default=None)
+    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    d.add_argument("--method", default="th-bsgs", choices=methods)
     d.add_argument("--tolerance", type=float, default=1e-3)
-    d.add_argument("--compare", action="store_true",
+    d.add_argument("--compare", action=argparse.BooleanOptionalAction, default=False,
                    help="print pairwise output differences")
-    d.add_argument("--identity", action="store_true",
+    d.add_argument("--identity", action=argparse.BooleanOptionalAction, default=False,
                    help="use the identity matrix")
-    d.add_argument("--force", action="store_true",
-                   help="override the ring-dimension guard")
     d.add_argument("--save-output", default=None,
                    help="write the result ciphertext container(s) here")
-    d.set_defaults(func=cmd_demo, n=64, format="text")
 
-    a = sub.add_parser("analyze", help="key-size / compute trade-off sweep")
-    common(a)
-    a.add_argument("--method", default="all",
-                   choices=("diagonal", "bsgs", "dh-bsgs", "th-bsgs", "all"))
-    a.set_defaults(func=cmd_analyze)
+    every_profile = (*TOY_PROFILES, *cm.NAMED_SETS)
+    a = command("analyze", cmd_analyze, every_profile,
+                help="key-size / compute trade-off sweep")
+    a.add_argument("--format", choices=("json", "csv"), default="json")
+    a.add_argument("--method", default="all", choices=methods)
 
-    for name, fn in (("simulate", cmd_simulate), ("validate", cmd_validate)):
-        s = sub.add_parser(name)
-        common(s)
-        s.add_argument("--parallelism", type=_parse_int_list, default=None,
+    for name, func in (("simulate", cmd_simulate), ("validate", cmd_validate)):
+        s = command(name, func, every_profile)
+        s.add_argument("--factors", type=int_list, default=None)
+        s.add_argument("--parallelism", type=int_list, default=None,
                        help="m1,...,m6,l1,...,l5")
         s.add_argument("--dp", type=int, default=2)
         s.add_argument("--budget-bytes", type=int, default=0)
-        s.set_defaults(func=fn)
     return parser
 
 
-def _explicit_dests(argv) -> set[str]:
-    """Destinations the command line sets itself: the same argv parsed
-    with every default suppressed."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for p in (parser, *sub.choices.values()):
-        p._defaults.clear()
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config_file(args, argv):
-    if not args.config:
-        return args
-    values = load_config_file(args.config)
-    explicit = _explicit_dests(argv)
-    for key, val in values.items():
-        name = key.split(".", 1)[-1].replace("-", "_")
-        if not hasattr(args, name) or name in explicit:
-            continue
-        current = getattr(args, name)
-        if isinstance(current, bool):
-            setattr(args, name, val.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, name, int(val))
-        elif isinstance(current, float):
-            setattr(args, name, float(val))
-        elif isinstance(current, tuple) or name == "factors":
-            setattr(args, name, _parse_int_list(val))
-        else:
-            setattr(args, name, val)
-    return args
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, argv)
+        if args.config:
+            # the subcommand is the first token that is not --config's value
+            at = 1 + next(i for i, tok in enumerate(argv) if tok == args.command and (
+                i == 0 or "=" in argv[i - 1] or not argv[i - 1].startswith("-")))
+            argv[at:at] = config_flags(args.config, args.command)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # the cm errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

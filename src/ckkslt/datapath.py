@@ -214,6 +214,8 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             a_i, b_i = rotate(a0, digits0, i)
             store.write(meter, 1, f"a:{i}", limbs, a_i, reads=key_batches + 1)
             store.write(meter, 1, f"b:{i}", limbs, b_i, reads=2)
+    # from here the store alone holds payloads, so each is freed at its last read
+    a0 = b0 = digits0 = None
 
     # ---- phase 2: per-index ModDown + Decompose of the first layer -------
     for i0 in range(1, n1, cfg.m2):
@@ -252,6 +254,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                 a_m, b_m = rotate(a_vals[i], d_vals[i], n1 * j)
                 store.write(meter, 3, f"a:{n1 * j + i}", limbs, a_m)
                 store.write(meter, 3, f"b:{n1 * j + i}", limbs, b_m)
+    a_vals = d_vals = a_i = b_i = d_i = None
 
     # ---- phase 4: diagonal products into n3 accumulated pairs ------------
     meter.add(4, "ntt", limbs)  # one inverse table set for the final transforms
@@ -285,6 +288,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         for k in range(n3):
             store.write(meter, 4, f"u0:{k}", limbs, partials[k][0])
             store.write(meter, 4, f"u1:{k}", limbs, partials[k][1])
+    pairs = partials = a_m = b_m = t0 = t1 = acc = None
 
     # ---- phase 5: outer-layer rotations with delayed ModDown -------------
     acc_pair = (None, None)

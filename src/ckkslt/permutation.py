@@ -212,7 +212,8 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     within each step all dp reads land before any write; no position is
     read twice, written twice, or read after a write to it has landed (a
     write lands once its position has been read); every position is
-    written."""
+    written; and no step holds more than dp writes waiting for a later
+    read, so the walk needs no scratch buffer."""
     n, per_bank = layout.ring_dim, layout.ring_dim // layout.dp
     moves = np.array([m for step in steps for m in step.moves], dtype=np.int64).reshape(-1, 4)
     when = np.repeat(np.arange(len(steps)), [len(step.moves) for step in steps])
@@ -228,6 +229,10 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     assert np.bincount(src, minlength=n).max() <= 1, "double read"
     assert np.bincount(dst, minlength=n).max() <= 1, "double write"
     assert dst.size == n, "schedule did not cover every position"
+    held = first_read[dst] > when  # lands only at a later step's read
+    waiting = np.cumsum(np.bincount(when[held], minlength=len(steps) + 1)
+                        - np.bincount(first_read[dst[held]], minlength=len(steps) + 1))
+    assert waiting.max() <= layout.dp, "more than dp values in flight"
     # every read sees the value from before the schedule ran
     layout.banks[moves[:, 2], moves[:, 3]] = layout.banks[moves[:, 0], moves[:, 1]]
 

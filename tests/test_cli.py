@@ -213,3 +213,85 @@ def test_budget_search_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["params"]["parallelism"]["m1"] >= 1
+
+
+def test_config_section_scopes_keys_to_its_subcommand(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 16\nparams = toy-small\n[analyze]\nparams = set-a\nn = 4096\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "demo", "--method", "th-bsgs")
+    assert code == 0
+    assert "PASS" in out
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "analyze", "--method", "th-bsgs")
+    assert code == 0
+    assert json.loads(out)["params"]["n"] == 4096
+
+
+@pytest.mark.parametrize("text", ["factros = 4,4\n", "[demos]\nn = 16\n",
+                                  "[simulate]\nn = 16\n[demo]\nfactros = 4,4\n"])
+def test_config_unknown_key_or_section_is_a_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "demo", "--params",
+                             "toy-small", "--method", "dh-bsgs", "--n", "16")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["ture", "yes", "1"])
+def test_config_switch_takes_only_true_or_false(capsys, tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"compare = {value}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "demo", "--params",
+                             "toy-small", "--method", "all", "--n", "16")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_config_switch_yields_to_its_negated_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[demo]\nparams = toy-small\nmethod = all\nn = 16\ncompare = true\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "demo")
+    assert code == 0
+    assert "max_pairwise=" in out
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "demo", "--no-compare")
+    assert code == 0
+    assert "pairwise" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--factors", "4,a"],
+    ["demo", "--format", "xml"],
+    ["demo", "--params", "toy-small", "--tolerance", "tight"],
+    ["demo", "--params", "toy-small", "--n", "4096"],
+    ["simulate", "--params", "set-a", "--seed", "5"],
+    ["simulate", "--params", "set-a", "--format", "csv"],
+    ["validate", "--params", "set-a", "--format", "json"],
+    ["analyze", "--params", "set-a", "--factors", "4,4"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_1_with_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_demo_text_format_is_accepted(capsys):
+    argv = ["demo", "--params", "toy-small", "--method", "bsgs", "--n", "16",
+            "--factors", "4,4", "--seed", "7"]
+    code, default_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out == default_out
+
+
+@pytest.mark.parametrize("config", [["--config", "demo"], ["--config=demo"]])
+def test_config_file_named_like_its_subcommand(capsys, tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo").write_text("params = toy-small\nmethod = bsgs\nn = 16\n")
+    code, out, _ = run_cli(capsys, *config, "demo", "--factors", "4,4")
+    assert code == 0
+    assert "method=bsgs" in out

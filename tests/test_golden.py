@@ -4,6 +4,8 @@ At the acceptance shape (N=2^10, 5+5 limbs, n=64, factors (8,8) and
 (4,4,4)) with fixed seeds, this hashes every rotation key, the packed
 diagonals, each evaluator's output ciphertext and OpTrace, and the
 count-only ``simulate`` report of set-a/b/c at their reference configs.
+A second table hashes the stdout of valid ``ckkslt`` command lines, so a
+change to argument handling leaves every report byte-identical.
 
 The hashes cover floating-point encoding, so a numpy build that rounds
 its FFT differently changes them. After such a change, or after a
@@ -11,15 +13,17 @@ deliberate change of output, print the new table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste it into GOLDEN.
+and paste it into GOLDEN and GOLDEN_CLI.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 
-from ckkslt import ckks, linear
+from ckkslt import ckks, cli, linear
 from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
 
@@ -45,6 +49,17 @@ GOLDEN = {
     'simulate:set-a': '92aa77f293631fe9',
     'simulate:set-b': 'e21d9dcae25023c2',
     'simulate:set-c': '5ae53d27669bf90c',
+}
+
+GOLDEN_CLI = {
+    'simulate --params set-a': '0:4ce3eba82eabfcec',
+    'simulate --params set-b': '0:69ddfb8e9f5ebbc6',
+    'simulate --params set-c': '0:a7c5b5fcbe53e2be',
+    'validate --params set-b': '0:8892501a55367ba8',
+    'analyze --params set-c --format csv': '0:77bdb1e72db9f9ac',
+    'analyze --params set-a': '0:e3e224a6c3f7b71a',
+    'demo --params toy-small --method all --n 16 --seed 3 --compare': '0:f237293a707d2281',
+    'demo --params toy-small --method all --n 16 --seed 3 --compare --format json': '0:c7dde5544aed1078',
 }
 
 
@@ -128,12 +143,27 @@ def compute_hashes() -> dict:
     return out
 
 
+def compute_cli_hashes() -> dict:
+    out = {}
+    for command in GOLDEN_CLI:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(command.split())
+        out[command] = f"{code}:" + hashlib.sha256(stdout.getvalue().encode()).hexdigest()[:16]
+    return out
+
+
 def test_outputs_match_golden_hashes():
     assert compute_hashes() == GOLDEN
 
 
+def test_cli_reports_match_golden_hashes():
+    assert compute_cli_hashes() == GOLDEN_CLI
+
+
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for key, value in compute_hashes().items():
-        print(f"    {key!r}: {value!r},")
-    print("}")
+    for name, table in (("GOLDEN", compute_hashes()), ("GOLDEN_CLI", compute_cli_hashes())):
+        print(f"{name} = {{")
+        for key, value in table.items():
+            print(f"    {key!r}: {value!r},")
+        print("}")

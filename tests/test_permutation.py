@@ -122,6 +122,19 @@ def test_apply_schedule_rejects_tampered_schedule(tamper):
         pm.apply_schedule(lay, steps)
 
 
+@pytest.mark.parametrize("n,dp", [(64, 4), (256, 8), (1024, 16), (4096, 2)])
+def test_apply_schedule_rejects_more_than_dp_in_flight(n, dp):
+    # step s moves address s of every bank: a correct permutation whose
+    # writes wait for reads many steps later, so it needs scratch storage
+    lay = layout_for(n, dp)
+    per_bank = n // dp
+    dst = pm._storage_permutation(5, n)
+    steps = [pm.MoveStep([(f, a, *divmod(int(dst[f * per_bank + a]), per_bank))
+                          for f in range(dp)]) for a in range(per_bank)]
+    with pytest.raises(AssertionError, match="in flight"):
+        pm.apply_schedule(lay, steps)
+
+
 def test_schedule_coverage_and_occupancy():
     n, dp = 128, 8
     lay = layout_for(n, dp)
