@@ -49,6 +49,11 @@ class UsageError(ValueError):
 
 
 class Parser(argparse.ArgumentParser):
+    """Exact flag names only; subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

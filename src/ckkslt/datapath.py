@@ -4,8 +4,8 @@ three-layer hoisted transform.
 The evaluation is partitioned into six phases; each phase streams its
 inputs from an off-chip store, keeps working data in bounded on-chip
 buffers, and writes its outputs back. The simulator walks the real loop
-nests (limb chunks, key batches, accumulator spills) and ticks a meter
-on every logical transfer, attributing each to exactly one category:
+nests (key batches, diagonal chunks, accumulator spills) and meters
+every logical transfer, attributing each to exactly one category:
 
     ntt            twiddle-table traffic (one limb-equivalent per modulus
                    per table load; transforms themselves are compute)
@@ -21,10 +21,19 @@ operation trace (Decompose, ModDown, coefficient-wise limb multiplies)
 is counted in both modes; key offsets are recorded only where a key is
 actually fetched, so shape-only runs leave that set empty.
 
+Metering happens once per loop nest, not once per object: each batch
+iteration meters its whole batch, and the store is addressed by object
+kind (``a``, ``b``, ``d``, ``u0``, ``u1``, ``acc``) and a contiguous
+index range. A limb-chunk loop that only ticks rounds and checks the
+on-chip bound becomes one round count plus one bound per distinct chunk
+extent (full and remainder). The walk stays an event walk: no closed-form
+cell enters the meter, so the comparison against the closed forms stays
+a cross-check.
+
 Each object written to the off-chip store declares how many modeled
 reads it gets, and the store frees its payload at the last one. A read
-after the drop, or an object still live when the walk ends, raises, so
-the walk's liveness is checked rather than assumed.
+after the drop, or an object (named ``kind:index``) still live when the
+walk ends, raises, so the walk's liveness is checked rather than assumed.
 
 Modeling conventions that differ from the printed closed forms are
 collected in WHITELIST with their exact deltas:
@@ -83,8 +92,8 @@ class MemoryMeter:
         if limbs > self.onchip_peak[phase]:
             self.onchip_peak[phase] = limbs
 
-    def tick(self, phase: int):
-        self.rounds[phase] += 1
+    def tick(self, phase: int, rounds: int = 1):
+        self.rounds[phase] += rounds
 
     def totals(self) -> dict:
         out = {c: 0 for c in CATEGORIES}
@@ -94,37 +103,69 @@ class MemoryMeter:
         return out
 
 
-class OffchipStore:
-    """Named off-chip objects, each freed at its last declared read.
+def _limb_chunks(limbs: int, step: int) -> tuple[int, list[int]]:
+    """Round count and distinct chunk extents (full, then remainder) of a
+    loop over ``limbs`` limbs in chunks of ``step``."""
+    full, rem = divmod(limbs, step)
+    return full + (rem > 0), [step] * (full > 0) + [rem] * (rem > 0)
 
-    ``write`` declares how many modeled reads an object gets; ``read``
-    counts them down and drops the payload at zero, so a read of a dropped
-    or never-written name raises, and ``live`` lists what was written
-    but not yet read out.
+
+class OffchipStore:
+    """Off-chip objects addressed by kind and index, each freed at its last
+    declared read.
+
+    ``write`` and ``read`` take one kind and a contiguous index range
+    ``[start, stop)`` and meter the whole range at once; every object of a
+    kind has the same size. ``write`` declares how many modeled reads each
+    object gets, and ``read`` counts them down and drops a payload at zero.
+    A read whose range holds a dropped or never-written object raises
+    before it meters anything, and ``live`` names (``kind:index``) what was
+    written but not yet read out.
     """
 
     def __init__(self):
-        # a spent name maps to None and keeps its slot, so writing it again
-        # (the phase-4 partials, the phase-5 accumulator) does not grow the dict
-        self._data: dict[str, tuple[int, object, int] | None] = {}
+        # per kind: reads still due and payload slot per index; a spent
+        # slot is reused when the index is written again (the phase-4
+        # partials, the phase-5 accumulator)
+        self._left: dict[str, list[int]] = {}
+        self._payload: dict[str, list] = {}
+        self._limbs: dict[str, int] = {}
+        self._has_payloads = False  # a shape-only walk skips the freeing
 
-    def write(self, meter: MemoryMeter, phase: int, name: str, limbs: int,
-              payload=None, reads: int = 1, category: str = "poly_write"):
-        meter.add(phase, category, limbs)
-        self._data[name] = (limbs, payload, reads) if reads else None
+    def write(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int,
+              limbs: int, payloads=None, reads: int = 1, category: str = "poly_write"):
+        count = stop - start
+        if payloads is not None and len(payloads) != count:
+            raise ValueError(f"{len(payloads)} payloads for {count} objects")
+        meter.add(phase, category, count * limbs)
+        self._has_payloads |= payloads is not None
+        left = self._left.setdefault(kind, [])
+        slots = self._payload.setdefault(kind, [])
+        if len(left) < stop:
+            left += [0] * (stop - len(left))
+            slots += [None] * (stop - len(slots))
+        left[start:stop] = [reads] * count
+        slots[start:stop] = payloads if reads and payloads is not None else [None] * count
+        self._limbs[kind] = limbs
 
-    def read(self, meter: MemoryMeter, phase: int, name: str,
-             category: str = "poly_read"):
-        entry = self._data.get(name)
-        if entry is None:
-            raise KeyError(f"off-chip object {name} is not live")
-        limbs, payload, left = entry
-        meter.add(phase, category, limbs)
-        self._data[name] = (limbs, payload, left - 1) if left > 1 else None
-        return payload
+    def read(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int,
+             category: str = "poly_read") -> list:
+        left = self._left.get(kind, [])
+        due = left[start:stop]
+        if len(due) < stop - start or 0 in due:
+            spent = next(i for i in range(start, stop) if i >= len(left) or not left[i])
+            raise KeyError(f"off-chip object {kind}:{spent} is not live")
+        meter.add(phase, category, (stop - start) * self._limbs[kind])
+        slots = self._payload[kind]
+        out = slots[start:stop]
+        left[start:stop] = [n - 1 for n in due]
+        if 1 in due and self._has_payloads:
+            slots[start:stop] = [p if n > 1 else None for p, n in zip(out, due)]
+        return out
 
     def live(self) -> list[str]:
-        return sorted(name for name, entry in self._data.items() if entry)
+        return sorted(f"{kind}:{i}" for kind, left in self._left.items() if any(left)
+                      for i, n in enumerate(left) if n)
 
 
 @dataclass
@@ -177,9 +218,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             raise OnchipOverflow(f"phase {phase} used {used} > {envelope[phase]} limbs")
 
     def rotate(a, digits, offset: int):
-        """Hoisted rotation of (a, digits) by offset; (None, None) on shapes."""
-        if not compute:
-            return None, None
+        """Hoisted rotation of (a, digits) by offset (compute mode only)."""
         trace.key_offsets.add(offset)
         return ck.hoisted_rotation(a, digits, inputs.keys.get(offset, hoisted=True),
                                    RotationIndex(offset, ap.ring_dim))
@@ -192,106 +231,103 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     meter.add(1, "poly_read", 2 * lp)  # the input ciphertext
     meter.add(1, "ntt", 2 * limbs)  # forward + inverse table sets, held all phase
     trace.decompose += 1
-    digits0 = a0 = b0 = None
+    a0 = b0 = digits0 = None  # one-payload lists in compute mode
     if compute:
-        digits0 = ck.hoist_digits(inputs.ct.c1, ap.basis)
-        a0 = ck.raise_to_pq(inputs.ct.c0, ap.basis)
-        b0 = ck.raise_to_pq(inputs.ct.c1, ap.basis)
-    store.write(meter, 1, "a:0", limbs, a0, reads=key_batches + 1)
-    store.write(meter, 1, "b:0", limbs, b0)
-    store.write(meter, 1, "d:0", beta * limbs, digits0, reads=key_batches)
+        digits0 = [ck.hoist_digits(inputs.ct.c1, ap.basis)]
+        a0 = [ck.raise_to_pq(inputs.ct.c0, ap.basis)]
+        b0 = [ck.raise_to_pq(inputs.ct.c1, ap.basis)]
+    store.write(meter, 1, "a", 0, 1, limbs, a0, reads=key_batches + 1)
+    store.write(meter, 1, "b", 0, 1, limbs, b0)
+    store.write(meter, 1, "d", 0, 1, beta * limbs, digits0, reads=key_batches)
+    rounds1, chunks1 = _limb_chunks(limbs, cfg.l1)
+    a_out = b_out = None
     for i0 in range(1, n1, cfg.m1):
         batch = range(i0, min(i0 + cfg.m1, n1))
         key_limbs = len(batch) * 2 * beta * limbs
         meter.add(1, "switching_key", key_limbs)
         trace.cwise_mult_limbs += key_limbs  # each key limb multiplies one digit limb
-        for l0 in range(0, limbs, cfg.l1):
-            meter.tick(1)
-            chunk = min(cfg.l1, limbs - l0)
-            used = 2 * lp + (beta + 4) * chunk + (4 * beta + 6) * len(batch) * chunk
-            bound(1, used)
-        for i in batch:
-            a_i, b_i = rotate(a0, digits0, i)
-            store.write(meter, 1, f"a:{i}", limbs, a_i, reads=key_batches + 1)
-            store.write(meter, 1, f"b:{i}", limbs, b_i, reads=2)
+        meter.tick(1, rounds1)
+        for chunk in chunks1:
+            bound(1, 2 * lp + (beta + 4) * chunk + (4 * beta + 6) * len(batch) * chunk)
+        if compute:
+            a_out, b_out = zip(*(rotate(a0[0], digits0[0], i) for i in batch))
+        store.write(meter, 1, "a", batch.start, batch.stop, limbs, a_out,
+                    reads=key_batches + 1)
+        store.write(meter, 1, "b", batch.start, batch.stop, limbs, b_out, reads=2)
     # from here the store alone holds payloads, so each is freed at its last read
-    a0 = b0 = digits0 = None
+    a0 = b0 = digits0 = a_out = b_out = None
 
     # ---- phase 2: per-index ModDown + Decompose of the first layer -------
+    d_out = None
     for i0 in range(1, n1, cfg.m2):
         batch = range(i0, min(i0 + cfg.m2, n1))
         meter.tick(2)
         meter.add(2, "ntt", limbs)  # twiddle reload per batch (actual: m2)
-        used = len(batch) * (2 * lp + params.alpha + 2 * beta * cfg.l2) + 2 * cfg.l2
-        bound(2, used)
-        for i in batch:
-            b_i = store.read(meter, 2, f"b:{i}")
-            trace.moddown += 1
-            trace.decompose += 1
-            d_i = ck.hoist_digits(ck.moddown_ntt(b_i, ap.basis), ap.basis) if compute else None
-            store.write(meter, 2, f"d:{i}", beta * limbs, d_i, reads=key_batches)
+        bound(2, len(batch) * (2 * lp + params.alpha + 2 * beta * cfg.l2) + 2 * cfg.l2)
+        b_in = store.read(meter, 2, "b", batch.start, batch.stop)
+        trace.moddown += len(batch)
+        trace.decompose += len(batch)
+        if compute:
+            d_out = [ck.hoist_digits(ck.moddown_ntt(b_i, ap.basis), ap.basis)
+                     for b_i in b_in]
+        store.write(meter, 2, "d", batch.start, batch.stop, beta * limbs, d_out,
+                    reads=key_batches)
+    b_in = d_out = None
 
     # ---- phase 3: second-layer rotations, keys cached per batch ----------
+    rounds3, chunks3 = _limb_chunks(limbs, cfg.l3)
     for j0 in range(1, n2, cfg.m3):
         jbatch = range(j0, min(j0 + cfg.m3, n2))
         key_limbs = len(jbatch) * 2 * beta * limbs
         meter.add(3, "switching_key", key_limbs)
         trace.cwise_mult_limbs += n1 * key_limbs  # each cached key serves all n1 inputs
-        for l0 in range(0, limbs, cfg.l3):
-            chunk = min(cfg.l3, limbs - l0)
-            for i0 in range(0, n1, cfg.m4):
-                meter.tick(3)
-                ibatch = range(i0, min(i0 + cfg.m4, n1))
-                used = 2 * chunk * ((beta + 1) * len(ibatch)
-                                    + 2 * beta * len(jbatch)
-                                    + 2 * len(jbatch) * len(ibatch))
-                bound(3, used)
+        for i0 in range(0, n1, cfg.m4):
+            ibatch = min(cfg.m4, n1 - i0)
+            meter.tick(3, rounds3)
+            for chunk in chunks3:
+                bound(3, 2 * chunk * ((beta + 1) * ibatch + 2 * beta * len(jbatch)
+                                      + 2 * len(jbatch) * ibatch))
         # every (a_i, d_i) streams back once per key batch
-        a_vals = [store.read(meter, 3, f"a:{i}") for i in range(n1)]
-        d_vals = [store.read(meter, 3, f"d:{i}") for i in range(n1)]
-        for j in jbatch:
-            for i in range(n1):
-                a_m, b_m = rotate(a_vals[i], d_vals[i], n1 * j)
-                store.write(meter, 3, f"a:{n1 * j + i}", limbs, a_m)
-                store.write(meter, 3, f"b:{n1 * j + i}", limbs, b_m)
-    a_vals = d_vals = a_i = b_i = d_i = None
+        a_vals = store.read(meter, 3, "a", 0, n1)
+        d_vals = store.read(meter, 3, "d", 0, n1)
+        if compute:
+            a_out, b_out = zip(*(rotate(a_vals[i], d_vals[i], n1 * j)
+                                 for j in jbatch for i in range(n1)))
+        store.write(meter, 3, "a", n1 * j0, n1 * jbatch.stop, limbs, a_out)
+        store.write(meter, 3, "b", n1 * j0, n1 * jbatch.stop, limbs, b_out)
+    a_vals = d_vals = a_out = b_out = None
 
     # ---- phase 4: diagonal products into n3 accumulated pairs ------------
     meter.add(4, "ntt", limbs)  # one inverse table set for the final transforms
     total_m = n1 * n2
-    chunks = ceil_div(total_m, cfg.m5)
-    partials = [(None, None)] * n3
-    for c in range(chunks):
+    u0_acc = u1_acc = None  # the n3 partial pairs, compute mode only
+    if compute:
+        u0_acc, u1_acc = [None] * n3, [None] * n3
+    for m0 in range(0, total_m, cfg.m5):
         meter.tick(4)
-        mbatch = range(c * cfg.m5, min((c + 1) * cfg.m5, total_m))
-        used = 6 * len(mbatch) * cfg.l4 + 5 * cfg.l4
-        bound(4, used)
-        pairs = []
-        for m in mbatch:
-            a_m = store.read(meter, 4, f"a:{m}")
-            b_m = store.read(meter, 4, f"b:{m}")
-            pairs.append((a_m, b_m))
+        mbatch = range(m0, min(m0 + cfg.m5, total_m))
+        bound(4, 6 * len(mbatch) * cfg.l4 + 5 * cfg.l4)
+        a_in = store.read(meter, 4, "a", mbatch.start, mbatch.stop)
+        b_in = store.read(meter, 4, "b", mbatch.start, mbatch.stop)
         meter.add(4, "lt_matrix", len(mbatch) * n3 * limbs)
         trace.cwise_mult_limbs += 2 * len(mbatch) * n3 * limbs
-        if c > 0:
-            for k in range(n3):
-                store.read(meter, 4, f"u0:{k}")
-                store.read(meter, 4, f"u1:{k}")
+        if m0 > 0:
+            store.read(meter, 4, "u0", 0, n3)
+            store.read(meter, 4, "u1", 0, n3)
         if compute:
             for k in range(n3):
-                for m, (a_m, b_m) in zip(mbatch, pairs):
+                for m, a_m, b_m in zip(mbatch, a_in, b_in):
                     f = inputs.dm.diagonals[total_m * k + m].poly
                     t0, t1 = ck.pointwise_mul(a_m, f), ck.pointwise_mul(b_m, f)
-                    acc = partials[k]
-                    partials[k] = (t0, t1) if acc[0] is None else (
-                        ck.rns_add(acc[0], t0), ck.rns_add(acc[1], t1))
-        for k in range(n3):
-            store.write(meter, 4, f"u0:{k}", limbs, partials[k][0])
-            store.write(meter, 4, f"u1:{k}", limbs, partials[k][1])
-    pairs = partials = a_m = b_m = t0 = t1 = acc = None
+                    if u0_acc[k] is not None:
+                        t0, t1 = ck.rns_add(u0_acc[k], t0), ck.rns_add(u1_acc[k], t1)
+                    u0_acc[k], u1_acc[k] = t0, t1
+        store.write(meter, 4, "u0", 0, n3, limbs, u0_acc)
+        store.write(meter, 4, "u1", 0, n3, limbs, u1_acc)
+    a_in = b_in = u0_acc = u1_acc = a_m = b_m = t0 = t1 = None
 
     # ---- phase 5: outer-layer rotations with delayed ModDown -------------
-    acc_pair = (None, None)
+    acc_pair = [None, None]
     for r0 in range(0, n3, cfg.m6):
         meter.tick(5)
         kbatch = range(r0, min(r0 + cfg.m6, n3))
@@ -301,29 +337,28 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                 + 2 * cfg.l5)
         bound(5, used)
         if r0 != 0:
-            acc_pair = (store.read(meter, 5, "acc:c0"), store.read(meter, 5, "acc:c1"))
-        for k in kbatch:
-            u0 = store.read(meter, 5, f"u0:{k}")
-            u1 = store.read(meter, 5, f"u1:{k}")
-            if k == 0:
-                acc_pair = (u0, u1)
-                continue
-            meter.add(5, "switching_key", 2 * beta * limbs)
-            trace.cwise_mult_limbs += 2 * beta * limbs
-            trace.moddown += 1
-            trace.decompose += 1
-            if compute:
+            acc_pair = store.read(meter, 5, "acc", 0, 2)
+        u0s = store.read(meter, 5, "u0", kbatch.start, kbatch.stop)
+        u1s = store.read(meter, 5, "u1", kbatch.start, kbatch.stop)
+        rotated = len(kbatch) - (r0 == 0)  # outer index 0 seeds the accumulator
+        meter.add(5, "switching_key", rotated * 2 * beta * limbs)
+        trace.cwise_mult_limbs += rotated * 2 * beta * limbs
+        trace.moddown += rotated
+        trace.decompose += rotated
+        if compute:
+            for k, u0, u1 in zip(kbatch, u0s, u1s):
+                if k == 0:
+                    acc_pair = [u0, u1]
+                    continue
                 d = ck.hoist_digits(ck.moddown_ntt(u1, ap.basis), ap.basis)
                 c0_add, c1_add = rotate(u0, d, total_m * k)
-                acc_pair = (ck.rns_add(acc_pair[0], c0_add),
-                            ck.rns_add(acc_pair[1], c1_add))
-        store.write(meter, 5, "acc:c0", limbs, acc_pair[0])
-        store.write(meter, 5, "acc:c1", limbs, acc_pair[1])
+                acc_pair = [ck.rns_add(acc_pair[0], c0_add),
+                            ck.rns_add(acc_pair[1], c1_add)]
+        store.write(meter, 5, "acc", 0, 2, limbs, acc_pair if compute else None)
 
     # ---- phase 6: combined ModDown and rescale ----------------------------
     meter.tick(6)
-    acc0 = store.read(meter, 6, "acc:c0")
-    acc1 = store.read(meter, 6, "acc:c1")
+    acc0, acc1 = store.read(meter, 6, "acc", 0, 2)
     meter.add(6, "ntt", limbs)
     bound(6, 2 * limbs)
     trace.moddown += 2

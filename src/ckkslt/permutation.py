@@ -160,8 +160,12 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
     """
     n, dp = layout.ring_dim, layout.dp
     per_bank = n // dp
-    dst_flat = _storage_permutation(r, n)
-    visited = np.zeros(n, dtype=bool)
+    dst_np = _storage_permutation(r, n)
+    dst_flat = dst_np.tolist()
+    # the move (src_bank, src_addr, dst_bank, dst_addr) out of each position
+    move_of = list(zip(*(v.tolist() for v in np.divmod(np.arange(n), per_bank)
+                                              + np.divmod(dst_np, per_bank))))
+    visited = bytearray(n)
     next_free = [0] * dp  # per-bank cursor over unvisited addresses
     steps: list[MoveStep] = []
 
@@ -177,31 +181,27 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
     # lane state: current read position (flat); start with address 0 of each bank
     lanes = []
     for f in range(dp):
-        a = fresh(f)
-        pos = f * per_bank + a
-        visited[pos] = True
+        pos = f * per_bank + fresh(f)
+        visited[pos] = 1
         lanes.append(pos)
+    seen = dp  # visited positions, so a closing chain knows whether any are left
     for _ in range(per_bank):
         moves = []
         new_lanes = []
         for pos in lanes:
-            dst = int(dst_flat[pos])
-            dst_bank, dst_addr = divmod(dst, per_bank)
-            moves.append((pos // per_bank, pos % per_bank, dst_bank, dst_addr))
+            moves.append(move_of[pos])
+            dst = dst_flat[pos]
             if visited[dst]:
                 # chain closed: reopen in the bank this lane is writing to
-                if not visited.all():
-                    a = fresh(dst_bank)
-                    nxt = dst_bank * per_bank + a
-                    visited[nxt] = True
-                    new_lanes.append(nxt)
-                else:
-                    new_lanes.append(-1)
-            else:
-                visited[dst] = True
-                new_lanes.append(dst)
+                if seen == n:
+                    continue
+                bank = dst // per_bank
+                dst = bank * per_bank + fresh(bank)
+            visited[dst] = 1
+            seen += 1
+            new_lanes.append(dst)
         steps.append(MoveStep(moves))
-        lanes = [p for p in new_lanes if p >= 0]
+        lanes = new_lanes
         if not lanes:
             break
     return steps

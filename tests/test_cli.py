@@ -295,3 +295,15 @@ def test_config_file_named_like_its_subcommand(capsys, tmp_path, monkeypatch, co
     code, out, _ = run_cli(capsys, *config, "demo", "--factors", "4,4")
     assert code == 0
     assert "method=bsgs" in out
+
+
+def test_truncated_flag_is_a_usage_error(capsys, tmp_path):
+    # "fac" is a prefix of --factors; it must not be taken as one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[simulate]\nfac = 8,64,8\n")
+    for argv in (["--config", str(cfg), "simulate", "--params", "set-a"],
+                 ["simulate", "--params", "set-a", "--fac", "8,64,8"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ")

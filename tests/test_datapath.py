@@ -67,29 +67,43 @@ def test_six_phase_entry_points_reject_bad_dp(dp_val, capsys):
 
 def test_store_read_past_declared_count_raises():
     meter, store = dp.MemoryMeter(), dp.OffchipStore()
-    store.write(meter, 1, "x", 3, "payload", reads=2)
-    assert [store.read(meter, 2, "x"), store.read(meter, 3, "x")] == ["payload"] * 2
+    store.write(meter, 1, "x", 0, 1, 3, ["payload"], reads=2)
+    assert store.read(meter, 2, "x", 0, 1) + store.read(meter, 3, "x", 0, 1) == ["payload"] * 2
     assert store.live() == []
     with pytest.raises(KeyError):
-        store.read(meter, 3, "x")
+        store.read(meter, 3, "x", 0, 1)
     assert (meter.offchip[2]["poly_read"], meter.offchip[3]["poly_read"]) == (3, 3)
 
 
 def test_store_write_with_no_reads_meters_but_keeps_nothing():
     meter, store = dp.MemoryMeter(), dp.OffchipStore()
-    store.write(meter, 1, "x", 3, "payload", reads=0)
+    store.write(meter, 1, "x", 0, 1, 3, ["payload"], reads=0)
     assert meter.offchip[1]["poly_write"] == 3
     assert store.live() == []
     with pytest.raises(KeyError):
-        store.read(meter, 2, "x")
+        store.read(meter, 2, "x", 0, 1)
+
+
+def test_store_range_read_over_a_spent_object_raises_and_meters_nothing():
+    meter, store = dp.MemoryMeter(), dp.OffchipStore()
+    store.write(meter, 1, "x", 0, 4, 3, ["p0", "p1", "p2", "p3"], reads=2)
+    store.write(meter, 1, "x", 2, 3, 3, ["q2"], reads=1)
+    assert store.read(meter, 2, "x", 1, 4) == ["p1", "q2", "p3"]
+    before = {p: dict(row) for p, row in meter.offchip.items()}
+    with pytest.raises(KeyError, match="x:2"):
+        store.read(meter, 3, "x", 0, 4)
+    assert meter.offchip == before
+    assert store.live() == ["x:0", "x:1", "x:3"]
 
 
 def test_object_live_at_end_of_walk_raises(monkeypatch):
     params, factors, cfg = cm.reference_config("set-a")
     write = dp.OffchipStore.write
 
-    def one_read_too_many(self, meter, phase, name, limbs, payload=None, reads=1, **kw):
-        write(self, meter, phase, name, limbs, payload, reads + (name == "b:0"), **kw)
+    def one_read_too_many(self, meter, phase, kind, start, stop, limbs, payloads=None,
+                          reads=1, **kw):
+        extra = kind == "b" and start == 0
+        write(self, meter, phase, kind, start, stop, limbs, payloads, reads + extra, **kw)
 
     monkeypatch.setattr(dp.OffchipStore, "write", one_read_too_many)
     with pytest.raises(RuntimeError, match=r"never read out: \['b:0'\]"):

@@ -7,13 +7,19 @@ count-only ``simulate`` report of set-a/b/c at their reference configs.
 A second table hashes the stdout of valid ``ckkslt`` command lines, so a
 change to argument handling leaves every report byte-identical.
 
+A third table pins the design-space sweep: per set, the count-only
+report and limb-multiply count of every th-bsgs Pareto factorization at
+1, 4, 16 and 64 MiB under ``search_parallelism`` (so partial batches and
+remainder limb chunks are covered), and the permutation network's move
+schedule at N=2^10 and 2^12 for dp 2 to 16.
+
 The hashes cover floating-point encoding, so a numpy build that rounds
 its FFT differently changes them. After such a change, or after a
 deliberate change of output, print the new table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste it into GOLDEN and GOLDEN_CLI.
+and paste it into GOLDEN, GOLDEN_CLI and GOLDEN_SWEEP.
 """
 
 import contextlib
@@ -26,8 +32,11 @@ import numpy as np
 from ckkslt import ckks, cli, linear
 from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
+from ckkslt import permutation as pm
 
 N_LT = 64
+SWEEP_BUDGETS_MIB = (1, 4, 16, 64)
+SCHEDULE_ROTATIONS = (1, 3, 77, 300, 511)
 
 GOLDEN = {
     'keys:diagonal': 'f2f8d1bd388c8abe',
@@ -60,6 +69,20 @@ GOLDEN_CLI = {
     'analyze --params set-a': '0:e3e224a6c3f7b71a',
     'demo --params toy-small --method all --n 16 --seed 3 --compare': '0:f237293a707d2281',
     'demo --params toy-small --method all --n 16 --seed 3 --compare --format json': '0:c7dde5544aed1078',
+}
+
+GOLDEN_SWEEP = {
+    'sweep:set-a': '8c682767a0faecf4',
+    'sweep:set-b': '3cab727c2921a391',
+    'sweep:set-c': '83b28268b83f494d',
+    'schedule:N=1024 dp=2': '445c6d269803f2f3',
+    'schedule:N=1024 dp=4': 'ab02e23be7aca0bc',
+    'schedule:N=1024 dp=8': 'c7ce2822d6daf416',
+    'schedule:N=1024 dp=16': '727c4d7612b22011',
+    'schedule:N=4096 dp=2': 'ec73ca0693cde933',
+    'schedule:N=4096 dp=4': 'd20c4c468d46d18b',
+    'schedule:N=4096 dp=8': '913d0994ff7313b5',
+    'schedule:N=4096 dp=16': 'eae8457ba479cdfb',
 }
 
 
@@ -143,6 +166,38 @@ def compute_hashes() -> dict:
     return out
 
 
+def _report_hash(shape, factors, cfg) -> str:
+    sim = dp.simulate(shape, factors, cfg)
+    report = dp.report_json(shape, factors, cfg, sim)
+    report["cwise_mult_limbs"] = sim.trace.cwise_mult_limbs
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def compute_sweep_hashes() -> dict:
+    out = {}
+    for set_name in sorted(cm.REFERENCE_CONFIGS):
+        shape, _, ref_cfg = cm.reference_config(set_name)
+        h = _Hasher()
+        for factors in cm.pareto_factorizations("th-bsgs", shape):
+            for mib in SWEEP_BUDGETS_MIB:
+                try:
+                    cfg = cm.search_parallelism(shape, factors, mib << 20, dp=ref_cfg.dp)
+                except cm.Infeasible:
+                    h.text((factors, mib, None))
+                    continue
+                h.text((factors, mib, _report_hash(shape, factors, cfg)))
+        out[f"sweep:{set_name}"] = h.digest()
+    for log_n in (10, 12):
+        n = 2**log_n
+        for dp_val in (2, 4, 8, 16):
+            layout = pm.BankLayout.from_storage(np.arange(n, dtype=np.uint64), dp_val)
+            h = _Hasher()
+            for r in SCHEDULE_ROTATIONS:
+                h.text(pm.dump_schedule(pm.schedule(r, layout)))
+            out[f"schedule:N={n} dp={dp_val}"] = h.digest()
+    return out
+
+
 def compute_cli_hashes() -> dict:
     out = {}
     for command in GOLDEN_CLI:
@@ -161,8 +216,13 @@ def test_cli_reports_match_golden_hashes():
     assert compute_cli_hashes() == GOLDEN_CLI
 
 
+def test_sweep_reports_and_schedules_match_golden_hashes():
+    assert compute_sweep_hashes() == GOLDEN_SWEEP
+
+
 if __name__ == "__main__":
-    for name, table in (("GOLDEN", compute_hashes()), ("GOLDEN_CLI", compute_cli_hashes())):
+    for name, table in (("GOLDEN", compute_hashes()), ("GOLDEN_CLI", compute_cli_hashes()),
+                        ("GOLDEN_SWEEP", compute_sweep_hashes())):
         print(f"{name} = {{")
         for key, value in table.items():
             print(f"    {key!r}: {value!r},")
