@@ -54,8 +54,8 @@ class Overflow(ValueError):
     """Scaled values would not fit the level modulus with margin."""
 
 
-class MissingKey(KeyError):
-    """A required switching key was not supplied."""
+class MissingKey(KeyError, ValueError):
+    """A required switching key was not supplied, or one of the wrong kind."""
 
 
 @dataclass
@@ -76,12 +76,12 @@ class CkksParams:
 
     @classmethod
     def make(cls, ring_dim: int = 2**10, levels: int = 5, alpha: int = 5,
-             prime_bits: int = 44, scale: float | None = None) -> "CkksParams":
-        """Toy profile: one shared prime width for data and special moduli."""
+             prime_bits: int = 44) -> "CkksParams":
+        """Toy profile: one shared prime width for data and special moduli,
+        scale 2^min(40, prime_bits - 4)."""
         primes = find_ntt_primes(prime_bits, ring_dim, levels + alpha)
         basis = RnsBasis(primes[:levels], primes[levels:])
-        if scale is None:
-            scale = float(2 ** min(40, prime_bits - 4))
+        scale = float(2 ** min(40, prime_bits - 4))
         if scale >= primes[levels - 1].q:
             raise Overflow("scale must stay below the top data modulus")
         return cls(ring_dim, basis, scale)
@@ -116,11 +116,15 @@ class PublicKey:
 class Ciphertext:
     c0: RnsPoly
     c1: RnsPoly
-    level: int
     scale: float
 
+    @property
+    def level(self) -> int:
+        """L for a ciphertext over q_0..q_L."""
+        return len(self.c0.moduli) - 1
+
     def copy(self) -> "Ciphertext":
-        return Ciphertext(self.c0.copy(), self.c1.copy(), self.level, self.scale)
+        return Ciphertext(self.c0.copy(), self.c1.copy(), self.scale)
 
 
 @dataclass
@@ -129,6 +133,8 @@ class SwitchingKey:
 
     hoist_offset r != 0 marks a key stored pre-twisted by the inverse
     automorphism, so the rotation can be applied after the inner product.
+    It is the key's only record of its kind: ``hoisted_rotation`` accepts
+    only a key twisted for its rotation, ``rotate`` only an untwisted one.
     """
 
     digits: list[tuple[RnsPoly, RnsPoly]]
@@ -171,8 +177,9 @@ def embed_forward(coeffs: np.ndarray, ring_dim: int) -> np.ndarray:
 
 
 def encode(v, params: CkksParams, scale: float | None = None,
-           moduli: list[Modulus] | None = None, domain: Domain = Domain.COEF) -> Plaintext:
-    """Scale, embed, and round a length-N/2 real vector into RNS limbs."""
+           moduli: list[Modulus] | None = None) -> Plaintext:
+    """Scale, embed, and round a length-N/2 real vector into coefficient-
+    domain RNS limbs."""
     scale = params.scale if scale is None else scale
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.slots,):
@@ -182,8 +189,7 @@ def encode(v, params: CkksParams, scale: float | None = None,
     if peak > 2**62:
         raise Overflow("scaled coefficients exceed the integer range")
     target = params.basis.q_moduli if moduli is None else moduli
-    poly = rns_from_ints(np.rint(coeffs).astype(np.int64), target)
-    return Plaintext(to_ntt(poly) if domain == Domain.NTT else poly, scale)
+    return Plaintext(rns_from_ints(np.rint(coeffs).astype(np.int64), target), scale)
 
 
 def decode(pt: Plaintext, params: CkksParams) -> np.ndarray:
@@ -212,10 +218,9 @@ def uniform_rns(rng: np.random.Generator, moduli: list[Modulus],
     return RnsPoly(block, moduli, domain)
 
 
-def gaussian_rns(rng: np.random.Generator, moduli: list[Modulus],
-                 ring_dim: int, domain: Domain = Domain.NTT) -> RnsPoly:
-    poly = rns_from_ints(sample_gaussian_ints(rng, ring_dim), moduli)
-    return to_ntt(poly) if domain == Domain.NTT else poly
+def gaussian_rns(rng: np.random.Generator, moduli: list[Modulus], ring_dim: int) -> RnsPoly:
+    """Discrete Gaussian noise (sigma NOISE_SIGMA), NTT domain."""
+    return ntt(rns_from_ints(sample_gaussian_ints(rng, ring_dim), moduli))
 
 
 def mul_secret(p: RnsPoly, sk: SecretKey) -> RnsPoly:
@@ -249,18 +254,17 @@ def encrypt(pt: Plaintext, key, params: CkksParams,
         e1 = gaussian_rns(rng, moduli, params.ring_dim)
         c0 = rns_add(rns_add(mul_secret(key.k0, u), e0), m)
         c1 = rns_add(mul_secret(key.k1, u), e1)
-    return Ciphertext(c0, c1, len(moduli) - 1, pt.scale)
+    return Ciphertext(c0, c1, pt.scale)
 
 
 def trivial_encrypt(pt: Plaintext) -> Ciphertext:
     m = to_ntt(pt.poly)
     zero = RnsPoly(np.zeros_like(m.coeffs), m.moduli, Domain.NTT)
-    return Ciphertext(m, zero, len(m.moduli) - 1, pt.scale)
+    return Ciphertext(m, zero, pt.scale)
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey) -> Plaintext:
-    if len(ct.c0.moduli) != len(ct.c1.moduli):
-        raise LevelMismatch("ciphertext components at different levels")
+    """Raises ``BasisMismatch`` for components over different bases."""
     m = rns_add(ct.c0, mul_secret(ct.c1, sk))
     return Plaintext(to_coef(m), ct.scale)
 
@@ -268,7 +272,7 @@ def decrypt(ct: Ciphertext, sk: SecretKey) -> Plaintext:
 def add_ct(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     if a.level != b.level or a.scale != b.scale:
         raise LevelMismatch("addition requires matching level and scale")
-    return Ciphertext(rns_add(a.c0, b.c0), rns_add(a.c1, b.c1), a.level, a.scale)
+    return Ciphertext(rns_add(a.c0, b.c0), rns_add(a.c1, b.c1), a.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +368,10 @@ def moddown_ntt(p: RnsPoly, basis: RnsBasis) -> RnsPoly:
 def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
                      rot: RotationIndex) -> tuple[RnsPoly, RnsPoly]:
     """Rotate the PQ pair (a + <digits, k0>, <digits, k1>) with a hoisted key:
-    the inner product runs first, the automorphism after it."""
+    the inner product runs first, the automorphism after it. A key not
+    twisted for this rotation raises ``MissingKey``."""
+    if swk.hoist_offset % (rot.ring_dim // 2) != rot.r:
+        raise MissingKey(f"key is twisted for offset {swk.hoist_offset}, not {rot.r}")
     u0, u1 = key_switch(digits, swk)
     return automorphism_eval(rns_add(a, u0), rot), automorphism_eval(u1, rot)
 
@@ -383,19 +390,17 @@ def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Cip
     u0, u1 = key_switch(digits, swk)
     d0 = moddown_ntt(u0, params.basis)
     d1 = moddown_ntt(u1, params.basis)
-    return Ciphertext(rns_add(c0r, d0), d1, ct.level, ct.scale)
+    return Ciphertext(rns_add(c0r, d0), d1, ct.scale)
 
 
 def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:
+    """Raises ``BasisMismatch`` for a plaintext over another basis."""
     f = to_ntt(pt.poly)
-    if f.moduli != ct.c0.moduli:
-        raise LevelMismatch("plaintext basis does not match ciphertext basis")
-    return Ciphertext(pointwise_mul(ct.c0, f), pointwise_mul(ct.c1, f), ct.level,
-                      ct.scale * pt.scale)
+    return Ciphertext(pointwise_mul(ct.c0, f), pointwise_mul(ct.c1, f), ct.scale * pt.scale)
 
 
 def rescale_ct(ct: Ciphertext, params: CkksParams) -> Ciphertext:
     c0 = to_ntt(rescale(to_coef(ct.c0)))
     c1 = to_ntt(rescale(to_coef(ct.c1)))
     dropped = ct.c0.moduli[-1].q
-    return Ciphertext(c0, c1, ct.level - 1, ct.scale / dropped)
+    return Ciphertext(c0, c1, ct.scale / dropped)

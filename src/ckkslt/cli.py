@@ -22,6 +22,7 @@ Unknown keys, sections and values are usage errors, as on the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -34,11 +35,12 @@ from . import datapath as dp
 BANNER = "# NOT FOR PRODUCTION CRYPTOGRAPHY: toy parameters, unhardened arithmetic"
 
 TOY_PROFILES = {
-    # name: (ring_dim, levels, alpha, prime_bits)
-    "toy": (2**10, 5, 5, 44),
-    "toy-small": (2**8, 3, 3, 30),
-    "toy-large": (2**13, 5, 5, 44),
+    # demo profiles: word_bits is the prime width
+    "toy": cm.HeParams(2**10, 5, 5, 44),
+    "toy-small": cm.HeParams(2**8, 3, 3, 30),
+    "toy-large": cm.HeParams(2**13, 5, 5, 44),
 }
+PROFILES = {**TOY_PROFILES, **cm.NAMED_SETS}
 
 
 COMMANDS = ("demo", "analyze", "simulate", "validate")
@@ -98,14 +100,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _shape_params(args) -> cm.HeParams:
-    if args.params in cm.NAMED_SETS:
-        base = cm.NAMED_SETS[args.params]
-        n = args.n or base.n
-        return cm.HeParams(base.ring_dim, base.levels, base.alpha,
-                           base.word_bits, n=n)
-    ring_dim, levels, alpha, bits = TOY_PROFILES[args.params]
-    n = args.n or ring_dim // 2
-    return cm.HeParams(ring_dim, levels, alpha, bits, n=n)
+    return dataclasses.replace(PROFILES[args.params], n=args.n)  # n=0 gives N/2
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +110,9 @@ def _shape_params(args) -> cm.HeParams:
 def cmd_demo(args) -> int:
     from . import ckks, linear
 
-    ring_dim, levels, alpha, bits = TOY_PROFILES[args.params]
-    params = ckks.CkksParams.make(ring_dim=ring_dim, levels=levels,
-                                  alpha=alpha, prime_bits=bits)
+    shape = TOY_PROFILES[args.params]
+    params = ckks.CkksParams.make(ring_dim=shape.ring_dim, levels=shape.levels,
+                                  alpha=shape.alpha, prime_bits=shape.word_bits)
     n = args.n
     if n > params.slots:
         raise UsageError(f"--n {n} exceeds slot count {params.slots}")
@@ -136,7 +131,7 @@ def cmd_demo(args) -> int:
         # error; "all" hands them only to the methods whose arity they fit
         fs = args.factors
         if fs is None or (args.method == "all" and len(fs) != cm.METHOD_ARITY[name]):
-            fs = cm.search_factors(name, cm.HeParams(ring_dim, levels, alpha, bits, n=n),
+            fs = cm.search_factors(name, _shape_params(args),
                                    "min_keys" if name == "th-bsgs" else "min_compute")
         plans.append(linear.LtPlan(linear.LtMethod(name), n, tuple(fs)))
 
@@ -324,14 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--save-output", default=None,
                    help="write the result ciphertext container(s) here")
 
-    every_profile = (*TOY_PROFILES, *cm.NAMED_SETS)
-    a = command("analyze", cmd_analyze, every_profile,
+    a = command("analyze", cmd_analyze, tuple(PROFILES),
                 help="key-size / compute trade-off sweep")
     a.add_argument("--format", choices=("json", "csv"), default="json")
     a.add_argument("--method", default="all", choices=methods)
 
     for name, func in (("simulate", cmd_simulate), ("validate", cmd_validate)):
-        s = command(name, func, every_profile)
+        s = command(name, func, tuple(PROFILES))
         s.add_argument("--factors", type=int_list, default=None)
         s.add_argument("--parallelism", type=int_list, default=None,
                        help="m1,...,m6,l1,...,l5")

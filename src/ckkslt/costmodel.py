@@ -203,6 +203,11 @@ def complexity(method: str, params: HeParams, factors=(),
     convention: "algorithm" charges the executable line counts for the
     three-layer method; "table" charges the published summary values
     (one Decompose and one ModDown more).
+
+    Key products are charged once per key, n1+n2+n3-3 in all, while the
+    six-phase walk applies each of the n2-1 middle-layer keys to all n1
+    first-layer inputs, so its trace holds 2*beta*(n1-1)*(n2-1)*pq_limbs
+    more limb multiplies than ``cwise_mult_limbs`` under either convention.
     """
     n1, n2, n3 = plan_layers(method, params.n, factors)
     factors = tuple(factors)

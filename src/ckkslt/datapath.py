@@ -115,9 +115,10 @@ class OffchipStore:
     declared read.
 
     ``write`` and ``read`` take one kind and a contiguous index range
-    ``[start, stop)`` and meter the whole range at once; every object of a
-    kind has the same size. ``write`` declares how many modeled reads each
-    object gets, and ``read`` counts them down and drops a payload at zero.
+    ``[start, stop)`` and meter the whole range at once as ``poly_write``
+    or ``poly_read``; every object of a kind has the same size. ``write``
+    declares how many modeled reads each object gets, and ``read`` counts
+    them down and drops a payload at zero.
     A read whose range holds a dropped or never-written object raises
     before it meters anything, and ``live`` names (``kind:index``) what was
     written but not yet read out.
@@ -133,11 +134,11 @@ class OffchipStore:
         self._has_payloads = False  # a shape-only walk skips the freeing
 
     def write(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int,
-              limbs: int, payloads=None, reads: int = 1, category: str = "poly_write"):
+              limbs: int, payloads=None, reads: int = 1):
         count = stop - start
         if payloads is not None and len(payloads) != count:
             raise ValueError(f"{len(payloads)} payloads for {count} objects")
-        meter.add(phase, category, count * limbs)
+        meter.add(phase, "poly_write", count * limbs)
         self._has_payloads |= payloads is not None
         left = self._left.setdefault(kind, [])
         slots = self._payload.setdefault(kind, [])
@@ -148,14 +149,13 @@ class OffchipStore:
         slots[start:stop] = payloads if reads and payloads is not None else [None] * count
         self._limbs[kind] = limbs
 
-    def read(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int,
-             category: str = "poly_read") -> list:
+    def read(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int) -> list:
         left = self._left.get(kind, [])
         due = left[start:stop]
         if len(due) < stop - start or 0 in due:
             spent = next(i for i in range(start, stop) if i >= len(left) or not left[i])
             raise KeyError(f"off-chip object {kind}:{spent} is not live")
-        meter.add(phase, category, (stop - start) * self._limbs[kind])
+        meter.add(phase, "poly_read", (stop - start) * self._limbs[kind])
         slots = self._payload[kind]
         out = slots[start:stop]
         left[start:stop] = [n - 1 for n in due]
@@ -182,7 +182,7 @@ class ComputeContext:
     params_arith: object  # ckks.CkksParams
     ct: object            # ckks.Ciphertext, top level, NTT domain
     dm: object            # linear.DiagMatrix packed for the th-bsgs plan
-    keys: object          # linear.RotationKeys with hoisted entries
+    keys: object          # linear.RotationKeys of hoisted keys
 
 
 def simulate(params: HeParams, factors, cfg: ParallelismConfig,
@@ -220,7 +220,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     def rotate(a, digits, offset: int):
         """Hoisted rotation of (a, digits) by offset (compute mode only)."""
         trace.key_offsets.add(offset)
-        return ck.hoisted_rotation(a, digits, inputs.keys.get(offset, hoisted=True),
+        return ck.hoisted_rotation(a, digits, inputs.keys[offset],
                                    RotationIndex(offset, ap.ring_dim))
 
     # a:i (i < n1) and d:i stream back once per phase-3 key batch; a:i is
@@ -366,8 +366,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     if compute:
         c0 = ck.moddown_ntt(acc0, ap.basis)
         c1 = ck.moddown_ntt(acc1, ap.basis)
-        ct_full = ck.Ciphertext(c0, c1, inputs.ct.level, inputs.ct.scale
-                                * inputs.dm.diagonals[0].scale)
+        ct_full = ck.Ciphertext(c0, c1, inputs.ct.scale * inputs.dm.diagonals[0].scale)
         out_ct = ck.rescale_ct(ct_full, ap)
     meter.add(6, "poly_write", 2 * (lp - 1))  # the output ciphertext
     if store.live():

@@ -42,7 +42,6 @@ from .ckks import (
     MissingKey,
     Plaintext,
     SecretKey,
-    SwitchingKey,
     add_ct,
     decode,
     decrypt,
@@ -88,6 +87,13 @@ class LtPlan:
         layers = plan_layers(self.method.value, self.n, self.factors)
         object.__setattr__(self, "layers", layers)
 
+    @property
+    def hoisted(self) -> bool:
+        """Whether the layers share digit decompositions: hoisted keys, and
+        diagonals packed over PQ. Only plain BSGS rotates and multiplies
+        over Q."""
+        return self.method != LtMethod.BSGS
+
 
 @dataclass
 class OpTrace:
@@ -101,20 +107,15 @@ class OpTrace:
 class DiagMatrix:
     plan: LtPlan
     diagonals: list[Plaintext]  # index i holds the (pre-rotated) i-th diagonal
-    over_pq: bool
 
 
-@dataclass
-class RotationKeys:
-    plain: dict[int, SwitchingKey] = field(default_factory=dict)
-    hoisted: dict[int, SwitchingKey] = field(default_factory=dict)
+class RotationKeys(dict):
+    """Switching keys by rotation offset; each key knows whether it is
+    hoisted (``SwitchingKey.hoist_offset``), and the rotation that uses it
+    rejects the wrong kind."""
 
-    def get(self, offset: int, hoisted: bool) -> SwitchingKey:
-        table = self.hoisted if hoisted else self.plain
-        if offset not in table:
-            kind = "hoisted" if hoisted else "plain"
-            raise MissingKey(f"no {kind} key for rotation offset {offset}")
-        return table[offset]
+    def __missing__(self, offset: int):
+        raise MissingKey(f"no key for rotation offset {offset}")
 
 
 def required_offsets(plan: LtPlan) -> tuple[list[int], bool]:
@@ -123,17 +124,14 @@ def required_offsets(plan: LtPlan) -> tuple[list[int], bool]:
     n1, n2, n3 = plan.layers
     offs = [stride * k for stride, count in ((1, n1), (n1, n2), (n1 * n2, n3))
             for k in range(1, count)]
-    return offs, plan.method != LtMethod.BSGS
+    return offs, plan.hoisted
 
 
 def generate_lt_keys(sk: SecretKey, plan: LtPlan, params: CkksParams,
                      rng: np.random.Generator) -> RotationKeys:
     offsets, hoisted = required_offsets(plan)
-    keys = RotationKeys()
-    for off in offsets:
-        key = rotation_keygen(sk, off, params, rng, hoisted=hoisted)
-        (keys.hoisted if hoisted else keys.plain)[off] = key
-    return keys
+    return RotationKeys((off, rotation_keygen(sk, off, params, rng, hoisted=hoisted))
+                        for off in offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +141,9 @@ def generate_lt_keys(sk: SecretKey, plan: LtPlan, params: CkksParams,
 def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagMatrix:
     """Pack the matrix diagonals, tiled across the slots and pre-rotated.
 
-    Diagonal i at slot t holds F[t mod n, (t+i) mod n]. Methods that
-    accumulate over the raised modulus get their diagonals encoded over
-    PQ; plain BSGS multiplies over Q.
+    Diagonal i at slot t holds F[t mod n, (t+i) mod n]. Hoisted plans
+    accumulate over the raised modulus, so their diagonals are encoded
+    over PQ; plain BSGS multiplies over Q.
     """
     f_matrix = np.asarray(f_matrix, dtype=np.float64)
     n = plan.n
@@ -154,22 +152,21 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     if n > params.slots:
         raise DimensionTooLarge(f"n={n} exceeds {params.slots} slots")
     reps = params.slots // n
-    over_pq = plan.method != LtMethod.BSGS
-    moduli = params.basis.pq_moduli if over_pq else params.basis.q_moduli
+    moduli = params.basis.pq_moduli if plan.hoisted else params.basis.q_moduli
     half = params.ring_dim // 2
     n1, n2, _ = plan.layers
     giant = n1 * n2  # diagonals are pre-rotated by their giant-step offset
+    t = np.arange(n)
+    rows = f_matrix[t, (t + t[:, None]) % n]  # row i is diagonal i
     diagonals = []
     for i in range(n):
-        vec = np.array([f_matrix[t % n, (t + i) % n] for t in range(n)])
-        tiled = np.tile(vec, reps)
-        pt = encode(tiled, params, moduli=moduli)
+        pt = encode(np.tile(rows[i], reps), params, moduli=moduli)
         offset = giant * (i // giant)
         poly = pt.poly
         if offset:
             poly = automorphism_coef(poly, RotationIndex((-offset) % half, params.ring_dim))
         diagonals.append(Plaintext(ntt(poly), pt.scale))
-    return DiagMatrix(plan, diagonals, over_pq)
+    return DiagMatrix(plan, diagonals)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,7 @@ def _moddown_traced(p: RnsPoly, trace: OpTrace, params: CkksParams) -> RnsPoly:
 
 def _hoisted_rotate(a: RnsPoly, digits, offset: int, keys: RotationKeys, trace: OpTrace,
                     params: CkksParams) -> tuple[RnsPoly, RnsPoly]:
-    swk = keys.get(offset, hoisted=True)
+    swk = keys[offset]
     trace.key_offsets.add(offset)
     trace.cwise_mult_limbs += 2 * len(swk.digits) * _pq_limb_count(params)
     return hoisted_rotation(a, digits, swk, RotationIndex(offset, params.ring_dim))
@@ -225,12 +222,10 @@ def _pair_add(a, b):
     return rns_add(a[0], b[0]), rns_add(a[1], b[1])
 
 
-def _finish(pair, scale: float, level: int, trace: OpTrace,
-            params: CkksParams) -> Ciphertext:
+def _finish(pair, scale: float, trace: OpTrace, params: CkksParams) -> Ciphertext:
     c0 = _moddown_traced(pair[0], trace, params)
     c1 = _moddown_traced(pair[1], trace, params)
-    ct = Ciphertext(c0, c1, level, scale)
-    return rescale_ct(ct, params)
+    return rescale_ct(Ciphertext(c0, c1, scale), params)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,7 @@ def _rotate_traced(ct: Ciphertext, r: int, keys: RotationKeys, trace: OpTrace,
     """Full rotation (automorphism + complete key switch), trace-counted."""
     if r == 0:
         return ct
-    swk = keys.get(r, hoisted=False)
+    swk = keys[r]
     trace.key_offsets.add(r)
     trace.decompose += 1
     trace.moddown += 2
@@ -254,7 +249,7 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
             params: CkksParams) -> tuple[Ciphertext, OpTrace]:
     """Two-layer split with full rotations; products stay over Q."""
     plan = dm.plan
-    if plan.method != LtMethod.BSGS:
+    if plan.hoisted:
         raise PlanMismatch("plan is not bsgs")
     _, n1, n2 = plan.layers
     trace = OpTrace()
@@ -283,7 +278,7 @@ def lt_dh_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     Runs any hoisted plan whose layers are (1, n1, n2), diagonal included.
     """
     plan = dm.plan
-    if not dm.over_pq or plan.layers[0] != 1:
+    if not plan.hoisted or plan.layers[0] != 1:
         raise PlanMismatch(f"{plan.method.value} {plan.factors} is not a hoisted two-layer plan")
     _, n1, n2 = plan.layers
     trace = OpTrace()
@@ -298,7 +293,7 @@ def lt_dh_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     for j in range(1, n2):
         inner = _dot(dm.diagonals[n1 * j:n1 * (j + 1)], baby, trace, limbs)
         acc = _pair_add(acc, _delayed_rotate(inner, n1 * j, keys, trace, params))
-    out = _finish(acc, ct.scale * dm.diagonals[0].scale, ct.level, trace, params)
+    out = _finish(acc, ct.scale * dm.diagonals[0].scale, trace, params)
     return out, trace
 
 

@@ -48,8 +48,8 @@ class DomainMismatch(ValueError):
     """Operation received a polynomial in the wrong domain."""
 
 
-class ModulusMismatch(ValueError):
-    """Operands carry different moduli or lengths."""
+class BasisMismatch(ValueError):
+    """Operands or limbs do not carry the expected moduli or lengths."""
 
 
 class Domain(enum.Enum):
@@ -73,7 +73,6 @@ def _mul_fast(a, b, q):
     #   exact through uint64 wraparound.
     # - min(r, r + q) as uint64 is r mod q: a negative r wraps above 2^63,
     #   where r + q lands in [0, q).
-    q = np.asarray(q, np.uint64)
     b = np.asarray(b, np.uint64)
     # operands and moduli are below 2^63: their int64 views convert to float faster
     quot = np.multiply(a.view(np.int64), np.true_divide(b.view(np.int64), q.astype(np.float64)))
@@ -88,15 +87,15 @@ def _mul_fast(a, b, q):
 
 
 def _mul_exact(a, b, q):
-    prod = a.astype(object) * (b.astype(object) if isinstance(b, np.ndarray) else int(b))
-    return (prod % (q.astype(object) if isinstance(q, np.ndarray) else q)).astype(np.uint64)
+    return (a.astype(object) * b.astype(object) % q.astype(object)).astype(np.uint64)
 
 
-def mod_mul_vec(a: np.ndarray, b, q) -> np.ndarray:
+def mod_mul_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """Elementwise a*b mod q for uint64 operands, result in [0, q).
 
-    ``q`` is an int, or a uint64 array with the limb axis first that
-    broadcasts against the operands (an (L, 1) column for (L, N) blocks).
+    ``q`` is a uint64 array with the limb axis first that broadcasts
+    against the operands (an (L, 1) column for (L, N) blocks); a plain int
+    is taken as a 0-d array.
 
     Operand contract: on rows with q < FAST_LIMIT (2^51), which take the
     float-quotient path, both operands are below FAST_LIMIT and at least
@@ -105,9 +104,7 @@ def mod_mul_vec(a: np.ndarray, b, q) -> np.ndarray:
     operands. A caller that multiplies residues of a wider modulus by a
     narrower one reduces them first (see :func:`ckkslt.rns.bconv`).
     """
-    if not isinstance(q, np.ndarray):
-        q = int(q)
-        return _mul_exact(a, b, q) if q >= FAST_LIMIT else _mul_fast(a, b, q)
+    q = np.asarray(q, np.uint64)
     wide = q.reshape(-1) >= FAST_LIMIT
     if not wide.any():
         return _mul_fast(a, b, q)
@@ -284,7 +281,7 @@ class Poly:
         if coeffs.dtype != np.uint64:
             coeffs = coeffs.astype(np.uint64)
         if coeffs.shape != (modulus.ring_dim,):
-            raise ModulusMismatch("coefficient count != ring dimension")
+            raise BasisMismatch("coefficient count != ring dimension")
         self._coeffs = coeffs
         self.modulus = modulus
         self.domain = domain
@@ -349,7 +346,7 @@ def to_coef(p):
 
 def _same_basis(a, b):
     if a.moduli != b.moduli:
-        raise ModulusMismatch("operands disagree on moduli or length")
+        raise BasisMismatch("operands disagree on moduli or length")
     if a.domain != b.domain:
         raise DomainMismatch("operands in different domains")
     return modulus_column(a.moduli)

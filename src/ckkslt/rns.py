@@ -25,16 +25,12 @@ from math import prod
 import numpy as np
 
 from .modarith import Modulus
-from .ring import (FAST_LIMIT, Domain, Poly, mod_mul_vec, mod_sub_vec, modulus_column, to_coef,
-                   to_ntt)
+from .ring import (FAST_LIMIT, BasisMismatch, Domain, DomainMismatch, Poly, mod_mul_vec,
+                   mod_sub_vec, modulus_column, to_coef, to_ntt)
 
 
 class BasisOverlap(ValueError):
     """Source and target bases of a conversion share a modulus."""
-
-
-class BasisMismatch(ValueError):
-    """Polynomial limbs do not match the expected basis."""
 
 
 class SingleLimb(ValueError):
@@ -167,7 +163,7 @@ def bconv(p: RnsPoly, target, basis: RnsBasis) -> RnsPoly:
     which equals the exact value plus u * prod(src) with 0 <= u < len(src).
     """
     if p.domain != Domain.COEF:
-        raise BasisMismatch("bconv requires coefficient domain")
+        raise DomainMismatch("bconv requires coefficient domain")
     target = tuple(target)
     if {m.q for m in p.moduli} & {m.q for m in target}:
         raise BasisOverlap("source and target bases overlap")
@@ -239,7 +235,7 @@ def moddown(c: RnsPoly, basis: RnsBasis) -> RnsPoly:
 def rescale(c: RnsPoly) -> RnsPoly:
     """Drop the top limb and divide by its modulus (rounding error <= 1)."""
     if c.domain != Domain.COEF:
-        raise BasisMismatch("rescale requires coefficient domain")
+        raise DomainMismatch("rescale requires coefficient domain")
     if len(c.moduli) < 2:
         raise SingleLimb("cannot rescale a single-limb polynomial")
     kept = c.moduli[:-1]
@@ -270,8 +266,9 @@ def crt_reconstruct_centered(p: RnsPoly) -> list[int]:
     return [v - big if v > big // 2 else v for v in crt_reconstruct(p)]
 
 
-def rns_from_ints(values, moduli, domain: Domain = Domain.COEF) -> RnsPoly:
-    """Reduce arbitrary (possibly negative) integers into every limb."""
+def rns_from_ints(values, moduli) -> RnsPoly:
+    """Reduce arbitrary (possibly negative) integers into every limb,
+    coefficient domain."""
     moduli = tuple(moduli)
     q = modulus_column(moduli)
     try:
@@ -280,4 +277,4 @@ def rns_from_ints(values, moduli, domain: Domain = Domain.COEF) -> RnsPoly:
         block = np.array(values, dtype=object)[None] % q.astype(object)
     else:
         block = np.remainder(ints[None], q.astype(np.int64))
-    return RnsPoly(block.astype(np.uint64), moduli, domain)
+    return RnsPoly(block.astype(np.uint64), moduli, Domain.COEF)

@@ -9,8 +9,9 @@ coefficients u64); ``load`` reads each polynomial with one
 
 ``load`` rejects every byte string that is not exactly such a container
 (truncated, trailing bytes, unknown codes, invalid moduli, coefficients
-not below their modulus, components over different bases) with
-:class:`CorruptContainer`, a ``ValueError``.
+not below their modulus, components over different bases, a ciphertext
+level other than its limb count minus one) with :class:`CorruptContainer`,
+a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _parse(reader: _Reader):
     c0, c1 = _pair(reader, ring_dim)
     if level != len(c0.moduli) - 1:
         raise CorruptContainer(f"level {level} does not match {len(c0.moduli)} limbs")
-    return Ciphertext(c0, c1, level, scale)
+    return Ciphertext(c0, c1, scale)
 
 
 def load(data: bytes):

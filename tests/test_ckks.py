@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ckkslt import ckks
-from ckkslt.ring import Domain, RotationIndex, automorphism_coef, automorphism_eval
+from ckkslt.ring import BasisMismatch, Domain, RotationIndex, automorphism_coef, automorphism_eval
 from ckkslt.rns import RnsPoly, crt_reconstruct, crt_reconstruct_centered
 
 
@@ -82,7 +82,7 @@ def test_add_level_mismatch(toy_params, toy_keys):
     rng = np.random.default_rng(6)
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
-    other = ckks.Ciphertext(ct.c0, ct.c1, ct.level, ct.scale * 2)
+    other = ckks.Ciphertext(ct.c0, ct.c1, ct.scale * 2)
     with pytest.raises(ckks.LevelMismatch):
         ckks.add_ct(ct, other)
 
@@ -153,7 +153,7 @@ def test_full_key_switch_recovers_message(toy_params, toy_keys):
     u0, u1 = ckks.key_switch(digits, swk)
     c0 = ckks.rns_add(ckks.moddown_ntt(u0, toy_params.basis), ct.c0)
     c1 = ckks.moddown_ntt(u1, toy_params.basis)
-    switched = ckks.Ciphertext(c0, c1, ct.level, ct.scale)
+    switched = ckks.Ciphertext(c0, c1, ct.scale)
     back = ckks.decode(ckks.decrypt(switched, sk), toy_params)
     assert np.max(np.abs(back - v)) < 2**-15
 
@@ -239,7 +239,7 @@ def test_hoisted_rotation_equals_plain(toy_params, toy_keys, r):
     c0 = ckks.moddown_ntt(automorphism_eval(ckks.rns_add(a0, u0), rot),
                           toy_params.basis)
     c1 = ckks.moddown_ntt(automorphism_eval(u1, rot), toy_params.basis)
-    got = ckks.Ciphertext(c0, c1, ct.level, ct.scale)
+    got = ckks.Ciphertext(c0, c1, ct.scale)
     d_ref = ckks.decode(ckks.decrypt(ref, sk), toy_params)
     d_got = ckks.decode(ckks.decrypt(got, sk), toy_params)
     assert np.max(np.abs(d_ref - d_got)) < 2**-12
@@ -311,3 +311,15 @@ def test_end_to_end_pipeline(toy_params, toy_keys):
 def test_encode_wrong_length(toy_params):
     with pytest.raises(ValueError):
         ckks.encode(np.zeros(3), toy_params)
+
+
+def test_operands_over_different_bases_are_a_basis_mismatch(toy_params, toy_keys):
+    sk, pk = toy_keys
+    rng = np.random.default_rng(22)
+    v = rng.uniform(-1, 1, toy_params.slots)
+    ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
+    low = ckks.rescale_ct(ct, toy_params)  # one limb fewer
+    with pytest.raises(BasisMismatch):
+        ckks.pt_ct_mult(ckks.encode(v, toy_params), low)
+    with pytest.raises(BasisMismatch):
+        ckks.decrypt(ckks.Ciphertext(ct.c0, low.c1, ct.scale), sk)

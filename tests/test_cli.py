@@ -1,8 +1,12 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
-from ckkslt import cli
+import ckkslt
+from ckkslt import ckks, cli
+from ckkslt import datapath as dp
 
 
 def run_cli(capsys, *argv):
@@ -307,3 +311,15 @@ def test_truncated_flag_is_a_usage_error(capsys, tmp_path):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_every_ckkslt_exception_is_a_value_error():
+    # main turns a ValueError into one error line and exit 1; OnchipOverflow
+    # guards an internal plan invariant, so it stays a crash
+    modules = [importlib.import_module(f"ckkslt.{info.name}")
+               for info in pkgutil.iter_modules(ckkslt.__path__)]
+    defined = {obj for mod in modules for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == mod.__name__}
+    assert {ckks.MissingKey, cli.UsageError, dp.OnchipOverflow} <= defined
+    assert {cls for cls in defined if not issubclass(cls, ValueError)} == {dp.OnchipOverflow}

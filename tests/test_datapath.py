@@ -299,3 +299,22 @@ def test_report_json_schema():
     assert set(rep["phases"]) == {str(p) for p in cm.PHASES}
     for row in rep["phases"].values():
         assert set(row) == set(cm.CATEGORIES)
+
+
+ACCEPT_SHAPE = cm.HeParams(2**10, 5, 5, 44, n=64)
+
+
+@pytest.mark.parametrize("shape, factors, cfg", [
+    *(cm.reference_config(name) for name in sorted(cm.REFERENCE_CONFIGS)),
+    (ACCEPT_SHAPE, (4, 4, 4), cm.ParallelismConfig()),
+    *((ACCEPT_SHAPE, (1, a, 64 // a), cm.ParallelismConfig()) for a in (1, 2, 4, 8, 16, 32, 64)),
+])
+def test_walk_applies_each_middle_layer_key_to_every_first_layer_input(shape, factors, cfg):
+    # complexity charges one product per key;
+    # the walk applies each of the n2-1 middle-layer keys to all n1 inputs
+    n1, n2, _ = factors
+    walk = dp.simulate(shape, factors, cfg).trace.cwise_mult_limbs
+    model = cm.complexity("th-bsgs", shape, factors).cwise_mult_limbs
+    assert walk - model == 2 * shape.beta * (n1 - 1) * (n2 - 1) * shape.pq_limbs
+    if factors == (4, 4, 4):
+        assert walk - model == 180  # 184,320 modmuls at N = 2^10

@@ -103,19 +103,19 @@ class _Hasher:
 
 def _hash_keys(keys: linear.RotationKeys) -> str:
     h = _Hasher()
-    for kind, table in (("plain", keys.plain), ("hoisted", keys.hoisted)):
-        for offset in sorted(table):
-            key = table[offset]
-            h.text((kind, offset, key.hoist_offset, len(key.digits)))
-            for k0, k1 in key.digits:
-                h.poly(k0)
-                h.poly(k1)
+    for offset in sorted(keys):
+        key = keys[offset]
+        kind = "hoisted" if key.hoist_offset else "plain"
+        h.text((kind, offset, key.hoist_offset, len(key.digits)))
+        for k0, k1 in key.digits:
+            h.poly(k0)
+            h.poly(k1)
     return h.digest()
 
 
 def _hash_diagonals(dm: linear.DiagMatrix) -> str:
     h = _Hasher()
-    h.text((dm.over_pq, len(dm.diagonals)))
+    h.text((dm.plan.hoisted, len(dm.diagonals)))
     for pt in dm.diagonals:
         h.text(pt.scale)
         h.poly(pt.poly)

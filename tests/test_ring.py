@@ -74,7 +74,7 @@ def test_domain_and_modulus_mismatch(mod64):
     with pytest.raises(ring.DomainMismatch):
         ring.pointwise_mul(p, ring.ntt(p.copy()))
     other = find_ntt_primes(29, 64, 1)[0]
-    with pytest.raises(ring.ModulusMismatch):
+    with pytest.raises(ring.BasisMismatch):
         ring.pointwise_add(p, ring.random_poly(other, rng))
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckkslt import rns
+from ckkslt import ring, rns
 from ckkslt.modarith import Modulus, find_ntt_primes
-from ckkslt.ring import Domain, intt, ntt
+from ckkslt.ring import Domain, DomainMismatch, intt, ntt
 
 
 @pytest.fixture(scope="module")
@@ -344,3 +344,13 @@ def test_ntt_domain_decompose_and_moddown_match_coefficient_domain(toy_basis):
     down = rns.moddown(ntt(pc), toy_basis)
     assert down.domain == Domain.NTT
     assert np.array_equal(intt(down).coeffs, rns.moddown(pc, toy_basis).coeffs)
+
+
+def test_wrong_domain_is_a_domain_mismatch_and_one_basis_mismatch_class(toy_basis):
+    rng = np.random.default_rng(14)
+    _, c = random_rns(rng, toy_basis.q_moduli, 64)
+    with pytest.raises(DomainMismatch):
+        rns.bconv(ntt(c), toy_basis.p_moduli, toy_basis)
+    with pytest.raises(DomainMismatch):
+        rns.rescale(ntt(c))
+    assert rns.BasisMismatch is ring.BasisMismatch
