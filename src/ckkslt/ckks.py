@@ -22,9 +22,9 @@ from .ring import (
     Domain,
     RotationIndex,
     automorphism_eval,
+    basis_context,
     coef_permutation,
     mod_mul_vec,
-    modulus_column,
     ntt,
     pointwise_add,
     pointwise_mul,
@@ -54,7 +54,7 @@ class Overflow(ValueError):
     """Scaled values would not fit the level modulus with margin."""
 
 
-class MissingKey(KeyError, ValueError):
+class MissingKey(ValueError):
     """A required switching key was not supplied, or one of the wrong kind."""
 
 
@@ -98,12 +98,12 @@ class SecretKey:
     coeffs: np.ndarray  # ternary entries in {-1, 0, 1}
     _ntt_cache: dict = field(default_factory=dict, repr=False)
 
-    def ntt_form(self, moduli: tuple[Modulus, ...]) -> RnsPoly:
-        missing = [m for m in moduli if m.q not in self._ntt_cache]
-        if missing:
-            rows = ntt(rns_from_ints(self.coeffs, missing)).coeffs
-            self._ntt_cache.update(zip((m.q for m in missing), rows))
-        return RnsPoly(np.stack([self._ntt_cache[m.q] for m in moduli]), moduli, Domain.NTT)
+    def ntt_form(self, moduli) -> RnsPoly:
+        """s in NTT form over ``moduli`` (a sequence or context); read-only use."""
+        context = basis_context(moduli)
+        if context not in self._ntt_cache:
+            self._ntt_cache[context] = ntt(rns_from_ints(self.coeffs, context))
+        return self._ntt_cache[context]
 
 
 @dataclass
@@ -213,9 +213,9 @@ def sample_gaussian_ints(rng: np.random.Generator, n: int) -> list[int]:
 def uniform_rns(rng: np.random.Generator, moduli: list[Modulus],
                 ring_dim: int, domain: Domain = Domain.NTT) -> RnsPoly:
     # independent uniform residues per limb are CRT-equivalent to uniform mod the product
-    moduli = tuple(moduli)
-    block = rng.integers(0, modulus_column(moduli), (len(moduli), ring_dim), dtype=np.uint64)
-    return RnsPoly(block, moduli, domain)
+    context = basis_context(moduli)
+    block = rng.integers(0, context.q, (len(context.moduli), ring_dim), dtype=np.uint64)
+    return RnsPoly(block, context, domain)
 
 
 def gaussian_rns(rng: np.random.Generator, moduli: list[Modulus], ring_dim: int) -> RnsPoly:
@@ -224,7 +224,7 @@ def gaussian_rns(rng: np.random.Generator, moduli: list[Modulus], ring_dim: int)
 
 
 def mul_secret(p: RnsPoly, sk: SecretKey) -> RnsPoly:
-    return pointwise_mul(p, sk.ntt_form(p.moduli))
+    return pointwise_mul(p, sk.ntt_form(p.context))
 
 
 rns_add = pointwise_add
@@ -243,15 +243,14 @@ def encrypt(pt: Plaintext, key, params: CkksParams,
             rng: np.random.Generator) -> Ciphertext:
     """Fresh encryption under a PublicKey or (for tests) a SecretKey."""
     m = to_ntt(pt.poly)
-    moduli = m.moduli
     if isinstance(key, SecretKey):
-        c1 = uniform_rns(rng, moduli, params.ring_dim)
-        e = gaussian_rns(rng, moduli, params.ring_dim)
+        c1 = uniform_rns(rng, m.context, params.ring_dim)
+        e = gaussian_rns(rng, m.context, params.ring_dim)
         c0 = rns_sub(rns_add(m, e), mul_secret(c1, key))
     else:
         u = SecretKey(sample_ternary(rng, params.ring_dim))
-        e0 = gaussian_rns(rng, moduli, params.ring_dim)
-        e1 = gaussian_rns(rng, moduli, params.ring_dim)
+        e0 = gaussian_rns(rng, m.context, params.ring_dim)
+        e1 = gaussian_rns(rng, m.context, params.ring_dim)
         c0 = rns_add(rns_add(mul_secret(key.k0, u), e0), m)
         c1 = rns_add(mul_secret(key.k1, u), e1)
     return Ciphertext(c0, c1, pt.scale)
@@ -259,7 +258,7 @@ def encrypt(pt: Plaintext, key, params: CkksParams,
 
 def trivial_encrypt(pt: Plaintext) -> Ciphertext:
     m = to_ntt(pt.poly)
-    zero = RnsPoly(np.zeros_like(m.coeffs), m.moduli, Domain.NTT)
+    zero = m.like(np.zeros_like(m.coeffs), Domain.NTT)
     return Ciphertext(m, zero, pt.scale)
 
 
@@ -309,7 +308,7 @@ def swk_gen(s_from: np.ndarray, s_to: SecretKey, params: CkksParams,
         k1 = uniform_rns(rng, pq, params.ring_dim)
         e = gaussian_rns(rng, pq, params.ring_dim)
         gadget = np.array(gadget, dtype=np.uint64)[:, None]
-        term = s_ntt.like(mod_mul_vec(s_ntt.coeffs, gadget, modulus_column(pq)), Domain.NTT)
+        term = s_ntt.like(mod_mul_vec(s_ntt.coeffs, gadget, s_ntt.context.q), Domain.NTT)
         k0 = rns_add(rns_sub(e, mul_secret(k1, s_to)), term)
         digits.append((k0, k1))
     return SwitchingKey(digits)

@@ -8,19 +8,21 @@ permutation network in :mod:`ckkslt.permutation` derives its address math
 from it, so it is not configurable.
 
 Every kernel works on a block: an (L, N) uint64 array whose row j holds
-residues mod the j-th of L moduli, with the moduli as an (L, 1) column
-and, for the transforms, stacked (L, N) twiddle tables, so one numpy call
-per butterfly stage or per operation covers all limbs. The polynomial
-functions take :class:`Poly` (one limb) or :class:`ckkslt.rns.RnsPoly`;
-both carry ``coeffs``, ``moduli``, ``domain``, ``n`` and ``like``.
+residues mod the j-th of L moduli, so one numpy call per butterfly stage
+or per operation covers all limbs. Each moduli tuple has one interned
+:class:`BasisContext` holding the moduli as an (L, 1) column, whether
+the block takes the float path, and the stacked (L, N) twiddle tables.
+The polynomial functions take :class:`Poly` (one limb) or
+:class:`ckkslt.rns.RnsPoly`; both carry ``coeffs``, ``context`` (whose
+``moduli`` they expose), ``domain``, ``n`` and ``like``, which hands
+the context on to a kernel's result.
 
 Vectorized modular multiplication: for q < 2^51 the quotient of the
 128-bit product is estimated in float64 and rounded to nearest, which
 leaves the residual, recovered exactly through uint64 wraparound, in
 (-q, q); one wraparound minimum then gives the residue, with no integer
-division (the bound is proved next to ``_mul_fast``). Wider moduli fall
-back to object-dtype (native big-int) arithmetic; a block that mixes
-widths splits its rows between the two.
+division (the bound is proved next to ``_mul_fast``). A block with any
+wider row takes object-dtype (native big-int) arithmetic on every row.
 
 The butterfly stages keep their inner axis long: once a stage's blocks
 outnumber their half-length, the block is permuted to bit-reversed
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -97,25 +99,15 @@ def mod_mul_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     against the operands (an (L, 1) column for (L, N) blocks); a plain int
     is taken as a 0-d array.
 
-    Operand contract: on rows with q < FAST_LIMIT (2^51), which take the
-    float-quotient path, both operands are below FAST_LIMIT and at least
-    one is below q; a residue times a residue of the same row always is.
-    Rows with q >= FAST_LIMIT take the exact path and accept any uint64
+    The whole block takes one route: if every q is below FAST_LIMIT (2^51),
+    the float-quotient path, whose operands must both lie below FAST_LIMIT
+    with one below its row's q (a residue times a residue of the same row
+    always does); otherwise the exact path, which takes any uint64
     operands. A caller that multiplies residues of a wider modulus by a
     narrower one reduces them first (see :func:`ckkslt.rns.bconv`).
     """
     q = np.asarray(q, np.uint64)
-    wide = q.reshape(-1) >= FAST_LIMIT
-    if not wide.any():
-        return _mul_fast(a, b, q)
-    if wide.all():
-        return _mul_exact(a, b, q)
-    out = np.empty(np.broadcast_shapes(a.shape, np.shape(b), q.shape), dtype=np.uint64)
-    for rows, kernel in ((~wide, _mul_fast), (wide, _mul_exact)):
-        # operands without a limb axis of their own broadcast over every row
-        a_rows, b_rows = (x[rows] if np.ndim(x) and len(x) == len(rows) else x for x in (a, b))
-        out[rows] = kernel(a_rows, b_rows, q[rows])
-    return out
+    return (_mul_fast if q.max() < FAST_LIMIT else _mul_exact)(a, b, q)
 
 
 def mod_add_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
@@ -127,14 +119,6 @@ def mod_add_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
 def mod_sub_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     d = a - b
     return np.minimum(d, d + np.asarray(q, np.uint64), out=d)
-
-
-@lru_cache(maxsize=None)
-def modulus_column(moduli: tuple[Modulus, ...]) -> np.ndarray:
-    """The moduli as a read-only (L, 1) uint64 column."""
-    col = np.array([[m.q] for m in moduli], dtype=np.uint64)
-    col.flags.writeable = False
-    return col
 
 
 @lru_cache(maxsize=None)
@@ -164,27 +148,59 @@ def _switch_stage(n: int) -> int:
     return mm
 
 
-@lru_cache(maxsize=None)
-def _block_tables(moduli: tuple[Modulus, ...]):
-    """Stacked (L, N) butterfly twiddles (psi powers and their inverses) plus
-    the N^-1 column, read-only.
+def _readonly(values) -> np.ndarray:
+    table = np.asarray(values, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
 
-    Columns mm..2mm-1 hold the twiddles of the stage with mm blocks, in the
-    order that stage reads them: block j's twiddle at j on natural storage,
-    at bitrev(j) over log2(mm) bits on bit-reversed storage.
-    """
-    n = moduli[0].ring_dim
-    order = np.arange(n)
-    mm = _switch_stage(n)
-    while mm < n:
-        order[mm : 2 * mm] = mm + bitrev_table(mm)
-        mm *= 2
-    psi = np.stack([_powers(m.q, m.two_n_root, n) for m in moduli])[:, order]
-    ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), n) for m in moduli])[:, order]
-    n_inv = np.array([[m.n_inv] for m in moduli], dtype=np.uint64)
-    for table in (psi, ipsi, n_inv):
-        table.flags.writeable = False
-    return psi, ipsi, n_inv
+
+@dataclass(frozen=True, eq=False)
+class BasisContext:
+    """The constants of one moduli tuple. Interned by :func:`basis_context`,
+    so two polynomials share a basis exactly when they share the object."""
+
+    moduli: tuple[Modulus, ...]
+    q: np.ndarray  # the moduli as a read-only (L, 1) uint64 column
+    fast: bool  # every q below FAST_LIMIT, so mod_mul_vec takes the float path
+
+    @cached_property
+    def ntt_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked (L, N) butterfly twiddles (psi powers and their inverses)
+        plus the N^-1 column, read-only.
+
+        Columns mm..2mm-1 hold the twiddles of the stage with mm blocks, in
+        the order that stage reads them: block j's twiddle at j on natural
+        storage, at bitrev(j) over log2(mm) bits on bit-reversed storage.
+        """
+        n = self.moduli[0].ring_dim
+        order = np.arange(n)
+        mm = _switch_stage(n)
+        while mm < n:
+            order[mm : 2 * mm] = mm + bitrev_table(mm)
+            mm *= 2
+        moduli = self.moduli
+        psi = np.stack([_powers(m.q, m.two_n_root, n) for m in moduli])[:, order]
+        ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), n) for m in moduli])[:, order]
+        return _readonly(psi), _readonly(ipsi), _readonly([[m.n_inv] for m in moduli])
+
+    @cached_property
+    def top_inverse(self) -> np.ndarray:
+        """The top modulus's inverse mod every other, as an (L-1, 1) column."""
+        top = self.moduli[-1].q
+        return _readonly([[pow(top % m.q, -1, m.q)] for m in self.moduli[:-1]])
+
+
+@lru_cache(maxsize=None)
+def _intern(moduli: tuple[Modulus, ...]) -> BasisContext:
+    if not moduli:
+        raise BasisMismatch("a basis needs at least one modulus")
+    q = _readonly([[m.q] for m in moduli])
+    return BasisContext(moduli, q, bool(q.max() < FAST_LIMIT))
+
+
+def basis_context(moduli) -> BasisContext:
+    """The one context of a moduli sequence; a context is returned as is."""
+    return moduli if isinstance(moduli, BasisContext) else _intern(tuple(moduli))
 
 
 def _stage(a: np.ndarray, mm: int, switch: int, table: np.ndarray):
@@ -207,9 +223,9 @@ def _stage(a: np.ndarray, mm: int, switch: int, table: np.ndarray):
     return view[:, :, 0], view[:, :, 1], twiddles
 
 
-def _forward_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
-    psi, _, _ = _block_tables(moduli)
-    q = modulus_column(moduli)[:, :, None]
+def _forward_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
+    psi, _, _ = context.ntt_tables
+    q = context.q[:, :, None]
     n = values.shape[1]
     switch = _switch_stage(n)
     a = values.copy()
@@ -224,9 +240,9 @@ def _forward_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
     return a.take(bitrev_table(n), axis=1) if switch < n else a
 
 
-def _inverse_ntt(values: np.ndarray, moduli: tuple[Modulus, ...]) -> np.ndarray:
-    _, ipsi, n_inv = _block_tables(moduli)
-    q = modulus_column(moduli)[:, :, None]
+def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
+    _, ipsi, n_inv = context.ntt_tables
+    q = context.q[:, :, None]
     n = values.shape[1]
     switch = _switch_stage(n)
     a = values.take(bitrev_table(n), axis=1) if switch < n else values.copy()
@@ -270,21 +286,21 @@ class RotationIndex:
 class Poly:
     """One residue polynomial: N values mod a single prime.
 
-    The one-limb case of :class:`ckkslt.rns.RnsPoly`. Assigning to
+    The one-limb case and base class of :class:`ckkslt.rns.RnsPoly`;
+    ``modulus`` is a :class:`Modulus` or a one-limb context. Assigning to
     ``coeffs`` writes into the existing array, so a limb taken from
     ``RnsPoly.limbs`` stays a view of its block.
     """
 
-    __slots__ = ("_coeffs", "modulus", "domain")
+    __slots__ = ("_coeffs", "context", "domain")
 
-    def __init__(self, coeffs: np.ndarray, modulus: Modulus, domain: Domain):
+    def __init__(self, coeffs: np.ndarray, modulus, domain: Domain):
+        context = modulus if isinstance(modulus, BasisContext) else basis_context((modulus,))
         if coeffs.dtype != np.uint64:
             coeffs = coeffs.astype(np.uint64)
-        if coeffs.shape != (modulus.ring_dim,):
+        if coeffs.shape != (context.moduli[0].ring_dim,):
             raise BasisMismatch("coefficient count != ring dimension")
-        self._coeffs = coeffs
-        self.modulus = modulus
-        self.domain = domain
+        self._coeffs, self.context, self.domain = coeffs, context, domain
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -295,18 +311,22 @@ class Poly:
         self._coeffs[...] = values
 
     @property
-    def moduli(self) -> tuple[Modulus]:
-        return (self.modulus,)
+    def modulus(self) -> Modulus:
+        return self.context.moduli[0]
+
+    @property
+    def moduli(self) -> tuple[Modulus, ...]:
+        return self.context.moduli
 
     @property
     def n(self) -> int:
-        return self.modulus.ring_dim
+        return self._coeffs.shape[-1]
 
     def like(self, block: np.ndarray, domain: Domain) -> "Poly":
-        return Poly(block.reshape(-1), self.modulus, domain)
+        return type(self)(block.reshape(self.coeffs.shape), self.context, domain)
 
     def copy(self) -> "Poly":
-        return Poly(self.coeffs.copy(), self.modulus, self.domain)
+        return type(self)(self.coeffs.copy(), self.context, self.domain)
 
 
 def zero_poly(m: Modulus, domain: Domain = Domain.COEF) -> Poly:
@@ -328,12 +348,12 @@ def _require(p, domain: Domain):
 
 def ntt(p):
     _require(p, Domain.COEF)
-    return p.like(_forward_ntt(_block(p), p.moduli), Domain.NTT)
+    return p.like(_forward_ntt(_block(p), p.context), Domain.NTT)
 
 
 def intt(p):
     _require(p, Domain.NTT)
-    return p.like(_inverse_ntt(_block(p), p.moduli), Domain.COEF)
+    return p.like(_inverse_ntt(_block(p), p.context), Domain.COEF)
 
 
 def to_ntt(p):
@@ -345,11 +365,11 @@ def to_coef(p):
 
 
 def _same_basis(a, b):
-    if a.moduli != b.moduli:
+    if a.context is not b.context:
         raise BasisMismatch("operands disagree on moduli or length")
     if a.domain != b.domain:
         raise DomainMismatch("operands in different domains")
-    return modulus_column(a.moduli)
+    return a.context.q
 
 
 def pointwise_mul(a, b):
@@ -370,7 +390,7 @@ def pointwise_sub(a, b):
 def scalar_mul(p, c: int):
     """Multiply by the integer c, reduced mod every limb's modulus."""
     residues = np.array([[c % m.q] for m in p.moduli], dtype=np.uint64)
-    return p.like(mod_mul_vec(_block(p), residues, modulus_column(p.moduli)), p.domain)
+    return p.like(mod_mul_vec(_block(p), residues, p.context.q), p.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +412,7 @@ def automorphism_coef(p, rot: RotationIndex):
     block = _block(p)
     pos, flip = coef_permutation(p.n, rot.g_r)
     out = np.empty_like(block)
-    out[:, pos] = np.where(flip & (block != 0), modulus_column(p.moduli) - block, block)
+    out[:, pos] = np.where(flip & (block != 0), p.context.q - block, block)
     return p.like(out, Domain.COEF)
 
 

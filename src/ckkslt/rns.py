@@ -18,15 +18,15 @@ ciphertext noise downstream, never corrected here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .modarith import Modulus
-from .ring import (FAST_LIMIT, BasisMismatch, Domain, DomainMismatch, Poly, mod_mul_vec,
-                   mod_sub_vec, modulus_column, to_coef, to_ntt)
+from .ring import (BasisContext, BasisMismatch, Domain, DomainMismatch, Poly, basis_context,
+                   mod_mul_vec, mod_sub_vec, to_coef, to_ntt)
 
 
 class BasisOverlap(ValueError):
@@ -37,14 +37,15 @@ class SingleLimb(ValueError):
     """Rescale would drop the last remaining limb."""
 
 
-class RnsPoly:
+class RnsPoly(Poly):
     """A polynomial over a tuple of moduli, held as one (L, N) uint64 block.
 
     ``RnsPoly(limbs)`` stacks a list of one-limb :class:`Poly`;
-    ``RnsPoly(block, moduli, domain)`` wraps a block without copying.
+    ``RnsPoly(block, moduli, domain)`` wraps a block without copying, with
+    ``moduli`` a sequence of :class:`Modulus` or their context.
     """
 
-    __slots__ = ("coeffs", "moduli", "domain")
+    __slots__ = ()
 
     def __init__(self, coeffs, moduli=None, domain: Domain | None = None):
         if moduli is None:
@@ -54,37 +55,24 @@ class RnsPoly:
             coeffs = np.stack([limb.coeffs for limb in limbs])
             moduli = [limb.modulus for limb in limbs]
             domain = limbs[0].domain
-        moduli = tuple(moduli)
-        if not moduli or coeffs.dtype != np.uint64 or coeffs.shape != (
-                len(moduli), moduli[0].ring_dim):
+        context = basis_context(moduli)
+        if coeffs.dtype != np.uint64 or coeffs.shape != (
+                len(context.moduli), context.moduli[0].ring_dim):
             raise BasisMismatch("block shape or dtype does not match the moduli")
-        self.coeffs = coeffs
-        self.moduli = moduli
-        self.domain = domain
+        self._coeffs, self.context, self.domain = coeffs, context, domain
 
     @property
     def limbs(self) -> list[Poly]:
         """One :class:`Poly` per row; its coefficients are a view of the block."""
         return [Poly(row, m, self.domain) for row, m in zip(self.coeffs, self.moduli)]
 
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    def like(self, block: np.ndarray, domain: Domain) -> "RnsPoly":
-        return RnsPoly(block, self.moduli, domain)
-
-    def copy(self) -> "RnsPoly":
-        return RnsPoly(self.coeffs.copy(), self.moduli, self.domain)
-
 
 @dataclass
 class RnsBasis:
-    """Moduli of Q = q_0..q_L and P = p_0..p_{alpha-1} plus conversion tables."""
+    """Moduli of Q = q_0..q_L and P = p_0..p_{alpha-1}, the Q and PQ contexts, P^-1 mod Q."""
 
     q_moduli: tuple[Modulus, ...]
     p_moduli: tuple[Modulus, ...]
-    _conv_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.q_moduli = tuple(self.q_moduli)
@@ -92,6 +80,10 @@ class RnsBasis:
         values = [m.q for m in self.q_moduli + self.p_moduli]
         if len(set(values)) != len(values):
             raise ValueError("moduli must be pairwise distinct")
+        self.q_context = basis_context(self.q_moduli)
+        self.pq_context = basis_context(self.pq_moduli)
+        big_p = self.p_product
+        self.p_inverse = np.array([[pow(big_p % m.q, -1, m.q)] for m in self.q_moduli], np.uint64)
 
     @property
     def level_count(self) -> int:
@@ -125,24 +117,18 @@ class RnsBasis:
     def digit_modulus(self, b: int) -> int:
         return prod(self.q_moduli[j].q for j in self.digit_group(b))
 
-    def conversion_tables(self, src: tuple[Modulus, ...], dst: tuple[Modulus, ...]):
-        """bconv constants: the (S, 1) column [qhat_j^-1]_{q_j} and the
-        (D, S, 1) array qhat_j mod p_i."""
-        key = (src, dst)
-        if key not in self._conv_cache:
-            src_vals = [m.q for m in src]
-            hat = [prod(src_vals) // qj for qj in src_vals]
-            hat_inv = [[pow(h % qj, -1, qj)] for h, qj in zip(hat, src_vals)]
-            hat_mod_dst = [[[h % p.q] for h in hat] for p in dst]
-            self._conv_cache[key] = (np.array(hat_inv, dtype=np.uint64),
-                                     np.array(hat_mod_dst, dtype=np.uint64))
-        return self._conv_cache[key]
-
 
 @lru_cache(maxsize=None)
-def _inverse_column(value: int, moduli: tuple[Modulus, ...]) -> np.ndarray:
-    """value^-1 mod every modulus, as an (L, 1) uint64 column."""
-    return np.array([[pow(value % m.q, -1, m.q)] for m in moduli], dtype=np.uint64)
+def _conversion_tables(src: BasisContext, dst: BasisContext):
+    """bconv constants: the (S, 1) column [qhat_j^-1]_{q_j} and the
+    (D, S, 1) array qhat_j mod p_i."""
+    src_vals = [m.q for m in src.moduli]
+    if set(src_vals) & {m.q for m in dst.moduli}:
+        raise BasisOverlap("source and target bases overlap")
+    hat = [prod(src_vals) // qj for qj in src_vals]
+    hat_inv = [[pow(h % qj, -1, qj)] for h, qj in zip(hat, src_vals)]
+    hat_mod_dst = [[[h % p.q] for h in hat] for p in dst.moduli]
+    return np.array(hat_inv, dtype=np.uint64), np.array(hat_mod_dst, dtype=np.uint64)
 
 
 def _sum_limbs(terms: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -156,28 +142,24 @@ def _sum_limbs(terms: np.ndarray, q: np.ndarray) -> np.ndarray:
     return acc
 
 
-def bconv(p: RnsPoly, target, basis: RnsBasis) -> RnsPoly:
-    """Fast basis conversion of a coefficient-domain polynomial.
+def bconv(p: RnsPoly, target) -> RnsPoly:
+    """Fast basis conversion of a coefficient-domain polynomial to ``target``.
 
     Output limb over p_i is sum_j [qhat_j^-1 a_j]_{q_j} * qhat_j mod p_i,
     which equals the exact value plus u * prod(src) with 0 <= u < len(src).
+    The residues of a source that is not on the float path are reduced
+    mod p_i first when the target is, as that path's contract requires.
     """
     if p.domain != Domain.COEF:
         raise DomainMismatch("bconv requires coefficient domain")
-    target = tuple(target)
-    if {m.q for m in p.moduli} & {m.q for m in target}:
-        raise BasisOverlap("source and target bases overlap")
-    hat_inv, hat_mod_dst = basis.conversion_tables(p.moduli, target)
-    scaled = mod_mul_vec(p.coeffs, hat_inv, modulus_column(p.moduli))[None]
-    q = modulus_column(target)
-    wide = modulus_column(p.moduli)[:, 0] >= FAST_LIMIT
-    if wide.any() and q.min() < FAST_LIMIT:
-        # fast-path target rows take operands below FAST_LIMIT: reduce the
-        # residues of wider source rows into every target modulus first
-        scaled = np.repeat(scaled, len(target), axis=0)
-        scaled[:, wide] = np.remainder(scaled[:, wide], q[:, :, None])
-    terms = mod_mul_vec(scaled, hat_mod_dst, q[:, :, None])
-    return RnsPoly(_sum_limbs(terms, q), target, Domain.COEF)
+    src, dst = p.context, basis_context(target)
+    hat_inv, hat_mod_dst = _conversion_tables(src, dst)
+    scaled = mod_mul_vec(p.coeffs, hat_inv, src.q)[None]
+    q = dst.q[:, :, None]
+    if dst.fast and not src.fast:
+        scaled = np.remainder(scaled, q)
+    terms = mod_mul_vec(scaled, hat_mod_dst, q)
+    return RnsPoly(_sum_limbs(terms, dst.q), dst, Domain.COEF)
 
 
 def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
@@ -188,12 +170,12 @@ def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
     digits are in c's domain; from the NTT domain only the group is
     inverse-transformed and only the converted limbs are transformed.
 
-    Only top-level input is accepted: c must carry every Q limb of
-    ``basis``, and an input below the top level (a limb dropped by
+    Only top-level input is accepted: c must be over exactly the Q basis
+    of ``basis``, and an input below the top level (a limb dropped by
     rescaling) raises :class:`BasisMismatch`, because the digit groups
     and the switching keys are laid out for the full basis.
     """
-    if len(c.moduli) != basis.level_count:
+    if c.context is not basis.q_context:
         raise BasisMismatch("decompose expects a full set of Q limbs")
     pq = basis.pq_moduli
     digits = []
@@ -202,13 +184,13 @@ def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
         rows = slice(group[0], group[-1] + 1)
         lo, hi = basis.alpha + rows.start, basis.alpha + rows.stop
         group_poly = RnsPoly(c.coeffs[rows], c.moduli[rows], c.domain)
-        converted = bconv(to_coef(group_poly), pq[:lo] + pq[hi:], basis)
+        converted = bconv(to_coef(group_poly), pq[:lo] + pq[hi:])
         converted = (to_ntt(converted) if c.domain == Domain.NTT else converted).coeffs
         block = np.empty((len(pq), c.n), dtype=np.uint64)
         block[:lo] = converted[:lo]
         block[lo:hi] = group_poly.coeffs
         block[hi:] = converted[lo:]
-        digits.append(RnsPoly(block, pq, c.domain))
+        digits.append(RnsPoly(block, basis.pq_context, c.domain))
     return digits
 
 
@@ -221,15 +203,14 @@ def moddown(c: RnsPoly, basis: RnsBasis) -> RnsPoly:
     correction is linear, so it applies to the transformed data limbs.
     """
     alpha = basis.alpha
-    if len(c.moduli) != alpha + basis.level_count:
+    if c.context is not basis.pq_context:
         raise BasisMismatch("moddown expects PQ limbs")
     p_part = RnsPoly(c.coeffs[:alpha], c.moduli[:alpha], c.domain)
-    conv = bconv(to_coef(p_part), basis.q_moduli, basis)
+    conv = bconv(to_coef(p_part), basis.q_context)
     conv = to_ntt(conv) if c.domain == Domain.NTT else conv
-    q = modulus_column(basis.q_moduli)
+    q = basis.q_context.q
     diff = mod_sub_vec(c.coeffs[alpha:], conv.coeffs, q)
-    p_inv = _inverse_column(basis.p_product, basis.q_moduli)
-    return RnsPoly(mod_mul_vec(diff, p_inv, q), basis.q_moduli, c.domain)
+    return RnsPoly(mod_mul_vec(diff, basis.p_inverse, q), basis.q_context, c.domain)
 
 
 def rescale(c: RnsPoly) -> RnsPoly:
@@ -238,12 +219,10 @@ def rescale(c: RnsPoly) -> RnsPoly:
         raise DomainMismatch("rescale requires coefficient domain")
     if len(c.moduli) < 2:
         raise SingleLimb("cannot rescale a single-limb polynomial")
-    kept = c.moduli[:-1]
-    q = modulus_column(kept)
-    reduced = np.remainder(c.coeffs[-1], q)
-    diff = mod_sub_vec(c.coeffs[:-1], reduced, q)
-    inv = _inverse_column(c.moduli[-1].q, kept)
-    return RnsPoly(mod_mul_vec(diff, inv, q), kept, Domain.COEF)
+    kept = basis_context(c.moduli[:-1])
+    reduced = np.remainder(c.coeffs[-1], kept.q)
+    diff = mod_sub_vec(c.coeffs[:-1], reduced, kept.q)
+    return RnsPoly(mod_mul_vec(diff, c.context.top_inverse, kept.q), kept, Domain.COEF)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +248,12 @@ def crt_reconstruct_centered(p: RnsPoly) -> list[int]:
 def rns_from_ints(values, moduli) -> RnsPoly:
     """Reduce arbitrary (possibly negative) integers into every limb,
     coefficient domain."""
-    moduli = tuple(moduli)
-    q = modulus_column(moduli)
+    context = basis_context(moduli)
+    q = context.q
     try:
         ints = np.asarray(values, dtype=np.int64)
     except OverflowError:
         block = np.array(values, dtype=object)[None] % q.astype(object)
     else:
         block = np.remainder(ints[None], q.astype(np.int64))
-    return RnsPoly(block.astype(np.uint64), moduli, Domain.COEF)
+    return RnsPoly(block.astype(np.uint64), context, Domain.COEF)

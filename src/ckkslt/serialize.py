@@ -24,7 +24,7 @@ import numpy as np
 
 from .ckks import Ciphertext, Plaintext, SwitchingKey
 from .modarith import Modulus
-from .ring import Domain, modulus_column
+from .ring import Domain, basis_context
 from .rns import RnsPoly
 
 MAGIC = b"HLT1"
@@ -94,10 +94,11 @@ class _Reader:
             moduli = tuple(_modulus(q, ring_dim) for q in values)
         except ValueError as exc:
             raise CorruptContainer(f"invalid modulus: {exc}") from exc
+        context = basis_context(moduli)
         coeffs = records["coeffs"].astype(np.uint64)
-        if (coeffs >= modulus_column(moduli)).any():
+        if (coeffs >= context.q).any():
             raise CorruptContainer("coefficient not reduced mod its limb's modulus")
-        return RnsPoly(coeffs, moduli, _DOMAIN_FROM[domains.pop()])
+        return RnsPoly(coeffs, context, _DOMAIN_FROM[domains.pop()])
 
 
 def _save(tag: int, level: int, scale: float, meta: int, polys, prefix=b"") -> bytes:
@@ -123,7 +124,7 @@ def save_switching_key(swk: SwitchingKey) -> bytes:
 def _pair(reader: _Reader, ring_dim: int) -> tuple[RnsPoly, RnsPoly]:
     a = reader.rns(ring_dim)
     b = reader.rns(ring_dim)
-    if a.moduli != b.moduli or a.domain != b.domain:
+    if a.context is not b.context or a.domain != b.domain:
         raise CorruptContainer("the two components disagree on moduli or domain")
     return a, b
 
@@ -141,7 +142,7 @@ def _parse(reader: _Reader):
             raise CorruptContainer("switching key header carries a level or scale")
         (count,) = reader.unpack(_COUNT)
         digits = [_pair(reader, ring_dim) for _ in range(count)]
-        if not digits or len({k0.moduli for k0, _ in digits}) != 1:
+        if not digits or len({k0.context for k0, _ in digits}) != 1:
             raise CorruptContainer("switching key digits missing or over different bases")
         return SwitchingKey(digits, hoist_offset=meta)
     if tag not in (TAG_CIPHERTEXT, TAG_PLAINTEXT):

@@ -215,7 +215,7 @@ def test_criterion_7_kernel_oracles():
 
     for _ in range(16):
         vals, c = rand_poly(basis.q_moduli)
-        conv = rns.bconv(c, basis.p_moduli, basis)
+        conv = rns.bconv(c, basis.p_moduli)
         for i, m in enumerate(basis.p_moduli):
             for t in range(64):
                 got = int(conv.limbs[i].coeffs[t])

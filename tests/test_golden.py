@@ -4,10 +4,12 @@ At the acceptance shape (N=2^10, 5+5 limbs, n=64, factors (8,8) and
 (4,4,4)) with fixed seeds, this hashes every rotation key, the packed
 diagonals, each evaluator's output ciphertext and OpTrace, and the
 count-only ``simulate`` report of set-a/b/c at their reference configs.
-A second table hashes the stdout of valid ``ckkslt`` command lines, so a
+GOLDEN_WIDE does the same at n=16 for two N=2^9 shapes whose moduli
+reach 54 bits, so the modular multiply's big-int path is pinned too.
+A further table hashes the stdout of valid ``ckkslt`` command lines, so a
 change to argument handling leaves every report byte-identical.
 
-A third table pins the design-space sweep: per set, the count-only
+A last table pins the design-space sweep: per set, the count-only
 report and limb-multiply count of every th-bsgs Pareto factorization at
 1, 4, 16 and 64 MiB under ``search_parallelism`` (so partial batches and
 remainder limb chunks are covered), and the permutation network's move
@@ -19,7 +21,7 @@ deliberate change of output, print the new table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste it into GOLDEN, GOLDEN_CLI and GOLDEN_SWEEP.
+and paste it into GOLDEN, GOLDEN_WIDE, GOLDEN_CLI and GOLDEN_SWEEP.
 """
 
 import contextlib
@@ -29,12 +31,14 @@ import json
 
 import numpy as np
 
-from ckkslt import ckks, cli, linear
+from ckkslt import ckks, cli, linear, rns
 from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
 from ckkslt import permutation as pm
+from ckkslt.modarith import find_ntt_primes
 
 N_LT = 64
+N_WIDE = 16
 SWEEP_BUDGETS_MIB = (1, 4, 16, 64)
 SCHEDULE_ROTATIONS = (1, 3, 77, 300, 511)
 
@@ -58,6 +62,41 @@ GOLDEN = {
     'simulate:set-a': '92aa77f293631fe9',
     'simulate:set-b': 'e21d9dcae25023c2',
     'simulate:set-c': '5ae53d27669bf90c',
+}
+
+GOLDEN_WIDE = {
+    '54-bit keys:diagonal': '6943cd1052c0cd1d',
+    '54-bit diagonals:diagonal': '1913fbdd01b5e118',
+    '54-bit ciphertext:diagonal': '50276e462a8da387',
+    '54-bit trace:diagonal': '16e630de01412310',
+    '54-bit keys:bsgs': 'af135b21664b4705',
+    '54-bit diagonals:bsgs': '5a6ea2a6a6da481c',
+    '54-bit ciphertext:bsgs': '8d7b845e7ebd490a',
+    '54-bit trace:bsgs': 'ce57c1b5cccc223b',
+    '54-bit keys:dh-bsgs': '40d90dcd6a69b6d9',
+    '54-bit diagonals:dh-bsgs': '48aed1bc7ebc7039',
+    '54-bit ciphertext:dh-bsgs': '4f52e9b563e209aa',
+    '54-bit trace:dh-bsgs': '0b696b42a778f20c',
+    '54-bit keys:th-bsgs': '40864d91e9cfe100',
+    '54-bit diagonals:th-bsgs': '48aed1bc7ebc7039',
+    '54-bit ciphertext:th-bsgs': '3e0c9162cd04e3f1',
+    '54-bit trace:th-bsgs': 'e4687f9c05745efe',
+    '44q54p keys:diagonal': 'f29c6a152254c863',
+    '44q54p diagonals:diagonal': 'af7465455099f94d',
+    '44q54p ciphertext:diagonal': 'e98282cde4b0ca5f',
+    '44q54p trace:diagonal': 'e7514e25dadd2e57',
+    '44q54p keys:bsgs': 'd499334e3087b03b',
+    '44q54p diagonals:bsgs': '8a56e0cb1b7fb745',
+    '44q54p ciphertext:bsgs': '3a1ab3cb6b7d91bf',
+    '44q54p trace:bsgs': 'f74fc638f6feb3ef',
+    '44q54p keys:dh-bsgs': 'b14124165071bdf5',
+    '44q54p diagonals:dh-bsgs': '04d9ffd7ba0b63df',
+    '44q54p ciphertext:dh-bsgs': '7dadff0702372933',
+    '44q54p trace:dh-bsgs': '68333e7a8d22a77f',
+    '44q54p keys:th-bsgs': 'cf3ed53138d9f9d7',
+    '44q54p diagonals:th-bsgs': '04d9ffd7ba0b63df',
+    '44q54p ciphertext:th-bsgs': '0aa25d0912730135',
+    '44q54p trace:th-bsgs': '4b3514be1e5ece4b',
 }
 
 GOLDEN_CLI = {
@@ -136,19 +175,19 @@ def _hash_trace(tr: linear.OpTrace) -> str:
     return h.digest()
 
 
-def compute_hashes() -> dict:
-    params = ckks.CkksParams.make(ring_dim=2**10, levels=5, alpha=5, prime_bits=44)
+def _lt_hashes(params, n: int, factors: tuple, th_factors: tuple) -> dict:
+    """Keys, packed diagonals, output ciphertext and trace of every method."""
+    plans = {
+        "diagonal": linear.LtPlan(linear.LtMethod.DIAGONAL, n),
+        "bsgs": linear.LtPlan(linear.LtMethod.BSGS, n, factors),
+        "dh-bsgs": linear.LtPlan(linear.LtMethod.DH_BSGS, n, factors),
+        "th-bsgs": linear.LtPlan(linear.LtMethod.TH_BSGS, n, th_factors),
+    }
     rng = np.random.default_rng(20261018)
     sk, pk = ckks.keygen(params, rng)
-    plans = {
-        "diagonal": linear.LtPlan(linear.LtMethod.DIAGONAL, N_LT),
-        "bsgs": linear.LtPlan(linear.LtMethod.BSGS, N_LT, (8, 8)),
-        "dh-bsgs": linear.LtPlan(linear.LtMethod.DH_BSGS, N_LT, (8, 8)),
-        "th-bsgs": linear.LtPlan(linear.LtMethod.TH_BSGS, N_LT, (4, 4, 4)),
-    }
-    f_matrix = rng.uniform(-1, 1, (N_LT, N_LT))
-    v = rng.uniform(-1, 1, N_LT)
-    ct = ckks.encrypt(ckks.encode(np.tile(v, params.slots // N_LT), params), pk, params, rng)
+    f_matrix = rng.uniform(-1, 1, (n, n))
+    v = rng.uniform(-1, 1, n)
+    ct = ckks.encrypt(ckks.encode(np.tile(v, params.slots // n), params), pk, params, rng)
     out = {}
     for name, plan in plans.items():
         keys = linear.generate_lt_keys(sk, plan, params, rng)
@@ -158,11 +197,31 @@ def compute_hashes() -> dict:
         out[f"diagonals:{name}"] = _hash_diagonals(dm)
         out[f"ciphertext:{name}"] = _hash_ciphertext(result)
         out[f"trace:{name}"] = _hash_trace(trace)
+    return out
+
+
+def compute_hashes() -> dict:
+    params = ckks.CkksParams.make(ring_dim=2**10, levels=5, alpha=5, prime_bits=44)
+    out = _lt_hashes(params, N_LT, (8, 8), (4, 4, 4))
     for set_name in sorted(cm.REFERENCE_CONFIGS):
         shape, factors, cfg = cm.reference_config(set_name)
         report = dp.report_json(shape, factors, cfg, dp.simulate(shape, factors, cfg))
         out[f"simulate:{set_name}"] = hashlib.sha256(
             json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+    return out
+
+
+def compute_wide_hashes() -> dict:
+    # GOLDEN covers 44-bit rows only; these shapes take the big-int path:
+    # all 54-bit with beta=3, and 44-bit Q under 54-bit P (mixed-width PQ)
+    all_wide = ckks.CkksParams.make(ring_dim=2**9, levels=3, alpha=1, prime_bits=54)
+    primes_q = find_ntt_primes(44, 2**9, 3)
+    primes_p = find_ntt_primes(54, 2**9, 2)
+    mixed = ckks.CkksParams(2**9, rns.RnsBasis(primes_q, primes_p), float(2**36))
+    out = {}
+    for shape, params in (("54-bit", all_wide), ("44q54p", mixed)):
+        hashes = _lt_hashes(params, N_WIDE, (4, 4), (2, 2, 4))
+        out.update({f"{shape} {name}": value for name, value in hashes.items()})
     return out
 
 
@@ -212,6 +271,10 @@ def test_outputs_match_golden_hashes():
     assert compute_hashes() == GOLDEN
 
 
+def test_wide_moduli_outputs_match_golden_hashes():
+    assert compute_wide_hashes() == GOLDEN_WIDE
+
+
 def test_cli_reports_match_golden_hashes():
     assert compute_cli_hashes() == GOLDEN_CLI
 
@@ -221,7 +284,8 @@ def test_sweep_reports_and_schedules_match_golden_hashes():
 
 
 if __name__ == "__main__":
-    for name, table in (("GOLDEN", compute_hashes()), ("GOLDEN_CLI", compute_cli_hashes()),
+    for name, table in (("GOLDEN", compute_hashes()), ("GOLDEN_WIDE", compute_wide_hashes()),
+                        ("GOLDEN_CLI", compute_cli_hashes()),
                         ("GOLDEN_SWEEP", compute_sweep_hashes())):
         print(f"{name} = {{")
         for key, value in table.items():

@@ -276,6 +276,13 @@ def test_missing_key_raises(env, toy_params, toy_keys):
         linear.evaluate_lt(ct, dm, linear.RotationKeys(), toy_params)
 
 
+def test_missing_key_message_is_not_quoted():
+    # a KeyError subclass would print as "'no key ...'" in the CLI's error line
+    with pytest.raises(ckks.MissingKey) as info:
+        linear.RotationKeys()[3]
+    assert str(info.value) == "no key for rotation offset 3"
+
+
 def test_plan_mismatch_raises(env, toy_params, toy_keys):
     plans, keys, _ = env
     sk, pk = toy_keys

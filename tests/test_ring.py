@@ -78,6 +78,34 @@ def test_domain_and_modulus_mismatch(mod64):
         ring.pointwise_add(p, ring.random_poly(other, rng))
 
 
+def test_one_interned_context_per_moduli_tuple():
+    from ckkslt import ckks, serialize
+    from ckkslt.modarith import Modulus
+    from ckkslt.rns import RnsPoly
+
+    n = 64
+    moduli = find_ntt_primes(30, n, 3)
+    rng = np.random.default_rng(12)
+    x = RnsPoly([ring.random_poly(m, rng) for m in moduli])
+    xn = ring.ntt(x)
+    results = (xn, ring.intt(xn), ring.pointwise_mul(xn, xn),
+               ring.automorphism_eval(xn, ring.RotationIndex(3, n)),
+               x.like(x.coeffs, x.domain), x.copy())
+    assert all(r.context is x.context for r in results)
+    # equal but distinct Modulus objects, built here or read back from bytes
+    fresh = tuple(Modulus(m.q, n) for m in moduli)
+    assert fresh[0] is not moduli[0]
+    assert RnsPoly(x.coeffs, fresh, x.domain).context is x.context
+    loaded = serialize.load(serialize.save_plaintext(ckks.Plaintext(xn, 1.0))).poly
+    assert loaded.moduli[0] is not moduli[0] and loaded.context is xn.context
+    # another tuple, the same moduli reordered included, is another basis
+    reordered = RnsPoly(xn.coeffs[::-1].copy(), moduli[::-1], xn.domain)
+    other = RnsPoly(xn.coeffs.copy(), moduli[:2] + find_ntt_primes(29, n, 1), xn.domain)
+    for y in (reordered, other):
+        with pytest.raises(ring.BasisMismatch):
+            ring.pointwise_mul(xn, y)
+
+
 def test_automorphism_zero_rotation_identity(mod64):
     rng = np.random.default_rng(7)
     p = ring.random_poly(mod64, rng)
@@ -170,8 +198,8 @@ def test_vector_kernel_object_path_matches():
 
 
 def test_mixed_width_block_matches_single_limbs():
-    # 30/44-bit rows take the float path; 52-bit rows, just above FAST_LIMIT,
-    # and 54/60-bit rows take the exact path
+    # the 52-bit row, just above FAST_LIMIT, sends the whole block down the
+    # exact path, while the 30/44-bit limbs alone take the float path
     from ckkslt.rns import RnsPoly
 
     n = 64
