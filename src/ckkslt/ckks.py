@@ -36,6 +36,7 @@ from .ring import (
 from .rns import (
     RnsBasis,
     RnsPoly,
+    SingleLimb,
     crt_reconstruct_centered,
     decompose,
     moddown,
@@ -78,7 +79,10 @@ class CkksParams:
     def make(cls, ring_dim: int = 2**10, levels: int = 5, alpha: int = 5,
              prime_bits: int = 44) -> "CkksParams":
         """Toy profile: one shared prime width for data and special moduli,
-        scale 2^min(40, prime_bits - 4)."""
+        scale 2^min(40, prime_bits - 4). A linear transform ends in one
+        rescale, so fewer than two levels raise ``SingleLimb``."""
+        if levels < 2:
+            raise SingleLimb(f"levels={levels}: a rescale needs two data limbs")
         primes = find_ntt_primes(prime_bits, ring_dim, levels + alpha)
         basis = RnsBasis(primes[:levels], primes[levels:])
         scale = float(2 ** min(40, prime_bits - 4))

@@ -17,6 +17,12 @@ class NotEnoughPrimes(ValueError):
     """Raised when the requested prime count cannot be met in the bit width."""
 
 
+class InvalidModulus(ValueError):
+    """A modulus or prime search outside what the transforms support: a ring
+    dimension that is not a power of two, a width outside [8, 60] bits, or a
+    q that is not a prime = 1 (mod 2N)."""
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -59,7 +65,7 @@ def _find_two_n_root(q: int, n: int) -> int:
             return root
         base += 1
         if base > q:
-            raise ValueError(f"no primitive 2N-th root mod {q}")
+            raise InvalidModulus(f"no primitive 2N-th root mod {q}")
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,13 @@ class Modulus:
     def __post_init__(self):
         q, n = self.q, self.ring_dim
         if n & (n - 1) or n < 2:
-            raise ValueError("ring_dim must be a power of two >= 2")
+            raise InvalidModulus("ring_dim must be a power of two >= 2")
         if q.bit_length() > 60:
-            raise ValueError("modulus wider than 60 bits")
+            raise InvalidModulus("modulus wider than 60 bits")
         if q % (2 * n) != 1:
-            raise ValueError(f"{q} != 1 mod 2N for N={n}")
+            raise InvalidModulus(f"{q} != 1 mod 2N for N={n}")
         if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
+            raise InvalidModulus(f"{q} is not prime")
         object.__setattr__(self, "two_n_root", _find_two_n_root(q, n))
         object.__setattr__(self, "n_inv", pow(n, -1, q))
 
@@ -103,9 +109,9 @@ def find_ntt_primes(bit_width: int, ring_dim: int, count: int) -> list[Modulus]:
     result is deterministic and sorted descending.
     """
     if not 8 <= bit_width <= 60:
-        raise ValueError("bit_width must lie in [8, 60]")
+        raise InvalidModulus("bit_width must lie in [8, 60]")
     if ring_dim & (ring_dim - 1) or ring_dim < 2:
-        raise ValueError("ring_dim must be a power of two")
+        raise InvalidModulus("ring_dim must be a power of two")
     step = 2 * ring_dim
     hi = (1 << bit_width) - 1
     lo = 1 << (bit_width - 1)

@@ -11,7 +11,8 @@ Every kernel works on a block: an (L, N) uint64 array whose row j holds
 residues mod the j-th of L moduli, so one numpy call per butterfly stage
 or per operation covers all limbs. Each moduli tuple has one interned
 :class:`BasisContext` holding the moduli as an (L, 1) column, whether
-the block takes the float path, and the stacked (L, N) twiddle tables.
+the block takes the float path, and the stacked twiddle tables, built
+on first use per transform length.
 The polynomial functions take :class:`Poly` (one limb) or
 :class:`ckkslt.rns.RnsPoly`; both carry ``coeffs``, ``context`` (whose
 ``moduli`` they expose), ``domain``, ``n`` and ``like``, which hands
@@ -28,12 +29,22 @@ The butterfly stages keep their inner axis long: once a stage's blocks
 outnumber their half-length, the block is permuted to bit-reversed
 storage, where the remaining stages pair elements whole block-index runs
 apart, and it is permuted back at the end.
+
+The forward transform runs on the subring a block lies in: when every
+row is zero off the multiples of g (the largest such power of two), the
+polynomial is B(X^g), and the (N/g)-point transform of B with root psi^g,
+spread to N slots, is its transform. A vector of period n over the N/2
+slots encodes to such a polynomial with g = N/(2n), the sparse packing of
+Cheon, Han, Kim, Kim and Song (EUROCRYPT 2018), so a packed n-slot
+diagonal costs a 2n-point transform. The gap is read off the integer residues, so the
+result is the full-length transform bit for bit; a dense block pays one
+strided test. The inverse always runs at length N.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -154,6 +165,20 @@ def _readonly(values) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _stage_order(n: int) -> np.ndarray:
+    """Column order of an n-point twiddle table: columns mm..2mm-1 hold the
+    twiddles of the stage with mm blocks, in the order that stage reads them:
+    block j's twiddle at j on natural storage, at bitrev(j) over log2(mm)
+    bits on bit-reversed storage."""
+    order = np.arange(n)
+    mm = _switch_stage(n)
+    while mm < n:
+        order[mm : 2 * mm] = mm + bitrev_table(mm)
+        mm *= 2
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class BasisContext:
     """The constants of one moduli tuple. Interned by :func:`basis_context`,
@@ -162,26 +187,31 @@ class BasisContext:
     moduli: tuple[Modulus, ...]
     q: np.ndarray  # the moduli as a read-only (L, 1) uint64 column
     fast: bool  # every q below FAST_LIMIT, so mod_mul_vec takes the float path
+    _psi: dict = field(default_factory=dict, init=False, repr=False)
+
+    def psi_table(self, n: int) -> np.ndarray:
+        """Stacked (L, n) forward twiddles of the n-point transform, read-only
+        and built on first use per length.
+
+        The n-point transform's root is psi^(N/n), a primitive 2n-th root of
+        unity, with psi each modulus's 2N-th root; columns follow
+        :func:`_stage_order`.
+        """
+        table = self._psi.get(n)
+        if table is None:
+            step = self.moduli[0].ring_dim // n
+            table = np.stack([_powers(m.q, pow(m.two_n_root, step, m.q), n)
+                              for m in self.moduli])[:, _stage_order(n)]
+            table = self._psi[n] = _readonly(table)
+        return table
 
     @cached_property
-    def ntt_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (L, N) butterfly twiddles (psi powers and their inverses)
-        plus the N^-1 column, read-only.
-
-        Columns mm..2mm-1 hold the twiddles of the stage with mm blocks, in
-        the order that stage reads them: block j's twiddle at j on natural
-        storage, at bitrev(j) over log2(mm) bits on bit-reversed storage.
-        """
+    def inverse_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The N-point inverse twiddles, stacked (L, N) in :func:`_stage_order`,
+        and the N^-1 column, read-only."""
         n = self.moduli[0].ring_dim
-        order = np.arange(n)
-        mm = _switch_stage(n)
-        while mm < n:
-            order[mm : 2 * mm] = mm + bitrev_table(mm)
-            mm *= 2
-        moduli = self.moduli
-        psi = np.stack([_powers(m.q, m.two_n_root, n) for m in moduli])[:, order]
-        ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), n) for m in moduli])[:, order]
-        return _readonly(psi), _readonly(ipsi), _readonly([[m.n_inv] for m in moduli])
+        ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), n) for m in self.moduli])
+        return _readonly(ipsi[:, _stage_order(n)]), _readonly([[m.n_inv] for m in self.moduli])
 
     @cached_property
     def top_inverse(self) -> np.ndarray:
@@ -223,9 +253,8 @@ def _stage(a: np.ndarray, mm: int, switch: int, table: np.ndarray):
     return view[:, :, 0], view[:, :, 1], twiddles
 
 
-def _forward_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
-    psi, _, _ = context.ntt_tables
-    q = context.q[:, :, None]
+def _butterflies(values: np.ndarray, psi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The n-point forward transform of an (L, n) block with twiddle table psi."""
     n = values.shape[1]
     switch = _switch_stage(n)
     a = values.copy()
@@ -240,8 +269,30 @@ def _forward_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
     return a.take(bitrev_table(n), axis=1) if switch < n else a
 
 
+def _subring_gap(values: np.ndarray) -> int:
+    """The largest power of two g such that every row of an (L, N) block is
+    zero off the multiples of g: the block lies in Z_q[X^g]. N for a block
+    of constants; 1, after one strided test, for a dense block."""
+    n = values.shape[1]
+    g = 1
+    while g < n and not values[:, g :: 2 * g].any():
+        g *= 2
+    return g
+
+
+def _forward_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
+    # A block in Z_q[X^g] is B(X^g) with deg B < M = N/g. Its value at
+    # psi^(2e+1) is B's at (psi^g)^(2e+1), which depends on e mod M only, so
+    # the M-point transform of B with root psi^g yields all N values: storage
+    # slot s takes sub-slot bitrev_M(bitrev_N(s) mod M), which is s // g.
+    g = _subring_gap(values)
+    m = values.shape[1] // g
+    sub = _butterflies(values[:, ::g], context.psi_table(m), context.q[:, :, None])
+    return np.repeat(sub, g, axis=1) if g > 1 else sub
+
+
 def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
-    _, ipsi, n_inv = context.ntt_tables
+    ipsi, n_inv = context.inverse_tables
     q = context.q[:, :, None]
     n = values.shape[1]
     switch = _switch_stage(n)

@@ -69,7 +69,8 @@ class RnsPoly(Poly):
 
 @dataclass
 class RnsBasis:
-    """Moduli of Q = q_0..q_L and P = p_0..p_{alpha-1}, the Q and PQ contexts, P^-1 mod Q."""
+    """Moduli of Q = q_0..q_L and P = p_0..p_{alpha-1}; the contexts of Q, P,
+    PQ and of each digit's group and its PQ complement; P^-1 mod Q."""
 
     q_moduli: tuple[Modulus, ...]
     p_moduli: tuple[Modulus, ...]
@@ -81,7 +82,17 @@ class RnsBasis:
         if len(set(values)) != len(values):
             raise ValueError("moduli must be pairwise distinct")
         self.q_context = basis_context(self.q_moduli)
+        self.p_context = basis_context(self.p_moduli)
         self.pq_context = basis_context(self.pq_moduli)
+        # per digit: its rows of Q, their context, and the rest of PQ's
+        pq, alpha = self.pq_moduli, self.alpha
+        self.digit_contexts = []
+        for b in range(self.beta):
+            group = self.digit_group(b)
+            rows = slice(group[0], group[-1] + 1)
+            rest = pq[:alpha + rows.start] + pq[alpha + rows.stop:]
+            self.digit_contexts.append(
+                (rows, basis_context(self.q_moduli[rows]), basis_context(rest)))
         big_p = self.p_product
         self.p_inverse = np.array([[pow(big_p % m.q, -1, m.q)] for m in self.q_moduli], np.uint64)
 
@@ -177,20 +188,18 @@ def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
     """
     if c.context is not basis.q_context:
         raise BasisMismatch("decompose expects a full set of Q limbs")
-    pq = basis.pq_moduli
+    pq = basis.pq_context
     digits = []
-    for b in range(basis.beta):
-        group = basis.digit_group(b)
-        rows = slice(group[0], group[-1] + 1)
+    for rows, group, rest in basis.digit_contexts:
         lo, hi = basis.alpha + rows.start, basis.alpha + rows.stop
-        group_poly = RnsPoly(c.coeffs[rows], c.moduli[rows], c.domain)
-        converted = bconv(to_coef(group_poly), pq[:lo] + pq[hi:])
+        group_poly = RnsPoly(c.coeffs[rows], group, c.domain)
+        converted = bconv(to_coef(group_poly), rest)
         converted = (to_ntt(converted) if c.domain == Domain.NTT else converted).coeffs
-        block = np.empty((len(pq), c.n), dtype=np.uint64)
+        block = np.empty((len(pq.moduli), c.n), dtype=np.uint64)
         block[:lo] = converted[:lo]
         block[lo:hi] = group_poly.coeffs
         block[hi:] = converted[lo:]
-        digits.append(RnsPoly(block, basis.pq_context, c.domain))
+        digits.append(RnsPoly(block, pq, c.domain))
     return digits
 
 
@@ -205,7 +214,7 @@ def moddown(c: RnsPoly, basis: RnsBasis) -> RnsPoly:
     alpha = basis.alpha
     if c.context is not basis.pq_context:
         raise BasisMismatch("moddown expects PQ limbs")
-    p_part = RnsPoly(c.coeffs[:alpha], c.moduli[:alpha], c.domain)
+    p_part = RnsPoly(c.coeffs[:alpha], basis.p_context, c.domain)
     conv = bconv(to_coef(p_part), basis.q_context)
     conv = to_ntt(conv) if c.domain == Domain.NTT else conv
     q = basis.q_context.q

@@ -54,3 +54,16 @@ def test_forward_ntt_calls_mod_mul_vec_once_per_stage(monkeypatch):
     poly = ring.random_poly(modulus, np.random.default_rng(0))
     ckks.to_ntt(ckks.RnsPoly([poly]))
     assert len(calls) == 6  # log2(64) butterfly stages
+
+
+def test_tiled_encode_transforms_at_subring_length(monkeypatch):
+    # a 4-slot vector tiled 8 times over N/2 = 32 slots encodes to a
+    # polynomial in X^8, whose forward NTT runs log2(64 / 8) stages
+    params = ckks.CkksParams.make(ring_dim=2**6, levels=2, alpha=1, prime_bits=30)
+    v = np.tile(np.random.default_rng(0).uniform(-1, 1, 4), 8)
+    poly = ckks.encode(v, params).poly
+    calls = []
+    original = ring.mod_mul_vec
+    monkeypatch.setattr(ring, "mod_mul_vec", lambda *args: calls.append(1) or original(*args))
+    ckks.to_ntt(poly)
+    assert len(calls) == 3

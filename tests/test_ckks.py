@@ -5,7 +5,7 @@ import pytest
 
 from ckkslt import ckks
 from ckkslt.ring import BasisMismatch, Domain, RotationIndex, automorphism_coef, automorphism_eval
-from ckkslt.rns import RnsPoly, crt_reconstruct, crt_reconstruct_centered
+from ckkslt.rns import RnsPoly, SingleLimb, crt_reconstruct, crt_reconstruct_centered
 
 
 def test_encode_decode_zero(toy_params):
@@ -323,3 +323,9 @@ def test_operands_over_different_bases_are_a_basis_mismatch(toy_params, toy_keys
         ckks.pt_ct_mult(ckks.encode(v, toy_params), low)
     with pytest.raises(BasisMismatch):
         ckks.decrypt(ckks.Ciphertext(ct.c0, low.c1, ct.scale), sk)
+
+
+def test_one_level_is_rejected_before_any_work():
+    # a linear transform ends in one rescale, which one data limb cannot do
+    with pytest.raises(SingleLimb):
+        ckks.CkksParams.make(ring_dim=2**6, levels=1, alpha=1)

@@ -6,6 +6,7 @@ import pytest
 
 import ckkslt
 from ckkslt import ckks, cli
+from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
 
 
@@ -277,6 +278,16 @@ def test_config_switch_yields_to_its_negated_flag(capsys, tmp_path):
 ])
 def test_usage_errors_exit_1_with_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("shape", [cm.HeParams(2**8, 3, 3, 61), cm.HeParams(2**8, 1, 1, 30)],
+                         ids=["61-bit primes", "one level"])
+def test_demo_rejected_shape_exits_1_with_error_line(capsys, monkeypatch, shape):
+    monkeypatch.setitem(cli.TOY_PROFILES, "toy-small", shape)
+    code, out, err = run_cli(capsys, "demo", "--params", "toy-small", "--n", "16")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ckkslt import ckks, linear
+from ckkslt import ckks, linear, ring
 from ckkslt import costmodel as cm
 from ckkslt.ring import RotationIndex, automorphism_eval
 from ckkslt.rns import RnsPoly
@@ -81,6 +81,23 @@ def test_diagonal_packing_reconstructs_matrix():
         for t in range(n):
             rebuilt[t, (t + i) % n] = diags[i][t]
     assert np.array_equal(rebuilt, F)
+
+
+@pytest.mark.parametrize("method, factors", [("bsgs", (8, 8)), ("th-bsgs", (4, 4, 4))])
+def test_diagonalize_runs_only_subring_transforms(monkeypatch, toy_params, method, factors):
+    # at N=2^10, n=64 each diagonal is tiled 8 times, a polynomial in X^8,
+    # so its forward NTT runs at length 1024 / 8
+    lengths = []
+    butterflies = ring._butterflies
+
+    def recorded(values, psi, q):
+        lengths.append(values.shape[1])
+        return butterflies(values, psi, q)
+
+    monkeypatch.setattr(ring, "_butterflies", recorded)
+    f = np.random.default_rng(5).uniform(-1, 1, (64, 64))
+    linear.diagonalize(f, linear.LtPlan(linear.LtMethod(method), 64, factors), toy_params)
+    assert lengths == [128] * 64
 
 
 def test_diagonalize_dimension_guard(toy_params):

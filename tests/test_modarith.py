@@ -91,3 +91,18 @@ def test_modulus_equality_and_hash_follow_q_and_ring_dim():
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != ma.Modulus(q, 2**9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ma.find_ntt_primes(61, 2**4, 1),
+    lambda: ma.find_ntt_primes(7, 2**4, 1),
+    lambda: ma.find_ntt_primes(30, 24, 1),
+    lambda: ma.Modulus(15, 8),
+    lambda: ma.Modulus(12289, 2**13),
+    lambda: ma.Modulus(12289, 12),
+    lambda: ma.Modulus(2**61 + 1, 2),
+], ids=["wide", "narrow", "ring-dim", "composite", "congruence", "modulus-ring-dim",
+        "modulus-wide"])
+def test_prime_search_rejections_are_typed(make):
+    with pytest.raises(ma.InvalidModulus):
+        make()

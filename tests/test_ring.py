@@ -309,3 +309,33 @@ def test_ntt_matches_direct_evaluation(log_n):
                 value = (value * root + c) % m.q
             assert int(row[s]) == value
     assert np.array_equal(ring.intt(got).coeffs, p.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the subring transform: a block in Z_q[X^g] runs the (N/g)-point kernel
+
+
+@lru_cache(maxsize=None)
+def _context(log_n, bits, rows):
+    return ring.basis_context(find_ntt_primes(bits, 2**log_n, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_n=st.integers(1, 12), rows=st.integers(1, 5), bits=st.integers(20, 60),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_subring_ntt_matches_full_length_kernel(log_n, rows, bits, data, seed):
+    # widths from 51 bits on take the exact multiply route
+    from ckkslt.rns import RnsPoly
+
+    n, context = 2**log_n, _context(log_n, bits, rows)
+    gap = 2 ** data.draw(st.integers(0, log_n), label="log2 gap")
+    rng = np.random.default_rng(seed)
+    lattice = rng.integers(0, context.q, (rows, n // gap), dtype=np.uint64)
+    for row, q in zip(lattice, context.q[:, 0]):
+        row[rng.integers(0, n // gap, 3)] = [0, 1, q - 1]
+    block = np.zeros((rows, n), dtype=np.uint64)
+    block[:, ::gap] = lattice
+    got = ring.ntt(RnsPoly(block, context, ring.Domain.COEF))
+    want = ring._butterflies(block, context.psi_table(n), context.q[:, :, None])
+    assert np.array_equal(got.coeffs, want)
+    assert np.array_equal(ring.intt(got).coeffs, block)
