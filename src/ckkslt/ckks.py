@@ -19,6 +19,7 @@ import numpy as np
 
 from .modarith import Modulus, find_ntt_primes
 from .ring import (
+    BasisContext,
     Domain,
     RotationIndex,
     automorphism_eval,
@@ -181,9 +182,9 @@ def embed_forward(coeffs: np.ndarray, ring_dim: int) -> np.ndarray:
 
 
 def encode(v, params: CkksParams, scale: float | None = None,
-           moduli: list[Modulus] | None = None) -> Plaintext:
+           moduli: list[Modulus] | BasisContext | None = None) -> Plaintext:
     """Scale, embed, and round a length-N/2 real vector into coefficient-
-    domain RNS limbs."""
+    domain RNS limbs over ``moduli`` (default Q)."""
     scale = params.scale if scale is None else scale
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.slots,):
@@ -192,7 +193,7 @@ def encode(v, params: CkksParams, scale: float | None = None,
     peak = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
     if peak > 2**62:
         raise Overflow("scaled coefficients exceed the integer range")
-    target = params.basis.q_moduli if moduli is None else moduli
+    target = params.basis.q_context if moduli is None else moduli
     return Plaintext(rns_from_ints(np.rint(coeffs).astype(np.int64), target), scale)
 
 

@@ -1,5 +1,5 @@
 """Event-counting simulator of the six-phase streaming datapath for the
-three-layer hoisted transform.
+hoisted linear transform on layers (n1, n2, n3).
 
 The evaluation is partitioned into six phases; each phase streams its
 inputs from an off-chip store, keeps working data in bounded on-chip
@@ -15,11 +15,12 @@ every logical transfer, attributing each to exactly one category:
     poly_write     polynomial writes
 
 Given live inputs (a ComputeContext), the same walk also executes the
-arithmetic and returns the output ciphertext: this walk is the th-bsgs
-evaluator, and ``linear.lt_th_bsgs`` runs it at unit parallelism. The
-operation trace (Decompose, ModDown, coefficient-wise limb multiplies)
-is counted in both modes; key offsets are recorded only where a key is
-actually fetched, so shape-only runs leave that set empty.
+arithmetic and returns the output ciphertext: this walk is the evaluator
+of every hoisted plan (diagonal as (1, n, 1), dh-bsgs (a, b) as
+(1, a, b), th-bsgs), and ``linear.lt_hoisted`` runs it at unit
+parallelism. The operation trace (Decompose, ModDown, coefficient-wise
+limb multiplies) is counted in both modes; key offsets are recorded only
+where a key is actually fetched, so shape-only runs leave that set empty.
 
 Metering happens once per loop nest, not once per object: each batch
 iteration meters its whole batch, and the store is addressed by object
@@ -69,7 +70,7 @@ from .costmodel import (
     validate_config,
 )
 from . import ckks as ck
-from .linear import LtMethod, OpTrace, PlanMismatch
+from .linear import OpTrace, PlanMismatch
 from .ring import RotationIndex
 
 
@@ -181,7 +182,7 @@ class ComputeContext:
 
     params_arith: object  # ckks.CkksParams
     ct: object            # ckks.Ciphertext, top level, NTT domain
-    dm: object            # linear.DiagMatrix packed for the th-bsgs plan
+    dm: object            # linear.DiagMatrix packed for a hoisted plan on these layers
     keys: object          # linear.RotationKeys of hoisted keys
 
 
@@ -190,7 +191,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     """Run the six phases, metering every off-chip transfer.
 
     Without inputs the walk runs on shapes alone; with inputs it also
-    performs the th-bsgs arithmetic and returns the output ciphertext.
+    performs the hoisted arithmetic and returns the output ciphertext.
     """
     n1, n2, n3 = validate_config(params, factors, cfg)
     beta = params.beta
@@ -207,9 +208,9 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                 or ap.basis.alpha != params.alpha):
             raise ValueError("arithmetic parameters disagree with shape parameters")
         plan = inputs.dm.plan
-        if plan.method != LtMethod.TH_BSGS or tuple(plan.factors) != tuple(factors):
+        if not plan.hoisted or plan.layers != (n1, n2, n3):
             raise PlanMismatch(f"diagonals are packed for {plan.method.value} "
-                               f"{plan.factors}, not th-bsgs {tuple(factors)}")
+                               f"{plan.factors}, not hoisted layers {(n1, n2, n3)}")
     envelope = peak_onchip(params, factors, cfg)
 
     def bound(phase: int, used: int):
@@ -291,11 +292,13 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         a_vals = store.read(meter, 3, "a", 0, n1)
         d_vals = store.read(meter, 3, "d", 0, n1)
         if compute:
-            a_out, b_out = zip(*(rotate(a_vals[i], d_vals[i], n1 * j)
-                                 for j in jbatch for i in range(n1)))
+            # a:m holds its rotation's operands (a_i, d_i, offset) and phase 4
+            # rotates it as it reads it: the walk then holds n1 digit sets,
+            # not n1*(n2-1) rotated pairs, so its memory does not grow with n2
+            a_out = [(a_vals[i], d_vals[i], n1 * j) for j in jbatch for i in range(n1)]
         store.write(meter, 3, "a", n1 * j0, n1 * jbatch.stop, limbs, a_out)
-        store.write(meter, 3, "b", n1 * j0, n1 * jbatch.stop, limbs, b_out)
-    a_vals = d_vals = a_out = b_out = None
+        store.write(meter, 3, "b", n1 * j0, n1 * jbatch.stop, limbs)
+    a_vals = d_vals = a_out = None
 
     # ---- phase 4: diagonal products into n3 accumulated pairs ------------
     meter.add(4, "ntt", limbs)  # one inverse table set for the final transforms
@@ -315,8 +318,10 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             store.read(meter, 4, "u0", 0, n3)
             store.read(meter, 4, "u1", 0, n3)
         if compute:
+            pairs = [(a_m, b_m) if m < n1 else rotate(*a_m)
+                     for m, a_m, b_m in zip(mbatch, a_in, b_in)]
             for k in range(n3):
-                for m, a_m, b_m in zip(mbatch, a_in, b_in):
+                for m, (a_m, b_m) in zip(mbatch, pairs):
                     f = inputs.dm.diagonals[total_m * k + m].poly
                     t0, t1 = ck.pointwise_mul(a_m, f), ck.pointwise_mul(b_m, f)
                     if u0_acc[k] is not None:
@@ -324,7 +329,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                     u0_acc[k], u1_acc[k] = t0, t1
         store.write(meter, 4, "u0", 0, n3, limbs, u0_acc)
         store.write(meter, 4, "u1", 0, n3, limbs, u1_acc)
-    a_in = b_in = u0_acc = u1_acc = a_m = b_m = t0 = t1 = None
+    a_in = b_in = pairs = u0_acc = u1_acc = a_m = b_m = t0 = t1 = None
 
     # ---- phase 5: outer-layer rotations with delayed ModDown -------------
     acc_pair = [None, None]

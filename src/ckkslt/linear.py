@@ -4,21 +4,21 @@ Four routes from ciphertext to F*v, trading rotation count against
 switching-key storage:
 
 * diagonal: one product per matrix diagonal, every rotation hoisted over
-  a single shared digit decomposition. It runs as dh-bsgs (n, 1): one
-  giant step, whose baby rotations stream into the sum.
+  a single shared digit decomposition.
 * bsgs: two-layer baby-step giant-step split n = n1*n2 with full
   (unhoisted) rotations.
 * dh-bsgs: the two-layer split with hoisting in both layers and the
   inner-layer ModDown delayed onto the accumulated sum.
 * th-bsgs: a three-layer split n = n1*n2*n3 with hoisting across all
   layers; only the second baby layer pays per-index ModDown/Decompose,
-  so rotation overhead scales with n1 + n3 instead of n2. Its one
-  implementation is the six-phase walk in ``datapath.simulate``; with
-  n1 = 1 it reduces exactly to dh-bsgs (n2, n3).
+  so rotation overhead scales with n1 + n3 instead of n2.
 
 Each plan carries its layers (n1, n2, n3) from ``costmodel.plan_layers``:
 diagonal is (1, n, 1) and a two-layer split (a, b) is (1, a, b), so key
-offsets and diagonal pre-rotation follow one stride rule.
+offsets and diagonal pre-rotation follow one stride rule, and the three
+hoisted routes are one algorithm on different layers. Its one
+implementation is the six-phase walk in ``datapath.simulate``, which
+``lt_hoisted`` runs; ``lt_bsgs`` rotates over Q without hoisting.
 
 Every evaluator records an operation trace (Decompose / ModDown /
 coefficient-wise limb multiplies / key offsets touched) that the cost
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -46,19 +45,13 @@ from .ckks import (
     decode,
     decrypt,
     encode,
-    hoist_digits,
-    hoisted_rotation,
-    moddown_ntt,
     pt_ct_mult,
-    raise_to_pq,
     rescale_ct,
-    rns_add,
     rotate,
     rotation_keygen,
 )
 from .costmodel import BadFactors, HeParams, ParallelismConfig, plan_layers
-from .ring import RotationIndex, automorphism_coef, ntt, pointwise_mul
-from .rns import RnsPoly
+from .ring import RotationIndex, automorphism_coef, ntt
 
 
 class PlanMismatch(ValueError):
@@ -152,7 +145,7 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     if n > params.slots:
         raise DimensionTooLarge(f"n={n} exceeds {params.slots} slots")
     reps = params.slots // n
-    moduli = params.basis.pq_moduli if plan.hoisted else params.basis.q_moduli
+    context = params.basis.pq_context if plan.hoisted else params.basis.q_context
     half = params.ring_dim // 2
     n1, n2, _ = plan.layers
     giant = n1 * n2  # diagonals are pre-rotated by their giant-step offset
@@ -160,72 +153,13 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     rows = f_matrix[t, (t + t[:, None]) % n]  # row i is diagonal i
     diagonals = []
     for i in range(n):
-        pt = encode(np.tile(rows[i], reps), params, moduli=moduli)
+        pt = encode(np.tile(rows[i], reps), params, moduli=context)
         offset = giant * (i // giant)
         poly = pt.poly
         if offset:
             poly = automorphism_coef(poly, RotationIndex((-offset) % half, params.ring_dim))
         diagonals.append(Plaintext(ntt(poly), pt.scale))
     return DiagMatrix(plan, diagonals)
-
-
-# ---------------------------------------------------------------------------
-# shared pieces
-
-
-def _pq_limb_count(params: CkksParams) -> int:
-    return params.basis.level_count + params.basis.alpha
-
-
-def _mul_pair(f: Plaintext, pair: tuple[RnsPoly, RnsPoly], trace: OpTrace,
-              limbs: int) -> tuple[RnsPoly, RnsPoly]:
-    trace.cwise_mult_limbs += 2 * limbs
-    return pointwise_mul(pair[0], f.poly), pointwise_mul(pair[1], f.poly)
-
-
-def _dot(diagonals, pairs, trace: OpTrace, limbs: int):
-    """sum_m diagonals[m] * pairs[m] over PQ; pairs may be a generator."""
-    acc = None
-    for f, pair in zip(diagonals, pairs):
-        term = _mul_pair(f, pair, trace, limbs)
-        acc = term if acc is None else _pair_add(acc, term)
-    return acc
-
-
-def _hoist_traced(c1: RnsPoly, trace: OpTrace, params: CkksParams):
-    trace.decompose += 1
-    return hoist_digits(c1, params.basis)
-
-
-def _moddown_traced(p: RnsPoly, trace: OpTrace, params: CkksParams) -> RnsPoly:
-    trace.moddown += 1
-    return moddown_ntt(p, params.basis)
-
-
-def _hoisted_rotate(a: RnsPoly, digits, offset: int, keys: RotationKeys, trace: OpTrace,
-                    params: CkksParams) -> tuple[RnsPoly, RnsPoly]:
-    swk = keys[offset]
-    trace.key_offsets.add(offset)
-    trace.cwise_mult_limbs += 2 * len(swk.digits) * _pq_limb_count(params)
-    return hoisted_rotation(a, digits, swk, RotationIndex(offset, params.ring_dim))
-
-
-def _delayed_rotate(pair, offset: int, keys: RotationKeys, trace: OpTrace,
-                    params: CkksParams) -> tuple[RnsPoly, RnsPoly]:
-    """Giant step on an accumulated PQ pair: ModDown and Decompose its
-    second component, then rotate with the hoisted key."""
-    digits = _hoist_traced(_moddown_traced(pair[1], trace, params), trace, params)
-    return _hoisted_rotate(pair[0], digits, offset, keys, trace, params)
-
-
-def _pair_add(a, b):
-    return rns_add(a[0], b[0]), rns_add(a[1], b[1])
-
-
-def _finish(pair, scale: float, trace: OpTrace, params: CkksParams) -> Ciphertext:
-    c0 = _moddown_traced(pair[0], trace, params)
-    c1 = _moddown_traced(pair[1], trace, params)
-    return rescale_ct(Ciphertext(c0, c1, scale), params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +175,8 @@ def _rotate_traced(ct: Ciphertext, r: int, keys: RotationKeys, trace: OpTrace,
     trace.key_offsets.add(r)
     trace.decompose += 1
     trace.moddown += 2
-    trace.cwise_mult_limbs += 2 * len(swk.digits) * _pq_limb_count(params)
+    trace.cwise_mult_limbs += 2 * len(swk.digits) * (params.basis.level_count
+                                                     + params.basis.alpha)
     return rotate(ct, r, swk, params)
 
 
@@ -269,69 +204,31 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     return rescale_ct(acc, params), trace
 
 
-def lt_dh_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
+def lt_hoisted(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
                params: CkksParams) -> tuple[Ciphertext, OpTrace]:
-    """Two-layer split, hoisted in both layers, inner ModDowns delayed.
+    """Any hoisted plan, on its layers (n1, n2, n3).
 
-    One decomposition serves every baby rotation; each giant step past
-    j=0 pays one ModDown and one Decompose on the accumulated inner sum.
-    Runs any hoisted plan whose layers are (1, n1, n2), diagonal included.
-    """
-    plan = dm.plan
-    if not plan.hoisted or plan.layers[0] != 1:
-        raise PlanMismatch(f"{plan.method.value} {plan.factors} is not a hoisted two-layer plan")
-    _, n1, n2 = plan.layers
-    trace = OpTrace()
-    limbs = _pq_limb_count(params)
-    digits0 = _hoist_traced(ct.c1, trace, params)
-    a0 = raise_to_pq(ct.c0, params.basis)
-    baby = chain([(a0, raise_to_pq(ct.c1, params.basis))],
-                 (_hoisted_rotate(a0, digits0, i, keys, trace, params) for i in range(1, n1)))
-    if n2 > 1:
-        baby = list(baby)  # every giant step reuses them; one step streams
-    acc = _dot(dm.diagonals[:n1], baby, trace, limbs)
-    for j in range(1, n2):
-        inner = _dot(dm.diagonals[n1 * j:n1 * (j + 1)], baby, trace, limbs)
-        acc = _pair_add(acc, _delayed_rotate(inner, n1 * j, keys, trace, params))
-    out = _finish(acc, ct.scale * dm.diagonals[0].scale, trace, params)
-    return out, trace
-
-
-def lt_th_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
-               params: CkksParams) -> tuple[Ciphertext, OpTrace]:
-    """Three-layer split with hoisting across all layers.
-
-    Layer structure: inner offsets i < n1 each pay ModDown + Decompose so
-    the middle layer can key-switch them; middle offsets n1*j reuse those
-    digit sets; outer offsets n1*n2*k behave like giant steps with the
-    ModDown delayed onto accumulated sums. The arithmetic is the six-phase
-    datapath walk at unit parallelism. Degenerate factors collapse loops
-    cleanly: (1, n2, n3) is dh-bsgs (n2, n3) bit for bit, and n3 = 1
-    matches dh-bsgs (n1, n2) within the approximation error.
+    Inner offsets i < n1 each pay ModDown + Decompose so the middle layer
+    can key-switch them; middle offsets n1*j reuse those digit sets; outer
+    offsets n1*n2*k behave like giant steps with the ModDown delayed onto
+    accumulated sums. The arithmetic is the six-phase datapath walk at
+    unit parallelism. Degenerate layers collapse loops cleanly: dh-bsgs
+    (a, b) runs as (1, a, b), diagonal as (1, n, 1), and th-bsgs with
+    n3 = 1 matches dh-bsgs (n1, n2) within the approximation error.
     """
     from . import datapath  # datapath imports this module
 
-    plan = dm.plan
-    if plan.method != LtMethod.TH_BSGS:
-        raise PlanMismatch("plan is not th-bsgs")
     shape = HeParams(params.ring_dim, params.basis.level_count, params.basis.alpha,
-                     n=plan.n)
-    sim = datapath.simulate(shape, plan.factors, ParallelismConfig(),
+                     n=dm.plan.n)
+    sim = datapath.simulate(shape, dm.plan.layers, ParallelismConfig(),
                             datapath.ComputeContext(params, ct, dm, keys))
     return sim.ciphertext, sim.trace
 
 
-_EVALUATORS = {
-    LtMethod.DIAGONAL: lt_dh_bsgs,
-    LtMethod.BSGS: lt_bsgs,
-    LtMethod.DH_BSGS: lt_dh_bsgs,
-    LtMethod.TH_BSGS: lt_th_bsgs,
-}
-
-
 def evaluate_lt(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
                 params: CkksParams) -> tuple[Ciphertext, OpTrace]:
-    return _EVALUATORS[dm.plan.method](ct, dm, keys, params)
+    evaluator = lt_hoisted if dm.plan.hoisted else lt_bsgs
+    return evaluator(ct, dm, keys, params)
 
 
 def lt_equivalence_check(f_matrix: np.ndarray, v: np.ndarray,

@@ -252,9 +252,9 @@ def test_criterion_8_regression_bridge(env):
     plan_th = linear.LtPlan(linear.LtMethod.TH_BSGS, N_LT, (8, 8, 1))
     plan_dh = linear.LtPlan(linear.LtMethod.DH_BSGS, N_LT, (8, 8))
     shared = keys["dh-bsgs"]  # identical offset set for both plans
-    out_th, _ = linear.lt_th_bsgs(
+    out_th, _ = linear.evaluate_lt(
         ct, linear.diagonalize(f_matrix, plan_th, params), shared, params)
-    out_dh, _ = linear.lt_dh_bsgs(
+    out_dh, _ = linear.evaluate_lt(
         ct, linear.diagonalize(f_matrix, plan_dh, params), shared, params)
     d_th = ckks.decode(ckks.decrypt(out_th, sk), params)
     d_dh = ckks.decode(ckks.decrypt(out_dh, sk), params)

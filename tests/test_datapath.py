@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_compute_mode_matches_evaluator_bit_for_bit(
         compute_env, toy_params, toy_keys):
     sk, _ = toy_keys
     plan, keys, F, v, dm, ct = compute_env
-    ref, _ = linear.lt_th_bsgs(ct, dm, keys, toy_params)
+    ref, _ = linear.lt_hoisted(ct, dm, keys, toy_params)
     shape = cm.HeParams(toy_params.ring_dim, toy_params.basis.level_count,
                         toy_params.basis.alpha, 44, n=plan.n)
     ctx = dp.ComputeContext(toy_params, ct, dm, keys)
@@ -283,11 +284,38 @@ def test_compute_mode_rejects_mismatched_plan(small_params):
                         small_params.basis.alpha, 30, n=n)
     th = linear.LtPlan(linear.LtMethod.TH_BSGS, n, (4, 2, 2))
     dh = linear.LtPlan(linear.LtMethod.DH_BSGS, n, (4, 4))
-    for plan, factors in ((th, (2, 2, 4)), (dh, (4, 4, 1))):
+    bsgs = linear.LtPlan(linear.LtMethod.BSGS, n, (4, 4))  # right layers, over Q
+    for plan, factors in ((th, (2, 2, 4)), (dh, (4, 4, 1)), (bsgs, (1, 4, 4))):
         dm = linear.diagonalize(F, plan, small_params)
         ctx = dp.ComputeContext(small_params, ct, dm, keys)
         with pytest.raises(linear.PlanMismatch):
             dp.simulate(shape, factors, cm.ParallelismConfig(), inputs=ctx)
+
+
+def test_compute_mode_residency_does_not_grow_with_n(toy_params, toy_keys):
+    # a diagonal plan (1, n, 1) has n-1 middle-layer rotations; phase 4
+    # rotates each as it reads it, so the tracemalloc peak may differ across
+    # n by at most one PQ polynomial (holding every rotated pair, as a walk
+    # that rotates in phase 3 does, adds two per extra rotation: 9 MB here)
+    sk, pk = toy_keys
+    rng = np.random.default_rng(57)
+    limbs = toy_params.basis.level_count + toy_params.basis.alpha
+    margin = limbs * toy_params.ring_dim * 8
+    peaks = []
+    for n in (8, 64):
+        plan = linear.LtPlan(linear.LtMethod.DIAGONAL, n)
+        keys = linear.generate_lt_keys(sk, plan, toy_params, rng)
+        dm = linear.diagonalize(rng.uniform(-1, 1, (n, n)), plan, toy_params)
+        v = np.tile(rng.uniform(-1, 1, n), toy_params.slots // n)
+        ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
+        linear.evaluate_lt(ct, dm, keys, toy_params)  # builds lazy tables
+        tracemalloc.start()
+        try:
+            linear.evaluate_lt(ct, dm, keys, toy_params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= margin, (peaks, margin)
 
 
 def test_report_json_schema():

@@ -6,6 +6,11 @@ diagonals, each evaluator's output ciphertext and OpTrace, and the
 count-only ``simulate`` report of set-a/b/c at their reference configs.
 GOLDEN_WIDE does the same at n=16 for two N=2^9 shapes whose moduli
 reach 54 bits, so the modular multiply's big-int path is pinned too.
+GOLDEN_SPLITS pins the hoisted two-layer route at every split of n=16
+(diagonal and dh-bsgs (1,16) to (16,1)) for N=2^7 with 3+2 limbs
+(beta=2) at 44 and 54 bits: each entry hashes the output ciphertext and
+the trace with its key offsets. Its values were recorded from the
+stand-alone two-layer evaluator that the six-phase walk replaced.
 A further table hashes the stdout of valid ``ckkslt`` command lines, so a
 change to argument handling leaves every report byte-identical.
 
@@ -21,7 +26,8 @@ deliberate change of output, print the new table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste it into GOLDEN, GOLDEN_WIDE, GOLDEN_CLI and GOLDEN_SWEEP.
+and paste it into GOLDEN, GOLDEN_WIDE, GOLDEN_SPLITS, GOLDEN_CLI and
+GOLDEN_SWEEP.
 """
 
 import contextlib
@@ -39,6 +45,8 @@ from ckkslt.modarith import find_ntt_primes
 
 N_LT = 64
 N_WIDE = 16
+N_SPLIT = 16
+SPLITS = ((), (1, 16), (2, 8), (4, 4), (8, 2), (16, 1))  # () is diagonal
 SWEEP_BUDGETS_MIB = (1, 4, 16, 64)
 SCHEDULE_ROTATIONS = (1, 3, 77, 300, 511)
 
@@ -97,6 +105,21 @@ GOLDEN_WIDE = {
     '44q54p diagonals:th-bsgs': '04d9ffd7ba0b63df',
     '44q54p ciphertext:th-bsgs': '0aa25d0912730135',
     '44q54p trace:th-bsgs': '4b3514be1e5ece4b',
+}
+
+GOLDEN_SPLITS = {
+    '44-bit diagonal ()': ('a78c914cd667f932', 'e7514e25dadd2e57'),
+    '44-bit dh-bsgs (1, 16)': ('1ba7307c76f53235', '647f4199d0313e07'),
+    '44-bit dh-bsgs (2, 8)': ('3eea198fac4bd1e2', '559c4d51f760a0a0'),
+    '44-bit dh-bsgs (4, 4)': ('50dcd4466fc5677a', '68333e7a8d22a77f'),
+    '44-bit dh-bsgs (8, 2)': ('687ac20419dd237a', '9c482442d03c5643'),
+    '44-bit dh-bsgs (16, 1)': ('ba05a154bd0d45b1', 'e7514e25dadd2e57'),
+    '54-bit diagonal ()': ('852c55e7ba467fcf', 'e7514e25dadd2e57'),
+    '54-bit dh-bsgs (1, 16)': ('cdee03ea34911eb6', '647f4199d0313e07'),
+    '54-bit dh-bsgs (2, 8)': ('50a143d7b5e3a00f', '559c4d51f760a0a0'),
+    '54-bit dh-bsgs (4, 4)': ('175fcddafb2e5e5e', '68333e7a8d22a77f'),
+    '54-bit dh-bsgs (8, 2)': ('4e80ca54369e7623', '9c482442d03c5643'),
+    '54-bit dh-bsgs (16, 1)': ('38408cd25cc8bc63', 'e7514e25dadd2e57'),
 }
 
 GOLDEN_CLI = {
@@ -225,6 +248,27 @@ def compute_wide_hashes() -> dict:
     return out
 
 
+def compute_split_hashes() -> dict:
+    out = {}
+    for bits in (44, 54):
+        params = ckks.CkksParams.make(ring_dim=2**7, levels=3, alpha=2, prime_bits=bits)
+        rng = np.random.default_rng(20261019)
+        sk, pk = ckks.keygen(params, rng)
+        f_matrix = rng.uniform(-1, 1, (N_SPLIT, N_SPLIT))
+        v = rng.uniform(-1, 1, N_SPLIT)
+        ct = ckks.encrypt(ckks.encode(np.tile(v, params.slots // N_SPLIT), params),
+                          pk, params, rng)
+        for factors in SPLITS:
+            method = linear.LtMethod.DH_BSGS if factors else linear.LtMethod.DIAGONAL
+            plan = linear.LtPlan(method, N_SPLIT, factors)
+            keys = linear.generate_lt_keys(sk, plan, params, rng)
+            dm = linear.diagonalize(f_matrix, plan, params)
+            result, trace = linear.evaluate_lt(ct, dm, keys, params)
+            name = f"{bits}-bit {method.value} {factors}"
+            out[name] = (_hash_ciphertext(result), _hash_trace(trace))
+    return out
+
+
 def _report_hash(shape, factors, cfg) -> str:
     sim = dp.simulate(shape, factors, cfg)
     report = dp.report_json(shape, factors, cfg, sim)
@@ -275,6 +319,10 @@ def test_wide_moduli_outputs_match_golden_hashes():
     assert compute_wide_hashes() == GOLDEN_WIDE
 
 
+def test_every_two_layer_split_matches_golden_hashes():
+    assert compute_split_hashes() == GOLDEN_SPLITS
+
+
 def test_cli_reports_match_golden_hashes():
     assert compute_cli_hashes() == GOLDEN_CLI
 
@@ -285,6 +333,7 @@ def test_sweep_reports_and_schedules_match_golden_hashes():
 
 if __name__ == "__main__":
     for name, table in (("GOLDEN", compute_hashes()), ("GOLDEN_WIDE", compute_wide_hashes()),
+                        ("GOLDEN_SPLITS", compute_split_hashes()),
                         ("GOLDEN_CLI", compute_cli_hashes()),
                         ("GOLDEN_SWEEP", compute_sweep_hashes())):
         print(f"{name} = {{")

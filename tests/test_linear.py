@@ -100,6 +100,23 @@ def test_diagonalize_runs_only_subring_transforms(monkeypatch, toy_params, metho
     assert lengths == [128] * 64
 
 
+@pytest.mark.parametrize("method, factors", [("bsgs", (4, 4)), ("dh-bsgs", (4, 4))])
+def test_diagonalize_makes_no_interned_lookup(monkeypatch, toy_params, method, factors):
+    # the packing basis is the one the parameters already hold, so no
+    # moduli tuple is hashed per diagonal
+    lookups = []
+    intern = ring._intern
+
+    def recorded(moduli):
+        lookups.append(moduli)
+        return intern(moduli)
+
+    monkeypatch.setattr(ring, "_intern", recorded)
+    f = np.random.default_rng(6).uniform(-1, 1, (N1, N1))
+    linear.diagonalize(f, linear.LtPlan(linear.LtMethod(method), N1, factors), toy_params)
+    assert lookups == []
+
+
 def test_diagonalize_dimension_guard(toy_params):
     plan = linear.LtPlan(linear.LtMethod.DIAGONAL, 2 * toy_params.slots)
     with pytest.raises(linear.DimensionTooLarge):
@@ -234,9 +251,9 @@ def test_th_with_unit_outer_factor_matches_dh(env, toy_params, toy_keys):
     plan_th = linear.LtPlan(linear.LtMethod.TH_BSGS, N1, (4, 4, 1))
     plan_dh = linear.LtPlan(linear.LtMethod.DH_BSGS, N1, (4, 4))
     keys = linear.generate_lt_keys(sk, plan_dh, toy_params, rng)
-    out_th, tr_th = linear.lt_th_bsgs(
+    out_th, tr_th = linear.evaluate_lt(
         ct, linear.diagonalize(F, plan_th, toy_params), keys, toy_params)
-    out_dh, tr_dh = linear.lt_dh_bsgs(
+    out_dh, tr_dh = linear.evaluate_lt(
         ct, linear.diagonalize(F, plan_dh, toy_params), keys, toy_params)
     d_th = ckks.decode(ckks.decrypt(out_th, sk), toy_params)
     d_dh = ckks.decode(ckks.decrypt(out_dh, sk), toy_params)
@@ -248,9 +265,9 @@ def test_th_with_unit_outer_factor_matches_dh(env, toy_params, toy_keys):
         plan_th = linear.LtPlan(linear.LtMethod.TH_BSGS, N1, (1, a, b))
         plan_dh = linear.LtPlan(linear.LtMethod.DH_BSGS, N1, (a, b))
         keys = linear.generate_lt_keys(sk, plan_dh, toy_params, rng)
-        out_th, tr_th = linear.lt_th_bsgs(
+        out_th, tr_th = linear.evaluate_lt(
             ct, linear.diagonalize(F, plan_th, toy_params), keys, toy_params)
-        out_dh, tr_dh = linear.lt_dh_bsgs(
+        out_dh, tr_dh = linear.evaluate_lt(
             ct, linear.diagonalize(F, plan_dh, toy_params), keys, toy_params)
         for x, y in ((out_th.c0, out_dh.c0), (out_th.c1, out_dh.c1)):
             assert np.array_equal(x.coeffs, y.coeffs), (a, b)
@@ -307,7 +324,7 @@ def test_plan_mismatch_raises(env, toy_params, toy_keys):
     ct = encrypt_vec(np.ones(N1), toy_params, pk, rng)
     dm = linear.diagonalize(np.eye(N1), plans["bsgs"], toy_params)
     with pytest.raises(linear.PlanMismatch):
-        linear.lt_th_bsgs(ct, dm, keys["th-bsgs"], toy_params)
+        linear.lt_hoisted(ct, dm, keys["th-bsgs"], toy_params)
 
 
 def test_keys_of_the_other_kind_raise_missing_key(env, toy_params, toy_keys):
