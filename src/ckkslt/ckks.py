@@ -24,7 +24,6 @@ from .ring import (
     RotationIndex,
     automorphism_eval,
     basis_context,
-    coef_permutation,
     mod_mul_vec,
     ntt,
     pointwise_add,
@@ -283,14 +282,6 @@ def add_ct(a: Ciphertext, b: Ciphertext) -> Ciphertext:
 # key switching
 
 
-def automorphism_ints(coeffs: np.ndarray, rot: RotationIndex) -> np.ndarray:
-    """x -> x^{g_r} on a signed integer coefficient vector (exact)."""
-    pos, flip = coef_permutation(len(coeffs), rot.g_r)
-    out = np.empty_like(coeffs)
-    out[pos] = np.where(flip, -coeffs, coeffs)
-    return out
-
-
 def gadget_constants(basis: RnsBasis) -> list[list[int]]:
     """P*(Q/Q_b)*[(Q/Q_b)^-1]_{Q_b} mod every PQ modulus, per digit."""
     big_q = basis.q_product
@@ -303,11 +294,10 @@ def gadget_constants(basis: RnsBasis) -> list[list[int]]:
     return out
 
 
-def swk_gen(s_from: np.ndarray, s_to: SecretKey, params: CkksParams,
+def swk_gen(s_ntt: RnsPoly, s_to: SecretKey, params: CkksParams,
             rng: np.random.Generator) -> SwitchingKey:
-    """Key switching s_from -> s_to over PQ (s_from as signed coefficients)."""
-    pq = params.basis.pq_moduli
-    s_ntt = ntt(rns_from_ints(np.asarray(s_from, dtype=np.int64), pq))
+    """Key switching s_from -> s_to over PQ; ``s_ntt`` is s_from in NTT form over PQ."""
+    pq = params.basis.pq_context
     digits = []
     for gadget in gadget_constants(params.basis):
         k1 = uniform_rns(rng, pq, params.ring_dim)
@@ -327,7 +317,7 @@ def rotation_keygen(sk: SecretKey, r: int, params: CkksParams,
     automorphism can run after the inner product.
     """
     rot = RotationIndex(r % (params.ring_dim // 2), params.ring_dim)
-    s_rot = automorphism_ints(sk.coeffs, rot)
+    s_rot = automorphism_eval(sk.ntt_form(params.basis.pq_context), rot)
     key = swk_gen(s_rot, sk, params, rng)
     if hoisted and r % (params.ring_dim // 2) != 0:
         inv = rot.inverse()

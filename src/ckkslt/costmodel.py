@@ -12,11 +12,10 @@ three factors as they are. ``plan_layers`` is the one place that rule
 and the factor checks live; plans, keys, packing, the cost formulas and
 the datapath all read its triple.
 
-Two counting conventions exist for the three-layer method: the published
-summary table charges n1+n3 Decompose and n1+n3+1 ModDown, while a line
-count of the algorithm (zero-offset rotations skipped) gives n1+n3-1 and
-n1+n3. The executable evaluators realize the latter, so it is the
-default here; the other is selectable per call.
+Hoisted counts are line counts of the algorithm (zero-offset rotations
+skipped), which the executable evaluators realize: n1+n3-1 Decompose and
+n1+n3 ModDown. The published summary table charges th-bsgs one more of
+each.
 
 Switching-key byte convention: a key is a pair of polynomials, so
 key_bytes = limbs * 2 * N * w / 8. Module constant KEY_PAIR_FACTOR
@@ -32,6 +31,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+
+from .modarith import InvalidModulus
+from .ring import BasisMismatch
 
 KEY_PAIR_FACTOR = 2
 
@@ -62,6 +64,13 @@ class HeParams:
     n: int = 0  # transform dimension; defaults to N/2
 
     def __post_init__(self):
+        n = self.ring_dim
+        if n < 8 or n & (n - 1):
+            raise InvalidModulus(f"ring_dim={n} is not a power of two >= 8")
+        if not 8 <= self.word_bits <= 60:
+            raise InvalidModulus(f"word_bits={self.word_bits} outside [8, 60]")
+        if self.levels < 1 or self.alpha < 1:
+            raise BasisMismatch(f"levels={self.levels} and alpha={self.alpha} must be >= 1")
         if self.n == 0:
             object.__setattr__(self, "n", self.ring_dim // 2)
         if self.n & (self.n - 1) or self.n > self.ring_dim // 2:
@@ -77,9 +86,7 @@ class HeParams:
 
     @property
     def limb_bytes(self) -> int:
-        bits = self.ring_dim * self.word_bits
-        assert bits % 8 == 0
-        return bits // 8
+        return self.ring_dim * self.word_bits // 8  # exact: N is a power of two >= 8
 
 
 # evaluation parameter sets (N, L+1, alpha, w) with n = N/2
@@ -162,24 +169,24 @@ def check_dp(dp: int, ring_dim: int):
         raise ConfigOutOfRange(f"dp={dp} needs dp^2 <= N={ring_dim}")
 
 
+def knob_extents(layers: tuple[int, int, int], limbs: int) -> tuple[tuple[str, int], ...]:
+    """Loop extent of each parallelism knob for th-bsgs layers over
+    ``limbs`` PQ limbs, in the order ``search_parallelism`` grows them."""
+    n1, n2, n3 = layers
+    return (("m1", max(n1 - 1, 1)), ("m3", max(n2 - 1, 1)), ("m5", n1 * n2), ("m6", n3),
+            ("m2", max(n1 - 1, 1)), ("m4", n1),
+            ("l1", limbs), ("l2", limbs), ("l3", limbs), ("l4", limbs), ("l5", limbs))
+
+
 def validate_config(params: HeParams, factors, cfg: ParallelismConfig) -> tuple[int, int, int]:
     """Check a six-phase configuration; returns the th-bsgs layers."""
-    n1, n2, n3 = plan_layers("th-bsgs", params.n, factors)
+    layers = plan_layers("th-bsgs", params.n, factors)
     check_dp(cfg.dp, params.ring_dim)
-    limbs = params.pq_limbs
-    bounds = {
-        "m1": max(n1 - 1, 1), "m2": max(n1 - 1, 1), "m3": max(n2 - 1, 1),
-        "m4": n1, "m5": n1 * n2, "m6": n3,
-    }
-    for name, hi in bounds.items():
+    for name, hi in knob_extents(layers, params.pq_limbs):
         val = getattr(cfg, name)
         if not 1 <= val <= hi:
             raise ConfigOutOfRange(f"{name}={val} outside [1, {hi}]")
-    for name in ("l1", "l2", "l3", "l4", "l5"):
-        val = getattr(cfg, name)
-        if not 1 <= val <= limbs:
-            raise ConfigOutOfRange(f"{name}={val} outside [1, {limbs}]")
-    return n1, n2, n3
+    return layers
 
 
 @dataclass
@@ -196,18 +203,16 @@ class CostReport:
         return self.switching_key_limbs * KEY_PAIR_FACTOR * params.limb_bytes
 
 
-def complexity(method: str, params: HeParams, factors=(),
-               convention: str = "algorithm") -> CostReport:
+def complexity(method: str, params: HeParams, factors=()) -> CostReport:
     """Operation counts for one transform evaluation.
 
-    convention: "algorithm" charges the executable line counts for the
-    three-layer method; "table" charges the published summary values
-    (one Decompose and one ModDown more).
+    Hoisted methods are charged the executable line counts; the published
+    summary table charges th-bsgs one more Decompose and one more ModDown.
 
     Key products are charged once per key, n1+n2+n3-3 in all, while the
     six-phase walk applies each of the n2-1 middle-layer keys to all n1
     first-layer inputs, so its trace holds 2*beta*(n1-1)*(n2-1)*pq_limbs
-    more limb multiplies than ``cwise_mult_limbs`` under either convention.
+    more limb multiplies than ``cwise_mult_limbs``.
     """
     n1, n2, n3 = plan_layers(method, params.n, factors)
     factors = tuple(factors)
@@ -224,8 +229,6 @@ def complexity(method: str, params: HeParams, factors=(),
         # hoisted: n1 + n3 - 1 digit sets, a ModDown for each past the
         # first plus the final pair
         dec, mdown = n1 + n3 - 1, n1 + n3
-        if convention == "table" and method == "th-bsgs":
-            dec, mdown = dec + 1, mdown + 1
         cwise = 2 * beta * rot * limbs + 2 * n * limbs
     report = CostReport(method, factors, dec, mdown, cwise, keys)
     report.modmul_total = (
@@ -430,7 +433,7 @@ def search_parallelism(params: HeParams, factors, onchip_budget_bytes: int,
     """
     budget_limbs = onchip_budget_bytes // params.limb_bytes
     base = ParallelismConfig(dp=dp)
-    n1, n2, n3 = validate_config(params, factors, base)
+    layers = validate_config(params, factors, base)
     if max_peak_limbs(params, factors, base) > budget_limbs:
         raise Infeasible("budget below the minimal-footprint configuration")
 
@@ -445,16 +448,10 @@ def search_parallelism(params: HeParams, factors, onchip_budget_bytes: int,
         return best
 
     cfg = base
-    # off-chip-relevant knobs first: larger is never worse for traffic
-    cfg = grows(cfg, "m1", max(n1 - 1, 1))
-    cfg = grows(cfg, "m3", max(n2 - 1, 1))
-    cfg = grows(cfg, "m5", n1 * n2)
-    cfg = grows(cfg, "m6", n3)
-    # remaining knobs only trade on-chip space
-    cfg = grows(cfg, "m2", max(n1 - 1, 1))
-    cfg = grows(cfg, "m4", n1)
-    for name in ("l1", "l2", "l3", "l4", "l5"):
-        cfg = grows(cfg, name, params.pq_limbs)
+    # off-chip-relevant knobs come first (larger is never worse for
+    # traffic); the rest only trade on-chip space
+    for name, hi in knob_extents(layers, params.pq_limbs):
+        cfg = grows(cfg, name, hi)
     return cfg
 
 
@@ -474,7 +471,8 @@ class TradeoffPoint:
 
 def tradeoff_curve(methods, params: HeParams) -> list[TradeoffPoint]:
     """Key-size / compute sweep, one point per factorization, with the
-    minimum-memory and best-tradeoff (minimum-compute) points tagged."""
+    minimum-memory and best-tradeoff (minimum-compute) points tagged; a
+    tie goes to the lexicographically smallest factors."""
     points: list[TradeoffPoint] = []
     for method in methods:
         if method in ("diagonal", "bsgs"):
@@ -517,11 +515,10 @@ def tradeoff_csv(points: list[TradeoffPoint]) -> str:
 
 def best_tradeoff_ratio(params: HeParams) -> dict:
     """Switching-key ratio between the two-layer and three-layer methods
-    at their respective lowest-compute sweep points."""
-    dh = [p for p in tradeoff_curve(["dh-bsgs"], params)]
-    th = [p for p in tradeoff_curve(["th-bsgs"], params)]
-    dh_best = min(dh, key=lambda p: p.modmul_total)
-    th_best = [p for p in th if "best-tradeoff" in p.tag][0]
+    at their best-tradeoff sweep points."""
+    best = {p.method: p for p in tradeoff_curve(["dh-bsgs", "th-bsgs"], params)
+            if "best-tradeoff" in p.tag}
+    dh_best, th_best = best["dh-bsgs"], best["th-bsgs"]
     return {
         "dh_factors": dh_best.factors,
         "th_factors": th_best.factors,

@@ -71,7 +71,7 @@ from .costmodel import (
 )
 from . import ckks as ck
 from .linear import OpTrace, PlanMismatch
-from .ring import RotationIndex
+from .ring import BasisMismatch, RotationIndex
 
 
 class OnchipOverflow(RuntimeError):
@@ -206,7 +206,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         if (ap.ring_dim != params.ring_dim
                 or ap.basis.level_count != params.levels
                 or ap.basis.alpha != params.alpha):
-            raise ValueError("arithmetic parameters disagree with shape parameters")
+            raise BasisMismatch("arithmetic parameters disagree with shape parameters")
         plan = inputs.dm.plan
         if not plan.hoisted or plan.layers != (n1, n2, n3):
             raise PlanMismatch(f"diagonals are packed for {plan.method.value} "

@@ -30,6 +30,10 @@ from .costmodel import check_dp
 from .ring import RotationIndex, bitrev_table
 
 
+class ScheduleViolation(ValueError):
+    """A move schedule breaks the read-before-write step discipline."""
+
+
 @dataclass
 class BankLayout:
     ring_dim: int
@@ -208,12 +212,13 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
 
 
 def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
-    """Execute in place, asserting the read-before-write step discipline:
+    """Execute in place, enforcing the read-before-write step discipline:
     within each step all dp reads land before any write; no position is
     read twice, written twice, or read after a write to it has landed (a
     write lands once its position has been read); every position is
     written; and no step holds more than dp writes waiting for a later
-    read, so the walk needs no scratch buffer."""
+    read, so the walk needs no scratch buffer. A schedule that breaks a
+    rule raises ``ScheduleViolation`` and leaves the banks untouched."""
     n, per_bank = layout.ring_dim, layout.ring_dim // layout.dp
     moves = np.array([m for step in steps for m in step.moves], dtype=np.int64).reshape(-1, 4)
     when = np.repeat(np.arange(len(steps)), [len(step.moves) for step in steps])
@@ -224,15 +229,19 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     np.minimum.at(first_read, src, when)
     np.minimum.at(first_write, dst, when)
     landed = first_read <= first_write
-    assert not (landed[src] & (when > first_write[src])).any(), \
-        "read of an already-overwritten position"
-    assert np.bincount(src, minlength=n).max() <= 1, "double read"
-    assert np.bincount(dst, minlength=n).max() <= 1, "double write"
-    assert dst.size == n, "schedule did not cover every position"
+    if (landed[src] & (when > first_write[src])).any():
+        raise ScheduleViolation("read of an already-overwritten position")
+    if np.bincount(src, minlength=n).max() > 1:
+        raise ScheduleViolation("double read")
+    if np.bincount(dst, minlength=n).max() > 1:
+        raise ScheduleViolation("double write")
+    if dst.size != n:
+        raise ScheduleViolation("schedule did not cover every position")
     held = first_read[dst] > when  # lands only at a later step's read
     waiting = np.cumsum(np.bincount(when[held], minlength=len(steps) + 1)
                         - np.bincount(first_read[dst[held]], minlength=len(steps) + 1))
-    assert waiting.max() <= layout.dp, "more than dp values in flight"
+    if waiting.max() > layout.dp:
+        raise ScheduleViolation("more than dp values in flight")
     # every read sees the value from before the schedule ran
     layout.banks[moves[:, 2], moves[:, 3]] = layout.banks[moves[:, 0], moves[:, 1]]
 

@@ -80,7 +80,7 @@ class RnsBasis:
         self.p_moduli = tuple(self.p_moduli)
         values = [m.q for m in self.q_moduli + self.p_moduli]
         if len(set(values)) != len(values):
-            raise ValueError("moduli must be pairwise distinct")
+            raise BasisOverlap("moduli must be pairwise distinct")
         self.q_context = basis_context(self.q_moduli)
         self.p_context = basis_context(self.p_moduli)
         self.pq_context = basis_context(self.pq_moduli)

@@ -148,7 +148,7 @@ def test_full_key_switch_recovers_message(toy_params, toy_keys):
     other, _ = ckks.keygen(toy_params, rng)
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), other, toy_params, rng)
-    swk = ckks.swk_gen(other.coeffs, sk, toy_params, rng)
+    swk = ckks.swk_gen(other.ntt_form(toy_params.basis.pq_context), sk, toy_params, rng)
     digits = ckks.hoist_digits(ct.c1, toy_params.basis)
     u0, u1 = ckks.key_switch(digits, swk)
     c0 = ckks.rns_add(ckks.moddown_ntt(u0, toy_params.basis), ct.c0)

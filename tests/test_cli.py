@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,7 +284,9 @@ def test_usage_errors_exit_1_with_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("shape", [cm.HeParams(2**8, 3, 3, 61), cm.HeParams(2**8, 1, 1, 30)],
+# HeParams itself rejects a 61-bit word, so that profile is a bare shape
+@pytest.mark.parametrize("shape", [SimpleNamespace(ring_dim=2**8, levels=3, alpha=3, word_bits=61),
+                                   cm.HeParams(2**8, 1, 1, 30)],
                          ids=["61-bit primes", "one level"])
 def test_demo_rejected_shape_exits_1_with_error_line(capsys, monkeypatch, shape):
     monkeypatch.setitem(cli.TOY_PROFILES, "toy-small", shape)

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from ckkslt import costmodel as cm
+from ckkslt import ring
+from ckkslt.modarith import InvalidModulus
 
 # hand-evaluated operation-count table, one row per evaluation set:
 # (set, method, factors) -> (decompose, moddown, cwise_limbs, key_limbs)
@@ -31,12 +33,11 @@ def test_complexity_hand_plugins(key):
 
 
 def test_th_convention_flag():
+    # the executable line counts, one Decompose and one ModDown below the
+    # published table's (32, 33)
     params = cm.NAMED_SETS["set-c"]
     alg = cm.complexity("th-bsgs", params, (16, 128, 16))
-    tab = cm.complexity("th-bsgs", params, (16, 128, 16), convention="table")
     assert (alg.decompose, alg.moddown) == (31, 32)
-    assert (tab.decompose, tab.moddown) == (32, 33)
-    assert alg.switching_key_limbs == tab.switching_key_limbs
 
 
 def test_bad_factors():
@@ -94,6 +95,37 @@ def test_best_tradeoff_ratio():
     assert abs(info["ratio"] - 3.65) / 3.65 < 0.01
     exact = (512 + 64 - 2) / (16 + 128 + 16 - 3)
     assert info["ratio"] == pytest.approx(exact)
+
+
+def test_best_tradeoff_ratio_breaks_compute_ties_like_the_tags():
+    # dh-bsgs (8, 1) and (4, 2) cost the same here; both picks take the
+    # best-tradeoff tag, which goes to the smaller first factor
+    params = cm.HeParams(16, 3, 2, 54, n=8)
+    dh = {p.factors: p.modmul_total for p in cm.tradeoff_curve(["dh-bsgs"], params)}
+    assert dh[(8, 1)] == dh[(4, 2)] == min(dh.values())
+    info = cm.best_tradeoff_ratio(params)
+    assert info["dh_factors"] == (4, 2)
+    assert info["th_factors"] == (1, 4, 2)
+    assert info["ratio"] == 1.0
+
+
+@pytest.mark.parametrize("args, error", [
+    ((12, 5, 5), InvalidModulus),
+    ((4, 1, 1), InvalidModulus),
+    ((2**10, 0, 5), ring.BasisMismatch),
+    ((2**10, 5, 0), ring.BasisMismatch),
+    ((2**10, 5, 5, 7), InvalidModulus),
+    ((2**10, 5, 5, 61), InvalidModulus),
+], ids=["ring-dim-not-power-of-two", "ring-dim-below-8", "no-levels", "no-alpha",
+        "word-below-8-bits", "word-above-60-bits"])
+def test_he_params_rejects_unsupported_shapes(args, error):
+    with pytest.raises(error):
+        cm.HeParams(*args)
+
+
+def test_he_params_accepts_the_edge_shapes():
+    assert cm.HeParams(8, 1, 1, 8).limb_bytes == 8
+    assert cm.HeParams(2**16, 1, 1, 60).beta == 1
 
 
 def test_search_min_keys_matches_exhaustive():
@@ -200,6 +232,15 @@ def test_search_parallelism_unlimited_budget():
     assert cfg.ls() == (6, 6, 6, 6, 6)
     base_total = cm.total_offchip_limbs(params, factors, cm.ParallelismConfig())
     assert cm.total_offchip_limbs(params, factors, cfg) <= base_total
+
+
+@pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c"])
+def test_search_parallelism_unbounded_budget_reaches_every_extent(set_name):
+    params, factors, _ = cm.reference_config(set_name)
+    n1, n2, n3 = factors
+    cfg = cm.search_parallelism(params, factors, 1 << 80)
+    assert cfg.ms() == (n1 - 1, n1 - 1, n2 - 1, n1, n1 * n2, n3)
+    assert cfg.ls() == (params.pq_limbs,) * 5
 
 
 def test_search_parallelism_infeasible():

@@ -7,7 +7,7 @@ import pytest
 from ckkslt import ckks, cli
 from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
-from ckkslt import linear
+from ckkslt import linear, ring
 
 
 @pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c"])
@@ -290,6 +290,17 @@ def test_compute_mode_rejects_mismatched_plan(small_params):
         ctx = dp.ComputeContext(small_params, ct, dm, keys)
         with pytest.raises(linear.PlanMismatch):
             dp.simulate(shape, factors, cm.ParallelismConfig(), inputs=ctx)
+
+
+def test_compute_mode_rejects_shape_of_other_parameters(compute_env, toy_params):
+    plan, keys, F, v, dm, ct = compute_env
+    ctx = dp.ComputeContext(toy_params, ct, dm, keys)
+    dims = (toy_params.ring_dim, toy_params.basis.level_count, toy_params.basis.alpha)
+    for k in range(3):
+        wrong = [d * 2 if i == k else d for i, d in enumerate(dims)]
+        shape = cm.HeParams(*wrong, 44, n=plan.n)
+        with pytest.raises(ring.BasisMismatch, match="disagree"):
+            dp.simulate(shape, plan.factors, cm.ParallelismConfig(), inputs=ctx)
 
 
 def test_compute_mode_residency_does_not_grow_with_n(toy_params, toy_keys):

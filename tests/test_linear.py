@@ -117,6 +117,29 @@ def test_diagonalize_makes_no_interned_lookup(monkeypatch, toy_params, method, f
     assert lookups == []
 
 
+@pytest.mark.parametrize("method, factors", [("diagonal", ()), ("bsgs", (4, 4)),
+                                             ("dh-bsgs", (4, 4)), ("th-bsgs", (4, 2, 2))])
+def test_plan_keys_take_beta_forward_transforms_each(monkeypatch, method, factors):
+    # the rotated secret is a permutation of the cached NTT form of s, so
+    # a key transforms only its beta noise polynomials
+    params = ckks.CkksParams.make(ring_dim=2**7, levels=3, alpha=2, prime_bits=44)
+    assert params.basis.beta == 2
+    rng = np.random.default_rng(8)
+    sk, _ = ckks.keygen(params, rng)
+    sk.ntt_form(params.basis.pq_context)
+    calls = []
+    transform = ckks.ntt
+
+    def counted(p):
+        calls.append(p)
+        return transform(p)
+
+    monkeypatch.setattr(ckks, "ntt", counted)
+    plan = linear.LtPlan(linear.LtMethod(method), N1, factors)
+    keys = linear.generate_lt_keys(sk, plan, params, rng)
+    assert len(calls) == params.basis.beta * len(keys)
+
+
 def test_diagonalize_dimension_guard(toy_params):
     plan = linear.LtPlan(linear.LtMethod.DIAGONAL, 2 * toy_params.slots)
     with pytest.raises(linear.DimensionTooLarge):

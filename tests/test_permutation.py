@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,8 +123,32 @@ def test_apply_schedule_rejects_tampered_schedule(tamper):
         steps[-1].moves[-1] = (last[0], last[1], first[2], first[3])
     else:
         del steps[-1].moves[-1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(pm.ScheduleViolation):
         pm.apply_schedule(lay, steps)
+
+
+def test_apply_schedule_rejects_double_write_under_optimize():
+    # the rules are checks, not asserts, so python -O keeps them
+    code = """
+import sys
+import numpy as np
+from ckkslt import permutation as pm
+lay = pm.BankLayout.from_storage(np.arange(64, dtype=np.uint64), 4)
+steps = pm.schedule(5, lay)
+first, last = steps[0].moves[0], steps[-1].moves[-1]
+steps[-1].moves[-1] = (last[0], last[1], first[2], first[3])
+try:
+    pm.apply_schedule(lay, steps)
+except pm.ScheduleViolation as exc:
+    print(sys.flags.optimize, exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 double write"
 
 
 @pytest.mark.parametrize("n,dp", [(64, 4), (256, 8), (1024, 16), (4096, 2)])
@@ -131,7 +160,7 @@ def test_apply_schedule_rejects_more_than_dp_in_flight(n, dp):
     dst = pm._storage_permutation(5, n)
     steps = [pm.MoveStep([(f, a, *divmod(int(dst[f * per_bank + a]), per_bank))
                           for f in range(dp)]) for a in range(per_bank)]
-    with pytest.raises(AssertionError, match="in flight"):
+    with pytest.raises(pm.ScheduleViolation, match="in flight"):
         pm.apply_schedule(lay, steps)
 
 

@@ -198,6 +198,11 @@ def test_bconv_overlap_error(toy_basis):
         rns.bconv(c, [toy_basis.q_moduli[0]])
 
 
+def test_basis_with_a_repeated_modulus_is_an_overlap(toy_basis):
+    with pytest.raises(rns.BasisOverlap, match="pairwise distinct"):
+        rns.RnsBasis(toy_basis.q_moduli, toy_basis.q_moduli[:1])
+
+
 def test_moddown_shape_errors(toy_basis):
     rng = np.random.default_rng(10)
     _, c = random_rns(rng, toy_basis.q_moduli, 64)
