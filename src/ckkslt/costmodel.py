@@ -64,9 +64,9 @@ class HeParams:
     n: int = 0  # transform dimension; defaults to N/2
 
     def __post_init__(self):
-        n = self.ring_dim
-        if n < 8 or n & (n - 1):
-            raise InvalidModulus(f"ring_dim={n} is not a power of two >= 8")
+        dim = self.ring_dim
+        if dim < 8 or dim & (dim - 1):
+            raise InvalidModulus(f"ring_dim={dim} is not a power of two >= 8")
         if not 8 <= self.word_bits <= 60:
             raise InvalidModulus(f"word_bits={self.word_bits} outside [8, 60]")
         if self.levels < 1 or self.alpha < 1:
