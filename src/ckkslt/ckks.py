@@ -20,6 +20,7 @@ import numpy as np
 from .modarith import Modulus, find_ntt_primes
 from .ring import (
     BasisContext,
+    BasisMismatch,
     Domain,
     RotationIndex,
     automorphism_eval,
@@ -187,7 +188,7 @@ def encode(v, params: CkksParams, scale: float | None = None,
     scale = params.scale if scale is None else scale
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.slots,):
-        raise ValueError(f"expected {params.slots} slots, got {v.shape}")
+        raise BasisMismatch(f"expected {params.slots} slots, got {v.shape}")
     coeffs = embed_inverse(v, params.ring_dim) * scale
     peak = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
     if peak > 2**62:
@@ -316,10 +317,10 @@ def rotation_keygen(sk: SecretKey, r: int, params: CkksParams,
     Hoisted keys carry phi_r^-1 applied to both components so the
     automorphism can run after the inner product.
     """
-    rot = RotationIndex(r % (params.ring_dim // 2), params.ring_dim)
+    rot = RotationIndex(r, params.ring_dim)
     s_rot = automorphism_eval(sk.ntt_form(params.basis.pq_context), rot)
     key = swk_gen(s_rot, sk, params, rng)
-    if hoisted and r % (params.ring_dim // 2) != 0:
+    if hoisted and rot.r != 0:
         inv = rot.inverse()
         twisted = [(automorphism_eval(k0, inv), automorphism_eval(k1, inv))
                    for k0, k1 in key.digits]
@@ -364,7 +365,7 @@ def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
     """Rotate the PQ pair (a + <digits, k0>, <digits, k1>) with a hoisted key:
     the inner product runs first, the automorphism after it. A key not
     twisted for this rotation raises ``MissingKey``."""
-    if swk.hoist_offset % (rot.ring_dim // 2) != rot.r:
+    if RotationIndex(swk.hoist_offset, rot.ring_dim) != rot:
         raise MissingKey(f"key is twisted for offset {swk.hoist_offset}, not {rot.r}")
     u0, u1 = key_switch(digits, swk)
     return automorphism_eval(rns_add(a, u0), rot), automorphism_eval(u1, rot)
@@ -372,8 +373,7 @@ def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
 
 def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Ciphertext:
     """Reference (non-hoisted) rotation: automorphism then full key switch."""
-    half = params.ring_dim // 2
-    rot = RotationIndex(r % half, params.ring_dim)
+    rot = RotationIndex(r, params.ring_dim)
     if rot.r == 0:
         return ct.copy()
     if swk.hoist_offset != 0:

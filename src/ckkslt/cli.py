@@ -242,21 +242,24 @@ def cmd_analyze(args) -> int:
 
 
 def _factors_and_config(args, params):
+    """Factors and config of simulate/validate. An explicit ``--dp`` always
+    applies; without it a named set's reference config keeps its dp, and
+    anything else uses ``ParallelismConfig``'s default."""
     if args.params in cm.REFERENCE_CONFIGS and not args.factors:
         _, factors, cfg = cm.reference_config(args.params)
     else:
         factors = tuple(args.factors) if args.factors else \
             cm.search_factors("th-bsgs", params, "min_keys")
-        cfg = cm.ParallelismConfig(dp=args.dp)
+        cfg = cm.ParallelismConfig()
+    dp = cfg.dp if args.dp is None else args.dp
     if args.parallelism:
         vals = args.parallelism
         if len(vals) != 11:
             raise UsageError("--parallelism wants m1,...,m6,l1,...,l5")
-        cfg = cm.ParallelismConfig(*vals[:6], *vals[6:], dp=args.dp)
+        cfg = cm.ParallelismConfig(*vals)
     if args.budget_bytes:
-        cfg = cm.search_parallelism(params, factors, args.budget_bytes,
-                                    dp=args.dp)
-    return factors, cfg
+        cfg = cm.search_parallelism(params, factors, args.budget_bytes, dp=dp)
+    return factors, dataclasses.replace(cfg, dp=dp)
 
 
 def cmd_simulate(args) -> int:
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--factors", type=int_list, default=None)
         s.add_argument("--parallelism", type=int_list, default=None,
                        help="m1,...,m6,l1,...,l5")
-        s.add_argument("--dp", type=int, default=2)
+        s.add_argument("--dp", type=int, default=None,
+                       help="bank count (default: the reference config's, else 2)")
         s.add_argument("--budget-bytes", type=int, default=0)
     return parser
 

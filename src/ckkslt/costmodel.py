@@ -42,7 +42,8 @@ CATEGORIES = ("ntt", "lt_matrix", "switching_key", "poly_read", "poly_write")
 
 
 class ConfigOutOfRange(ValueError):
-    """Parallelism parameter outside its loop extent."""
+    """Parallelism parameter outside its loop extent, or a bank or address
+    outside the banked layout."""
 
 
 class Infeasible(ValueError):
@@ -50,7 +51,8 @@ class Infeasible(ValueError):
 
 
 class BadFactors(ValueError):
-    """Factorization incompatible with the method or dimension."""
+    """Factorization incompatible with the method or dimension, or sought
+    under an unknown objective."""
 
 
 @dataclass(frozen=True)
@@ -309,7 +311,7 @@ def search_factors(method: str, params: HeParams, objective: str = "min_keys"):
     elif objective == "min_compute":
         key = lambda fs: (complexity(method, params, fs).modmul_total, fs)
     else:
-        raise ValueError(f"unknown objective {objective}")
+        raise BadFactors(f"unknown objective {objective}")
     # an unknown method gets the empty split, which complexity rejects
     return min(_splits(params.n, METHOD_ARITY.get(method, 0)), key=key)
 

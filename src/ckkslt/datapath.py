@@ -25,11 +25,11 @@ where a key is actually fetched, so shape-only runs leave that set empty.
 Metering happens once per loop nest, not once per object: each batch
 iteration meters its whole batch, and the store is addressed by object
 kind (``a``, ``b``, ``d``, ``u0``, ``u1``, ``acc``) and a contiguous
-index range. A limb-chunk loop that only ticks rounds and checks the
-on-chip bound becomes one round count plus one bound per distinct chunk
-extent (full and remainder). The walk stays an event walk: no closed-form
-cell enters the meter, so the comparison against the closed forms stays
-a cross-check.
+index range. A loop that only ticks rounds and checks the on-chip bound
+becomes one round count and one bound at its largest extent, where each
+bound peaks (``validate_config`` caps every knob at its loop's extent).
+The walk stays an event walk: no closed-form cell enters the meter, so
+the comparison against the closed forms stays a cross-check.
 
 Each object written to the off-chip store declares how many modeled
 reads it gets, and the store frees its payload at the last one. A read
@@ -104,13 +104,6 @@ class MemoryMeter:
         return out
 
 
-def _limb_chunks(limbs: int, step: int) -> tuple[int, list[int]]:
-    """Round count and distinct chunk extents (full, then remainder) of a
-    loop over ``limbs`` limbs in chunks of ``step``."""
-    full, rem = divmod(limbs, step)
-    return full + (rem > 0), [step] * (full > 0) + [rem] * (rem > 0)
-
-
 class OffchipStore:
     """Off-chip objects addressed by kind and index, each freed at its last
     declared read.
@@ -138,7 +131,7 @@ class OffchipStore:
               limbs: int, payloads=None, reads: int = 1):
         count = stop - start
         if payloads is not None and len(payloads) != count:
-            raise ValueError(f"{len(payloads)} payloads for {count} objects")
+            raise RuntimeError(f"{len(payloads)} payloads for {count} objects")
         meter.add(phase, "poly_write", count * limbs)
         self._has_payloads |= payloads is not None
         left = self._left.setdefault(kind, [])
@@ -240,16 +233,14 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     store.write(meter, 1, "a", 0, 1, limbs, a0, reads=key_batches + 1)
     store.write(meter, 1, "b", 0, 1, limbs, b0)
     store.write(meter, 1, "d", 0, 1, beta * limbs, digits0, reads=key_batches)
-    rounds1, chunks1 = _limb_chunks(limbs, cfg.l1)
     a_out = b_out = None
     for i0 in range(1, n1, cfg.m1):
         batch = range(i0, min(i0 + cfg.m1, n1))
         key_limbs = len(batch) * 2 * beta * limbs
         meter.add(1, "switching_key", key_limbs)
         trace.cwise_mult_limbs += key_limbs  # each key limb multiplies one digit limb
-        meter.tick(1, rounds1)
-        for chunk in chunks1:
-            bound(1, 2 * lp + (beta + 4) * chunk + (4 * beta + 6) * len(batch) * chunk)
+        meter.tick(1, ceil_div(limbs, cfg.l1))
+        bound(1, 2 * lp + (beta + 4) * cfg.l1 + (4 * beta + 6) * len(batch) * cfg.l1)
         if compute:
             a_out, b_out = zip(*(rotate(a0[0], digits0[0], i) for i in batch))
         store.write(meter, 1, "a", batch.start, batch.stop, limbs, a_out,
@@ -276,18 +267,14 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     b_in = d_out = None
 
     # ---- phase 3: second-layer rotations, keys cached per batch ----------
-    rounds3, chunks3 = _limb_chunks(limbs, cfg.l3)
     for j0 in range(1, n2, cfg.m3):
         jbatch = range(j0, min(j0 + cfg.m3, n2))
         key_limbs = len(jbatch) * 2 * beta * limbs
         meter.add(3, "switching_key", key_limbs)
         trace.cwise_mult_limbs += n1 * key_limbs  # each cached key serves all n1 inputs
-        for i0 in range(0, n1, cfg.m4):
-            ibatch = min(cfg.m4, n1 - i0)
-            meter.tick(3, rounds3)
-            for chunk in chunks3:
-                bound(3, 2 * chunk * ((beta + 1) * ibatch + 2 * beta * len(jbatch)
-                                      + 2 * len(jbatch) * ibatch))
+        meter.tick(3, ceil_div(n1, cfg.m4) * ceil_div(limbs, cfg.l3))
+        bound(3, 2 * cfg.l3 * ((beta + 1) * cfg.m4 + 2 * beta * len(jbatch)
+                               + 2 * len(jbatch) * cfg.m4))
         # every (a_i, d_i) streams back once per key batch
         a_vals = store.read(meter, 3, "a", 0, n1)
         d_vals = store.read(meter, 3, "d", 0, n1)

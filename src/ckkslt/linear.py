@@ -146,7 +146,6 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
         raise DimensionTooLarge(f"n={n} exceeds {params.slots} slots")
     reps = params.slots // n
     context = params.basis.pq_context if plan.hoisted else params.basis.q_context
-    half = params.ring_dim // 2
     n1, n2, _ = plan.layers
     giant = n1 * n2  # diagonals are pre-rotated by their giant-step offset
     t = np.arange(n)
@@ -157,7 +156,7 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
         offset = giant * (i // giant)
         poly = pt.poly
         if offset:
-            poly = automorphism_coef(poly, RotationIndex((-offset) % half, params.ring_dim))
+            poly = automorphism_coef(poly, RotationIndex(-offset, params.ring_dim))
         diagonals.append(Plaintext(ntt(poly), pt.scale))
     return DiagMatrix(plan, diagonals)
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import check_dp
-from .ring import RotationIndex, bitrev_table
+from .costmodel import ConfigOutOfRange, check_dp
+from .ring import BasisMismatch, RotationIndex, bitrev_table
 
 
 class ScheduleViolation(ValueError):
@@ -44,12 +44,13 @@ class BankLayout:
         n, dp = self.ring_dim, self.dp
         check_dp(dp, n)
         if self.banks.shape != (dp, n // dp):
-            raise ValueError("bank array has the wrong shape")
+            raise BasisMismatch("bank array has the wrong shape")
 
     @classmethod
     def from_storage(cls, values: np.ndarray, dp: int) -> "BankLayout":
         """Split a bit-reversed-order NTT storage array into dp banks."""
         n = len(values)
+        check_dp(dp, n)  # before the reshape, which would raise numpy's own error
         return cls(n, dp, values.reshape(dp, n // dp).copy())
 
     def to_storage(self) -> np.ndarray:
@@ -58,7 +59,7 @@ class BankLayout:
 
 def perm_multiplier(r: int, ring_dim: int) -> int:
     """Odd index multiplier realizing rotation r in move-to form."""
-    g_r = RotationIndex(r % (ring_dim // 2), ring_dim).g_r
+    g_r = RotationIndex(r, ring_dim).g_r
     return pow(g_r, -1, 2 * ring_dim)
 
 
@@ -90,7 +91,7 @@ def source_index(f: int, n_f: int, layout: BankLayout) -> tuple[int, int, int, i
     """
     n, dp = layout.ring_dim, layout.dp
     if not (0 <= f < dp and 0 <= n_f < n // dp):
-        raise ValueError("bank or address out of range")
+        raise ConfigOutOfRange("bank or address out of range")
     idx = int(bitrev_table(n)[f * (n // dp) + n_f])
     k_f = idx % dp
     rest = idx // dp

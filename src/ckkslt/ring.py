@@ -13,9 +13,9 @@ or per operation covers all limbs. Each moduli tuple has one interned
 :class:`BasisContext` holding the moduli as an (L, 1) column, whether
 the block takes the float path, and the stacked twiddle tables, built
 on first use per transform length.
-The polynomial functions take :class:`Poly` (one limb) or
-:class:`ckkslt.rns.RnsPoly`; both carry ``coeffs``, ``context`` (whose
-``moduli`` they expose), ``domain``, ``n`` and ``like``, which hands
+The polynomial functions take :class:`Poly`, the one polynomial class:
+an (L, N) block, or an (N,) row for a single modulus, with its
+``context`` (whose ``moduli`` it exposes) and ``domain``; ``like`` hands
 the context on to a kernel's result.
 
 Vectorized modular multiplication: for q < 2^51 the quotient of the
@@ -62,7 +62,8 @@ class DomainMismatch(ValueError):
 
 
 class BasisMismatch(ValueError):
-    """Operands or limbs do not carry the expected moduli or lengths."""
+    """Operands, limbs, slot vectors or bank arrays do not carry the
+    expected moduli or lengths."""
 
 
 class Domain(enum.Enum):
@@ -315,42 +316,50 @@ ROTATION_GENERATOR = 5
 
 @dataclass(frozen=True)
 class RotationIndex:
-    """Slot offset r together with the automorphism exponent g^r mod 2N."""
+    """Slot offset r together with the automorphism exponent g^r mod 2N.
+    g = 5 has order N/2 mod 2N, so any integer offset is taken mod N/2
+    here, the one place an offset is reduced: r + N/2 and r - N/2 are r."""
 
     r: int
     ring_dim: int
     g_r: int = 0
 
     def __post_init__(self):
-        n = self.ring_dim
-        if not 0 <= self.r < n // 2:
-            raise ValueError(f"rotation {self.r} outside [0, N/2)")
-        g_r = pow(ROTATION_GENERATOR, self.r, 2 * n)
-        object.__setattr__(self, "g_r", g_r)
-        assert g_r % 2 == 1
+        object.__setattr__(self, "r", self.r % (self.ring_dim // 2))
+        object.__setattr__(self, "g_r", pow(ROTATION_GENERATOR, self.r, 2 * self.ring_dim))
+        assert self.g_r % 2 == 1
 
     def inverse(self) -> "RotationIndex":
-        half = self.ring_dim // 2
-        return RotationIndex((half - self.r) % half, self.ring_dim)
+        return RotationIndex(-self.r, self.ring_dim)
 
 
 class Poly:
-    """One residue polynomial: N values mod a single prime.
+    """A polynomial over a tuple of moduli, held as one uint64 block: an
+    (L, N) array whose row j holds the residues mod ``moduli[j]``, every
+    row in the same domain, or an (N,) row for a single modulus.
 
-    The one-limb case and base class of :class:`ckkslt.rns.RnsPoly`;
-    ``modulus`` is a :class:`Modulus` or a one-limb context. Assigning to
-    ``coeffs`` writes into the existing array, so a limb taken from
-    ``RnsPoly.limbs`` stays a view of its block.
+    ``Poly(block, moduli, domain)`` wraps a block without copying, with
+    ``moduli`` a :class:`Modulus`, a sequence of them or their context;
+    ``Poly(limbs)`` stacks a list of single-modulus polynomials. Assigning
+    to ``coeffs`` writes into the existing array, so a limb taken from
+    ``limbs`` stays a view of its block.
     """
 
     __slots__ = ("_coeffs", "context", "domain")
 
-    def __init__(self, coeffs: np.ndarray, modulus, domain: Domain):
-        context = modulus if isinstance(modulus, BasisContext) else basis_context((modulus,))
-        if coeffs.dtype != np.uint64:
-            coeffs = coeffs.astype(np.uint64)
-        if coeffs.shape != (context.moduli[0].ring_dim,):
-            raise BasisMismatch("coefficient count != ring dimension")
+    def __init__(self, coeffs, moduli=None, domain: Domain | None = None):
+        if moduli is None:
+            limbs = list(coeffs)
+            if len({(limb.n, limb.domain) for limb in limbs}) != 1:
+                raise BasisMismatch("limbs missing or disagreeing on length or domain")
+            coeffs = np.stack([limb.coeffs for limb in limbs])
+            moduli = [limb.modulus for limb in limbs]
+            domain = limbs[0].domain
+        context = basis_context((moduli,) if isinstance(moduli, Modulus) else moduli)
+        rows, n = len(context.moduli), context.moduli[0].ring_dim
+        if coeffs.dtype != np.uint64 or coeffs.shape != (rows, n) and (
+                coeffs.shape != (n,) or rows != 1):
+            raise BasisMismatch("block shape or dtype does not match the moduli")
         self._coeffs, self.context, self.domain = coeffs, context, domain
 
     @property
@@ -373,11 +382,16 @@ class Poly:
     def n(self) -> int:
         return self._coeffs.shape[-1]
 
+    @property
+    def limbs(self) -> list["Poly"]:
+        """One single-modulus :class:`Poly` per row, a view of the block."""
+        return [Poly(row, m, self.domain) for row, m in zip(_block(self), self.moduli)]
+
     def like(self, block: np.ndarray, domain: Domain) -> "Poly":
-        return type(self)(block.reshape(self.coeffs.shape), self.context, domain)
+        return Poly(block.reshape(self.coeffs.shape), self.context, domain)
 
     def copy(self) -> "Poly":
-        return type(self)(self.coeffs.copy(), self.context, self.domain)
+        return Poly(self.coeffs.copy(), self.context, self.domain)
 
 
 def zero_poly(m: Modulus, domain: Domain = Domain.COEF) -> Poly:

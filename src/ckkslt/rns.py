@@ -1,9 +1,10 @@
 """RNS tower over Q and PQ: limb-batched polynomials, basis conversion,
 digit decomposition, modulus reduction, and rescaling.
 
-An :class:`RnsPoly` is one (L, N) uint64 block: row j holds the residues
-mod ``moduli[j]``, and every row is in the same domain. The kernels of
-:mod:`ckkslt.ring` process all rows in one numpy call per step.
+Polynomials are :class:`ckkslt.ring.Poly` blocks, (L, N) uint64 arrays
+whose row j holds the residues mod ``moduli[j]``; ``RnsPoly`` is another
+name for that one class. The kernels of :mod:`ckkslt.ring` process all
+rows in one numpy call per step.
 
 Limb ordering convention for polynomials over the raised modulus PQ:
 the alpha special limbs come first, then the L+1 data limbs, i.e. rows
@@ -37,34 +38,7 @@ class SingleLimb(ValueError):
     """Rescale would drop the last remaining limb."""
 
 
-class RnsPoly(Poly):
-    """A polynomial over a tuple of moduli, held as one (L, N) uint64 block.
-
-    ``RnsPoly(limbs)`` stacks a list of one-limb :class:`Poly`;
-    ``RnsPoly(block, moduli, domain)`` wraps a block without copying, with
-    ``moduli`` a sequence of :class:`Modulus` or their context.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs, moduli=None, domain: Domain | None = None):
-        if moduli is None:
-            limbs = list(coeffs)
-            if len({(limb.n, limb.domain) for limb in limbs}) != 1:
-                raise BasisMismatch("limbs missing or disagreeing on length or domain")
-            coeffs = np.stack([limb.coeffs for limb in limbs])
-            moduli = [limb.modulus for limb in limbs]
-            domain = limbs[0].domain
-        context = basis_context(moduli)
-        if coeffs.dtype != np.uint64 or coeffs.shape != (
-                len(context.moduli), context.moduli[0].ring_dim):
-            raise BasisMismatch("block shape or dtype does not match the moduli")
-        self._coeffs, self.context, self.domain = coeffs, context, domain
-
-    @property
-    def limbs(self) -> list[Poly]:
-        """One :class:`Poly` per row; its coefficients are a view of the block."""
-        return [Poly(row, m, self.domain) for row, m in zip(self.coeffs, self.moduli)]
+RnsPoly = Poly
 
 
 @dataclass

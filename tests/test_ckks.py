@@ -196,6 +196,30 @@ def test_rotate_composition(toy_params, toy_keys):
     assert np.max(np.abs(d1 - d2)) < 2**-14
 
 
+def test_rotation_offset_is_taken_mod_slot_count(toy_params, toy_keys):
+    sk, pk = toy_keys
+    half = toy_params.slots
+    rng = np.random.default_rng(17)
+    ct = ckks.encrypt(ckks.encode(rng.uniform(-1, 1, half), toy_params), pk, toy_params, rng)
+    swk = ckks.rotation_keygen(sk, 5, toy_params, np.random.default_rng(0))
+    wrapped = ckks.rotation_keygen(sk, 5 + half, toy_params, np.random.default_rng(0))
+    for (k0, k1), (w0, w1) in zip(swk.digits, wrapped.digits):
+        assert np.array_equal(k0.coeffs, w0.coeffs) and np.array_equal(k1.coeffs, w1.coeffs)
+    ref = ckks.rotate(ct, 5, swk, toy_params)
+    for r in (5 + half, 5 - half):
+        out = ckks.rotate(ct, r, swk, toy_params)
+        assert np.array_equal(out.c0.coeffs, ref.c0.coeffs)
+        assert np.array_equal(out.c1.coeffs, ref.c1.coeffs)
+    # a hoisted key records its offset as given and serves the reduced rotation
+    hoisted = ckks.rotation_keygen(sk, 5 + half, toy_params, rng, hoisted=True)
+    assert hoisted.hoist_offset == 5 + half
+    digits = ckks.hoist_digits(ct.c1, toy_params.basis)
+    a0 = ckks.raise_to_pq(ct.c0, toy_params.basis)
+    ckks.hoisted_rotation(a0, digits, hoisted, RotationIndex(5, toy_params.ring_dim))
+    with pytest.raises(ckks.MissingKey):
+        ckks.hoisted_rotation(a0, digits, hoisted, RotationIndex(6, toy_params.ring_dim))
+
+
 def test_hoisted_key_twist_is_exact_inverse(toy_params, toy_keys):
     sk, _ = toy_keys
     rng = np.random.default_rng(14)
@@ -309,7 +333,7 @@ def test_end_to_end_pipeline(toy_params, toy_keys):
 
 
 def test_encode_wrong_length(toy_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(BasisMismatch):
         ckks.encode(np.zeros(3), toy_params)
 
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -130,6 +131,22 @@ def test_simulate_explicit_parallelism(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["params"]["parallelism"]["m1"] == 1
+
+
+@pytest.mark.parametrize("flags, dp", [
+    ([], 8),
+    (["--dp", "4"], 4),
+    (["--parallelism", "1,1,1,1,1,1,1,1,1,1,1"], 8),
+    (["--budget-bytes", str(64 * 2**20)], 8),
+    (["--budget-bytes", str(64 * 2**20), "--dp", "16"], 16),
+    (["--factors", "16,128,8"], 2),
+])
+def test_simulate_dp_rule(capsys, flags, dp):
+    # an explicit --dp always applies; without it set-b's reference config
+    # keeps its dp 8, and a config not taken from it gets the default 2
+    code, out, _ = run_cli(capsys, "simulate", "--params", "set-b", *flags)
+    assert code == 0
+    assert json.loads(out)["params"]["parallelism"]["dp"] == dp
 
 
 @pytest.mark.parametrize("factors", ["8,8,8", "3,5,7", "4,4"])
@@ -276,6 +293,8 @@ def test_config_switch_yields_to_its_negated_flag(capsys, tmp_path):
     ["validate", "--params", "set-a", "--format", "json"],
     ["analyze", "--params", "set-a", "--factors", "4,4"],
     ["frobnicate"],
+    ["simulate", "--params", "set-b", "--dp", "3"],
+    ["validate", "--params", "set-c", "--dp", "3"],
 ])
 def test_usage_errors_exit_1_with_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -325,6 +344,13 @@ def test_truncated_flag_is_a_usage_error(capsys, tmp_path):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_no_source_raises_a_bare_value_error():
+    # input checks raise a typed ValueError subclass that names the fault
+    offenders = [path.name for path in Path(ckkslt.__file__).parent.glob("*.py")
+                 if "raise ValueError(" in path.read_text()]
+    assert offenders == []
 
 
 def test_every_ckkslt_exception_is_a_value_error():

@@ -148,6 +148,12 @@ def test_search_bsgs_square_optimum():
     assert cm.search_factors("bsgs", params, "min_compute") == (64, 64)
 
 
+def test_search_rejects_unknown_objective():
+    params = cm.HeParams(2**13, 5, 5, 54, n=2**8)
+    with pytest.raises(cm.BadFactors, match="objective"):
+        cm.search_factors("th-bsgs", params, "min_latency")
+
+
 def test_search_tie_break_smallest_first():
     params = cm.HeParams(2**13, 5, 5, 54, n=2**8)
     fs = cm.search_factors("th-bsgs", params, "min_keys")

@@ -76,6 +76,12 @@ def test_store_read_past_declared_count_raises():
     assert (meter.offchip[2]["poly_read"], meter.offchip[3]["poly_read"]) == (3, 3)
 
 
+def test_store_write_with_wrong_payload_count_is_a_walk_fault():
+    meter, store = dp.MemoryMeter(), dp.OffchipStore()
+    with pytest.raises(RuntimeError, match="2 payloads for 3 objects"):
+        store.write(meter, 1, "x", 0, 3, 1, ["p0", "p1"])
+
+
 def test_store_write_with_no_reads_meters_but_keeps_nothing():
     meter, store = dp.MemoryMeter(), dp.OffchipStore()
     store.write(meter, 1, "x", 0, 1, 3, ["payload"], reads=0)

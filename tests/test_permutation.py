@@ -8,6 +8,7 @@ import pytest
 
 from ckkslt import permutation as pm
 from ckkslt import ring
+from ckkslt.costmodel import ConfigOutOfRange
 from ckkslt.modarith import find_ntt_primes
 
 
@@ -203,10 +204,13 @@ def test_dump_schedule_format():
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigOutOfRange):
         pm.BankLayout.from_storage(np.arange(16, dtype=np.uint64), 8)  # dp^2 > N
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigOutOfRange):
         pm.BankLayout.from_storage(np.arange(16, dtype=np.uint64), 3)
+    with pytest.raises(ring.BasisMismatch):
+        pm.BankLayout(64, 4, np.zeros((4, 8), dtype=np.uint64))
     lay = layout_for(64, 4)
-    with pytest.raises(ValueError):
-        pm.source_index(5, 0, lay)
+    for bank, address in ((5, 0), (0, 16), (-1, 0)):
+        with pytest.raises(ConfigOutOfRange):
+            pm.source_index(bank, address, lay)

@@ -106,6 +106,22 @@ def test_one_interned_context_per_moduli_tuple():
             ring.pointwise_mul(xn, y)
 
 
+def test_limb_coeffs_assignment_writes_into_the_block():
+    from ckkslt import rns
+
+    assert rns.RnsPoly is ring.Poly
+    n = 64
+    x = ring.Poly(np.zeros((3, n), np.uint64), find_ntt_primes(30, n, 3), ring.Domain.COEF)
+    x.limbs[1].coeffs = np.arange(n, dtype=np.uint64)
+    assert np.array_equal(x.coeffs[1], np.arange(n))
+    assert not x.coeffs[[0, 2]].any()
+
+
+def test_single_modulus_poly_rejects_a_non_uint64_row(mod64):
+    with pytest.raises(ring.BasisMismatch):
+        ring.Poly(np.zeros(mod64.ring_dim, np.int64), mod64, ring.Domain.COEF)
+
+
 def test_automorphism_zero_rotation_identity(mod64):
     rng = np.random.default_rng(7)
     p = ring.random_poly(mod64, rng)
@@ -170,6 +186,14 @@ def test_rotation_index_oddness():
             assert rot.g_r % 2 == 1
             inv = rot.inverse()
             assert rot.g_r * inv.g_r % (2 * n) == 1
+
+
+def test_rotation_index_reduces_any_offset():
+    n = 64
+    for r in range(n // 2):
+        rot = ring.RotationIndex(r, n)
+        assert ring.RotationIndex(r + n // 2, n) == rot == ring.RotationIndex(r - n // 2, n)
+        assert ring.RotationIndex(r + 5 * n, n) == rot
 
 
 def test_vector_kernel_against_wide_oracle_large():
