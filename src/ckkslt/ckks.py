@@ -53,7 +53,7 @@ class LevelMismatch(ValueError):
 
 
 class Overflow(ValueError):
-    """Scaled values would not fit the level modulus with margin."""
+    """Scaled values are not finite or would not fit the level modulus with margin."""
 
 
 class MissingKey(ValueError):
@@ -189,6 +189,8 @@ def encode(v, params: CkksParams, scale: float | None = None,
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.slots,):
         raise BasisMismatch(f"expected {params.slots} slots, got {v.shape}")
+    if not (np.isfinite(v).all() and 0 < scale < np.inf):
+        raise Overflow(f"slot values must be finite and the scale finite and > 0, not {scale}")
     coeffs = embed_inverse(v, params.ring_dim) * scale
     peak = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
     if peak > 2**62:

@@ -143,21 +143,24 @@ def plan_layers(method: str, n: int, factors=()) -> tuple[int, int, int]:
     """Validate a factorization and return its layers (n1, n2, n3).
 
     The only factor validator: raises BadFactors for an unknown method,
-    an n that is not a power of two, the wrong number of factors, a
-    factor below 1, or factors whose product is not n.
+    a non-integer n or factor, an n that is not a power of two, the wrong
+    number of factors, a factor below 1, or factors whose product is not n.
     """
     if method not in METHOD_ARITY:
         raise BadFactors(f"unknown method {method}")
+    factors = tuple(factors)
+    # a float, Fraction or Decimal among integers makes their product one too
+    if not hasattr(math.prod(factors, start=n), "__index__"):
+        raise BadFactors(f"n={n!r} and factors {factors} must be integers")
     if n < 1 or n & (n - 1):
         raise BadFactors(f"transform dimension {n} is not a power of two")
-    factors = tuple(factors)
     want = METHOD_ARITY[method]
     if len(factors) != want:
         raise BadFactors(f"{method} needs {want} factors, got {factors}")
-    if any(f < 1 for f in factors):
-        raise BadFactors("factors must be >= 1")
     if not factors:
         return 1, n, 1
+    if min(factors) < 1:
+        raise BadFactors("factors must be >= 1")
     if math.prod(factors) != n:
         raise BadFactors(f"factors {factors} do not multiply to {n}")
     return (1,) * (3 - want) + factors

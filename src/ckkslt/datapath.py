@@ -25,11 +25,11 @@ where a key is actually fetched, so shape-only runs leave that set empty.
 Metering happens once per loop nest, not once per object: each batch
 iteration meters its whole batch, and the store is addressed by object
 kind (``a``, ``b``, ``d``, ``u0``, ``u1``, ``acc``) and a contiguous
-index range. A loop that only ticks rounds and checks the on-chip bound
-becomes one round count and one bound at its largest extent, where each
-bound peaks (``validate_config`` caps every knob at its loop's extent).
-The walk stays an event walk: no closed-form cell enters the meter, so
-the comparison against the closed forms stays a cross-check.
+index range. Off-chip traffic is metered as events: no closed-form cell
+enters it, so the comparison against the closed forms is a cross-check.
+On-chip peaks are modeled, not walked: each phase that runs reports its
+closed-form envelope (``peak_onchip``), and a phase whose loop never
+runs reports 0.
 
 Each object written to the off-chip store declares how many modeled
 reads it gets, and the store frees its payload at the last one. A read
@@ -74,10 +74,6 @@ from .linear import OpTrace, PlanMismatch
 from .ring import BasisMismatch, RotationIndex
 
 
-class OnchipOverflow(RuntimeError):
-    """A phase exceeded its declared buffer envelope (a plan bug)."""
-
-
 @dataclass
 class MemoryMeter:
     offchip: dict = field(default_factory=lambda: {
@@ -88,10 +84,6 @@ class MemoryMeter:
 
     def add(self, phase: int, category: str, limbs: int):
         self.offchip[phase][category] += limbs
-
-    def residency(self, phase: int, limbs: int):
-        if limbs > self.onchip_peak[phase]:
-            self.onchip_peak[phase] = limbs
 
     def tick(self, phase: int, rounds: int = 1):
         self.rounds[phase] += rounds
@@ -204,12 +196,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         if not plan.hoisted or plan.layers != (n1, n2, n3):
             raise PlanMismatch(f"diagonals are packed for {plan.method.value} "
                                f"{plan.factors}, not hoisted layers {(n1, n2, n3)}")
-    envelope = peak_onchip(params, factors, cfg)
-
-    def bound(phase: int, used: int):
-        meter.residency(phase, used)
-        if used > envelope[phase]:
-            raise OnchipOverflow(f"phase {phase} used {used} > {envelope[phase]} limbs")
 
     def rotate(a, digits, offset: int):
         """Hoisted rotation of (a, digits) by offset (compute mode only)."""
@@ -240,7 +226,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         meter.add(1, "switching_key", key_limbs)
         trace.cwise_mult_limbs += key_limbs  # each key limb multiplies one digit limb
         meter.tick(1, ceil_div(limbs, cfg.l1))
-        bound(1, 2 * lp + (beta + 4) * cfg.l1 + (4 * beta + 6) * len(batch) * cfg.l1)
         if compute:
             a_out, b_out = zip(*(rotate(a0[0], digits0[0], i) for i in batch))
         store.write(meter, 1, "a", batch.start, batch.stop, limbs, a_out,
@@ -255,7 +240,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         batch = range(i0, min(i0 + cfg.m2, n1))
         meter.tick(2)
         meter.add(2, "ntt", limbs)  # twiddle reload per batch (actual: m2)
-        bound(2, len(batch) * (2 * lp + params.alpha + 2 * beta * cfg.l2) + 2 * cfg.l2)
         b_in = store.read(meter, 2, "b", batch.start, batch.stop)
         trace.moddown += len(batch)
         trace.decompose += len(batch)
@@ -273,8 +257,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         meter.add(3, "switching_key", key_limbs)
         trace.cwise_mult_limbs += n1 * key_limbs  # each cached key serves all n1 inputs
         meter.tick(3, ceil_div(n1, cfg.m4) * ceil_div(limbs, cfg.l3))
-        bound(3, 2 * cfg.l3 * ((beta + 1) * cfg.m4 + 2 * beta * len(jbatch)
-                               + 2 * len(jbatch) * cfg.m4))
         # every (a_i, d_i) streams back once per key batch
         a_vals = store.read(meter, 3, "a", 0, n1)
         d_vals = store.read(meter, 3, "d", 0, n1)
@@ -296,7 +278,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     for m0 in range(0, total_m, cfg.m5):
         meter.tick(4)
         mbatch = range(m0, min(m0 + cfg.m5, total_m))
-        bound(4, 6 * len(mbatch) * cfg.l4 + 5 * cfg.l4)
         a_in = store.read(meter, 4, "a", mbatch.start, mbatch.stop)
         b_in = store.read(meter, 4, "b", mbatch.start, mbatch.stop)
         meter.add(4, "lt_matrix", len(mbatch) * n3 * limbs)
@@ -324,10 +305,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         meter.tick(5)
         kbatch = range(r0, min(r0 + cfg.m6, n3))
         meter.add(5, "ntt", limbs)  # one table set per round
-        used = (len(kbatch) * limbs
-                + (5 * beta * len(kbatch) + 2 * len(kbatch) + 6) * cfg.l5
-                + 2 * cfg.l5)
-        bound(5, used)
         if r0 != 0:
             acc_pair = store.read(meter, 5, "acc", 0, 2)
         u0s = store.read(meter, 5, "u0", kbatch.start, kbatch.stop)
@@ -352,7 +329,6 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     meter.tick(6)
     acc0, acc1 = store.read(meter, 6, "acc", 0, 2)
     meter.add(6, "ntt", limbs)
-    bound(6, 2 * limbs)
     trace.moddown += 2
     out_ct = None
     if compute:
@@ -363,6 +339,10 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     meter.add(6, "poly_write", 2 * (lp - 1))  # the output ciphertext
     if store.live():
         raise RuntimeError(f"off-chip objects never read out: {store.live()}")
+    # each loop nest's first batch is its whole knob (validate_config caps
+    # every knob at its extent), so a phase that runs peaks at its envelope
+    envelope = peak_onchip(params, factors, cfg)
+    meter.onchip_peak = {p: envelope[p] if meter.rounds[p] else 0 for p in envelope}
     return SimResult(meter, trace, out_ct)
 
 

@@ -38,6 +38,16 @@ def test_encode_overflow_guard(toy_params):
         ckks.encode(v, toy_params, scale=2**70)
 
 
+@pytest.mark.parametrize("fill, scale", [(np.nan, None), (np.inf, None), (-np.inf, None),
+                                         (1.0, np.inf), (1.0, np.nan), (1.0, 0.0),
+                                         (1.0, -2.0**20)])
+def test_encode_rejects_non_finite_values_and_bad_scales(toy_params, fill, scale):
+    v = np.zeros(toy_params.slots)
+    v[3] = fill
+    with pytest.raises(ckks.Overflow):
+        ckks.encode(v, toy_params, scale=scale)
+
+
 def test_encrypt_decrypt_roundtrip(toy_params, toy_keys):
     sk, pk = toy_keys
     rng = np.random.default_rng(2)

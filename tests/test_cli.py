@@ -9,7 +9,6 @@ import pytest
 import ckkslt
 from ckkslt import ckks, cli
 from ckkslt import costmodel as cm
-from ckkslt import datapath as dp
 
 
 def run_cli(capsys, *argv):
@@ -354,12 +353,11 @@ def test_no_source_raises_a_bare_value_error():
 
 
 def test_every_ckkslt_exception_is_a_value_error():
-    # main turns a ValueError into one error line and exit 1; OnchipOverflow
-    # guards an internal plan invariant, so it stays a crash
+    # main turns a ValueError into one error line and exit 1
     modules = [importlib.import_module(f"ckkslt.{info.name}")
                for info in pkgutil.iter_modules(ckkslt.__path__)]
     defined = {obj for mod in modules for obj in vars(mod).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)
                and obj.__module__ == mod.__name__}
-    assert {ckks.MissingKey, cli.UsageError, dp.OnchipOverflow} <= defined
-    assert {cls for cls in defined if not issubclass(cls, ValueError)} == {dp.OnchipOverflow}
+    assert {ckks.MissingKey, cli.UsageError, cm.BadFactors} <= defined
+    assert {cls for cls in defined if not issubclass(cls, ValueError)} == set()

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ckkslt import costmodel as cm
@@ -53,9 +54,12 @@ def test_plan_layers():
     assert cm.plan_layers("bsgs", 64, [2, 32]) == (1, 2, 32)
     assert cm.plan_layers("dh-bsgs", 64, (8, 8)) == (1, 8, 8)
     assert cm.plan_layers("th-bsgs", 64, (4, 4, 4)) == (4, 4, 4)
+    assert cm.plan_layers("th-bsgs", np.int64(64), tuple(np.array([4, 4, 4]))) == (4, 4, 4)
     bad = [("lt", 64, ()), ("diagonal", 48, ()), ("diagonal", 0, ()),
            ("diagonal", 64, (64,)), ("th-bsgs", 64, (8, 8)),
-           ("dh-bsgs", 64, (-8, -8)), ("bsgs", 64, (4, 8))]
+           ("dh-bsgs", 64, (-8, -8)), ("bsgs", 64, (4, 8)),
+           ("diagonal", 64.0, ()), ("th-bsgs", 64, (4.0, 4.0, 4.0)),
+           ("th-bsgs", 64, (4, 4.5, 4))]
     for method, n, factors in bad:
         with pytest.raises(cm.BadFactors):
             cm.plan_layers(method, n, factors)

@@ -117,13 +117,30 @@ def test_object_live_at_end_of_walk_raises(monkeypatch):
         dp.simulate(params, factors, cfg)
 
 
-def test_onchip_peak_below_envelope():
-    for set_name in ("set-a", "set-b", "set-c"):
-        params, factors, cfg = cm.reference_config(set_name)
+def _random_configs(shape, count, seed):
+    """Seeded in-range configs over every three-factor split of shape.n."""
+    rng = np.random.default_rng(seed)
+    k = shape.n.bit_length() - 1
+    splits = [(1 << a, 1 << b, 1 << (k - a - b)) for a in range(k + 1) for b in range(k + 1 - a)]
+    for _ in range(count):
+        factors = splits[rng.integers(len(splits))]
+        knobs = {name: int(rng.integers(1, hi + 1))
+                 for name, hi in cm.knob_extents(factors, shape.pq_limbs)}
+        yield shape, factors, cm.ParallelismConfig(**knobs)
+
+
+def test_onchip_peak_is_the_envelope_of_every_phase_that_runs():
+    # each loop nest's first batch is its whole knob, so a phase that runs
+    # peaks at the closed form and one whose loop never runs holds nothing
+    configs = [*(cm.reference_config(name) for name in ("set-a", "set-b", "set-c")),
+               *_random_configs(cm.HeParams(16, 3, 2, 54, n=8), 30, seed=1),
+               *_random_configs(cm.HeParams(2**10, 5, 5, 44, n=64), 30, seed=2)]
+    for params, factors, cfg in configs:
         sim = dp.simulate(params, factors, cfg)
         peaks = cm.peak_onchip(params, factors, cfg)
         for phase in cm.PHASES:
-            assert sim.meter.onchip_peak[phase] <= peaks[phase]
+            want = peaks[phase] if sim.meter.rounds[phase] else 0
+            assert sim.meter.onchip_peak[phase] == want, (factors, cfg, phase)
 
 
 def test_perturbed_config_flags_delta():
