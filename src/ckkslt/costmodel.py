@@ -521,6 +521,8 @@ def tradeoff_csv(points: list[TradeoffPoint]) -> str:
 def best_tradeoff_ratio(params: HeParams) -> dict:
     """Switching-key ratio between the two-layer and three-layer methods
     at their best-tradeoff sweep points."""
+    if params.n == 1:
+        raise BadFactors("n=1 needs no rotation keys; the key ratio is undefined")
     best = {p.method: p for p in tradeoff_curve(["dh-bsgs", "th-bsgs"], params)
             if "best-tradeoff" in p.tag}
     dh_best, th_best = best["dh-bsgs"], best["th-bsgs"]

@@ -294,6 +294,9 @@ def test_config_switch_yields_to_its_negated_flag(capsys, tmp_path):
     ["frobnicate"],
     ["simulate", "--params", "set-b", "--dp", "3"],
     ["validate", "--params", "set-c", "--dp", "3"],
+    # n = 1 needs no rotation keys, so the dh/th key ratio has no divisor
+    ["analyze", "--params", "toy-small", "--n", "1"],
+    ["analyze", "--params", "toy-small", "--n", "1", "--format", "csv"],
 ])
 def test_usage_errors_exit_1_with_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

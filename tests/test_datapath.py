@@ -10,15 +10,21 @@ from ckkslt import datapath as dp
 from ckkslt import linear, ring
 
 
-@pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c"])
+ACCEPT_SHAPE = cm.HeParams(2**10, 5, 5, 44, n=64)
+# n1 = 1 plans, whose phase 1 runs only its decomposition pass
+N1_PLANS = {"(1,64,1)": (1, 64, 1), "(1,8,8)": (1, 8, 8)}
+
+
+@pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c", *N1_PLANS])
 def test_count_mode_matches_closed_forms(set_name):
-    params, factors, cfg = cm.reference_config(set_name)
+    params, factors, cfg = (cm.reference_config(set_name) if set_name.startswith("set-")
+                            else (ACCEPT_SHAPE, N1_PLANS[set_name], cm.ParallelismConfig()))
     rows = dp.validate_against_model(params, factors, cfg)
     for row in rows:
         assert row["explained"], row
     # non-whitelisted off-chip cells agree exactly
     for row in rows:
-        if row["category"] != "onchip_peak" and not row["whitelisted"]:
+        if not row["whitelisted"]:
             assert row["delta"] == 0, row
 
 
@@ -190,14 +196,19 @@ def test_round_counts_are_ceiling_products():
     def ceil(a, b):
         return -(-a // b)
 
-    for set_name in ("set-a", "set-b", "set-c"):
-        params, factors, ref_cfg = cm.reference_config(set_name)
+    cases = [(p, f, (cm.ParallelismConfig(), cfg))
+             for p, f, cfg in map(cm.reference_config, ("set-a", "set-b", "set-c"))]
+    # at n1 = 1 phase 1 still runs one decomposition pass
+    cases += [(p, f, (cm.ParallelismConfig(), cm.ParallelismConfig(l1=3)))
+              for p, f in ((ACCEPT_SHAPE, (1, 64, 1)), (ACCEPT_SHAPE, (1, 8, 8)),
+                           (cm.NAMED_SETS["set-a"], (1, 2048, 2)))]
+    for params, factors, cfgs in cases:
         n1, n2, n3 = factors
         limbs = params.pq_limbs
-        for cfg in (cm.ParallelismConfig(), ref_cfg):
+        for cfg in cfgs:
             sim = dp.simulate(params, factors, cfg)
             r = sim.meter.rounds
-            assert r[1] == ceil(n1 - 1, cfg.m1) * ceil(limbs, cfg.l1)
+            assert r[1] == max(1, ceil(n1 - 1, cfg.m1)) * ceil(limbs, cfg.l1)
             assert r[2] == ceil(n1 - 1, cfg.m2)
             assert r[3] == (ceil(n2 - 1, cfg.m3) * ceil(limbs, cfg.l3)
                             * ceil(n1, cfg.m4))
@@ -361,9 +372,6 @@ def test_report_json_schema():
     assert set(rep["phases"]) == {str(p) for p in cm.PHASES}
     for row in rep["phases"].values():
         assert set(row) == set(cm.CATEGORIES)
-
-
-ACCEPT_SHAPE = cm.HeParams(2**10, 5, 5, 44, n=64)
 
 
 @pytest.mark.parametrize("shape, factors, cfg", [

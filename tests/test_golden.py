@@ -126,7 +126,7 @@ GOLDEN_CLI = {
     'simulate --params set-a': '0:4ce3eba82eabfcec',
     'simulate --params set-b': '0:69ddfb8e9f5ebbc6',
     'simulate --params set-c': '0:a7c5b5fcbe53e2be',
-    'validate --params set-b': '0:8892501a55367ba8',
+    'validate --params set-b': '0:15d6ff03d4ac0c62',
     'analyze --params set-c --format csv': '0:77bdb1e72db9f9ac',
     'analyze --params set-a': '0:e3e224a6c3f7b71a',
     'demo --params toy-small --method all --n 16 --seed 3 --compare': '0:f237293a707d2281',
@@ -134,9 +134,9 @@ GOLDEN_CLI = {
 }
 
 GOLDEN_SWEEP = {
-    'sweep:set-a': '8c682767a0faecf4',
-    'sweep:set-b': '3cab727c2921a391',
-    'sweep:set-c': '83b28268b83f494d',
+    'sweep:set-a': '423c8790e55af2dd',
+    'sweep:set-b': '0da62cefdbb43fe6',
+    'sweep:set-c': '7abb4cbc6e963d67',
     'schedule:N=1024 dp=2': '445c6d269803f2f3',
     'schedule:N=1024 dp=4': 'ab02e23be7aca0bc',
     'schedule:N=1024 dp=8': 'c7ce2822d6daf416',
