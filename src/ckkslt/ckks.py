@@ -263,12 +263,6 @@ def encrypt(pt: Plaintext, key, params: CkksParams,
     return Ciphertext(c0, c1, pt.scale)
 
 
-def trivial_encrypt(pt: Plaintext) -> Ciphertext:
-    m = to_ntt(pt.poly)
-    zero = m.like(np.zeros_like(m.coeffs), Domain.NTT)
-    return Ciphertext(m, zero, pt.scale)
-
-
 def decrypt(ct: Ciphertext, sk: SecretKey) -> Plaintext:
     """Raises ``BasisMismatch`` for components over different bases."""
     m = rns_add(ct.c0, mul_secret(ct.c1, sk))

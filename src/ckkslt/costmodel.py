@@ -66,17 +66,22 @@ class HeParams:
     n: int = 0  # transform dimension; defaults to N/2
 
     def __post_init__(self):
-        dim = self.ring_dim
+        # a float, Fraction or Decimal among integers makes their product one too
+        dim, w = self.ring_dim, self.word_bits
+        if not hasattr(dim * w, "__index__"):
+            raise InvalidModulus(f"ring_dim={dim!r} and word_bits={w!r} must be integers")
         if dim < 8 or dim & (dim - 1):
             raise InvalidModulus(f"ring_dim={dim} is not a power of two >= 8")
-        if not 8 <= self.word_bits <= 60:
-            raise InvalidModulus(f"word_bits={self.word_bits} outside [8, 60]")
-        if self.levels < 1 or self.alpha < 1:
-            raise BasisMismatch(f"levels={self.levels} and alpha={self.alpha} must be >= 1")
+        if not 8 <= w <= 60:
+            raise InvalidModulus(f"word_bits={w} outside [8, 60]")
+        if (not hasattr(self.levels * self.alpha, "__index__")
+                or self.levels < 1 or self.alpha < 1):
+            raise BasisMismatch(f"levels={self.levels!r} and alpha={self.alpha!r} "
+                                "must be integers >= 1")
         if self.n == 0:
-            object.__setattr__(self, "n", self.ring_dim // 2)
-        if self.n & (self.n - 1) or self.n > self.ring_dim // 2:
-            raise BadFactors("n must be a power of two <= N/2")
+            object.__setattr__(self, "n", dim // 2)
+        if not hasattr(self.n, "__index__") or self.n & (self.n - 1) or self.n > dim // 2:
+            raise BadFactors(f"n={self.n!r} must be a power of two <= N/2")
 
     @property
     def beta(self) -> int:
@@ -168,8 +173,8 @@ def plan_layers(method: str, n: int, factors=()) -> tuple[int, int, int]:
 
 def check_dp(dp: int, ring_dim: int):
     """The bank count rule: dp is a power of two >= 2 with dp^2 <= N."""
-    if dp < 2 or dp & (dp - 1):
-        raise ConfigOutOfRange(f"dp={dp} is not a power of two >= 2")
+    if not hasattr(dp, "__index__") or dp < 2 or dp & (dp - 1):
+        raise ConfigOutOfRange(f"dp={dp!r} is not a power of two >= 2")
     if dp * dp > ring_dim:
         raise ConfigOutOfRange(f"dp={dp} needs dp^2 <= N={ring_dim}")
 
@@ -186,6 +191,8 @@ def knob_extents(layers: tuple[int, int, int], limbs: int) -> tuple[tuple[str, i
 def validate_config(params: HeParams, factors, cfg: ParallelismConfig) -> tuple[int, int, int]:
     """Check a six-phase configuration; returns the th-bsgs layers."""
     layers = plan_layers("th-bsgs", params.n, factors)
+    if not hasattr(math.prod(vars(cfg).values()), "__index__"):
+        raise ConfigOutOfRange(f"{cfg} has a field that is not an integer")
     check_dp(cfg.dp, params.ring_dim)
     for name, hi in knob_extents(layers, params.pq_limbs):
         val = getattr(cfg, name)

@@ -71,8 +71,19 @@ from .costmodel import (
     validate_config,
 )
 from . import ckks as ck
-from .linear import OpTrace, PlanMismatch
 from .ring import BasisMismatch, RotationIndex
+
+
+class PlanMismatch(ValueError):
+    """Plan factors do not fit the method or the diagonal matrix."""
+
+
+@dataclass
+class OpTrace:
+    decompose: int = 0
+    moddown: int = 0
+    cwise_mult_limbs: int = 0
+    key_offsets: set = field(default_factory=set)
 
 
 @dataclass

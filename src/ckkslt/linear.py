@@ -45,17 +45,16 @@ from .ckks import (
     decode,
     decrypt,
     encode,
+    encrypt,
+    keygen,
     pt_ct_mult,
     rescale_ct,
     rotate,
     rotation_keygen,
 )
 from .costmodel import BadFactors, HeParams, ParallelismConfig, plan_layers
+from .datapath import ComputeContext, OpTrace, PlanMismatch, simulate
 from .ring import RotationIndex, automorphism_coef, ntt
-
-
-class PlanMismatch(ValueError):
-    """Plan factors do not fit the method or the diagonal matrix."""
 
 
 class DimensionTooLarge(ValueError):
@@ -86,14 +85,6 @@ class LtPlan:
         diagonals packed over PQ. Only plain BSGS rotates and multiplies
         over Q."""
         return self.method != LtMethod.BSGS
-
-
-@dataclass
-class OpTrace:
-    decompose: int = 0
-    moddown: int = 0
-    cwise_mult_limbs: int = 0
-    key_offsets: set = field(default_factory=set)
 
 
 @dataclass
@@ -215,12 +206,10 @@ def lt_hoisted(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     (a, b) runs as (1, a, b), diagonal as (1, n, 1), and th-bsgs with
     n3 = 1 matches dh-bsgs (n1, n2) within the approximation error.
     """
-    from . import datapath  # datapath imports this module
-
     shape = HeParams(params.ring_dim, params.basis.level_count, params.basis.alpha,
                      n=dm.plan.n)
-    sim = datapath.simulate(shape, dm.plan.layers, ParallelismConfig(),
-                            datapath.ComputeContext(params, ct, dm, keys))
+    sim = simulate(shape, dm.plan.layers, ParallelismConfig(),
+                   ComputeContext(params, ct, dm, keys))
     return sim.ciphertext, sim.trace
 
 
@@ -234,8 +223,6 @@ def lt_equivalence_check(f_matrix: np.ndarray, v: np.ndarray,
                          params: CkksParams, plans: list[LtPlan],
                          seed: int = 0) -> dict:
     """Run every plan on identical inputs and report pairwise differences."""
-    from .ckks import encrypt, keygen
-
     rng = np.random.default_rng(seed)
     sk, pk = keygen(params, rng)
     n = plans[0].n

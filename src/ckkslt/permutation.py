@@ -2,32 +2,33 @@
 
 An NTT-domain polynomial is spread across dp memory banks: bank f,
 address n_f stores the evaluation-order value A_{bitrev(f*N/dp + n_f)}.
-The automorphism moving the value at evaluation index y to index
-(m*y + (m-1)/2) mod N has two structural properties this module
-exploits and verifies:
+The network routes the inverse of ``ring.eval_permutation``, the gather
+index of ``automorphism_eval``: rotation r moves the value at evaluation
+index y to (m*y + (m-1)/2) mod N, m = (5^r)^-1 mod 2N. That map has two
+structural properties this module exploits:
 
 * the destination bank depends only on the source bank, never on the
-  address, so the per-step routing is a fixed dp-permutation; and
+  address, so the per-step routing is a fixed dp-permutation;
+  ``bank_map`` reads it at address 0 and tests check the other addresses;
 * viewed on odd residues t = 2*idx+1 mod 2N the map is multiplication
   by m, so every cycle has the same length ord_{2N}(m) and a
   displacement walk (write each in-flight value onto its target while
   reading the target's previous occupant) covers all N positions in
   exactly N/dp full-occupancy steps.
 
-Direction convention: the ring-level rotation by r substitutes
-x -> x^(5^r); expressed as "value at index idx moves to idx'", the index
-multiplier is the inverse exponent, m = (5^r)^-1 mod 2N. target() and
-schedule() take the rotation r and handle the inversion internally.
+``target`` returns one value's destination (bank, address) through the
+per-field split of that formula, asserted against the direct formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .costmodel import ConfigOutOfRange, check_dp
-from .ring import BasisMismatch, RotationIndex, bitrev_table
+from .ring import BasisMismatch, RotationIndex, bitrev_table, eval_permutation
 
 
 class ScheduleViolation(ValueError):
@@ -43,45 +44,27 @@ class BankLayout:
     def __post_init__(self):
         n, dp = self.ring_dim, self.dp
         check_dp(dp, n)
-        if self.banks.shape != (dp, n // dp):
-            raise BasisMismatch("bank array has the wrong shape")
+        if not hasattr(n, "__index__") or n & (n - 1) or self.banks.shape != (dp, n // dp):
+            raise BasisMismatch(f"banks of shape {self.banks.shape} do not split N={n!r}")
 
     @classmethod
     def from_storage(cls, values: np.ndarray, dp: int) -> "BankLayout":
         """Split a bit-reversed-order NTT storage array into dp banks."""
-        n = len(values)
-        check_dp(dp, n)  # before the reshape, which would raise numpy's own error
+        n = values.size
+        # checked before the reshape, which would raise numpy's own error
+        if values.ndim != 1 or n & (n - 1):
+            raise BasisMismatch(f"storage of shape {values.shape} is not one NTT block")
+        check_dp(dp, n)
         return cls(n, dp, values.reshape(dp, n // dp).copy())
 
     def to_storage(self) -> np.ndarray:
         return self.banks.reshape(-1).copy()
 
 
-def perm_multiplier(r: int, ring_dim: int) -> int:
-    """Odd index multiplier realizing rotation r in move-to form."""
-    g_r = RotationIndex(r, ring_dim).g_r
-    return pow(g_r, -1, 2 * ring_dim)
-
-
-@dataclass(frozen=True)
-class PermTarget:
-    """Full decomposition of one coefficient move, §-by-§ fields exposed."""
-
-    f: int
-    n_f: int
-    idx: int
-    i_f: int
-    j_f: int
-    k_f: int
-    t_f: int
-    u_f: int
-    v_f: int
-    i_fp: int
-    j_fp: int
-    k_fp: int
-    f_prime: int
-    n_f_prime: int
-    idx_prime: int
+def _storage_permutation(r: int, n: int) -> np.ndarray:
+    """dst[s] for each storage position s: the inverse of the gather index
+    ``automorphism_eval`` applies for rotation r."""
+    return np.argsort(eval_permutation(n, RotationIndex(r, n).g_r))
 
 
 def source_index(f: int, n_f: int, layout: BankLayout) -> tuple[int, int, int, int]:
@@ -101,7 +84,7 @@ def source_index(f: int, n_f: int, layout: BankLayout) -> tuple[int, int, int, i
     return idx, i_f, j_f, k_f
 
 
-def target(f: int, n_f: int, r: int, layout: BankLayout) -> PermTarget:
+def target(f: int, n_f: int, r: int, layout: BankLayout) -> tuple[int, int]:
     """Destination (bank, address) for the value at (f, n_f) under rotation r.
 
     Computed through the per-field decomposition of
@@ -110,7 +93,7 @@ def target(f: int, n_f: int, r: int, layout: BankLayout) -> PermTarget:
     result is asserted against the direct index formula.
     """
     n, dp = layout.ring_dim, layout.dp
-    m = perm_multiplier(r, n)
+    m = pow(RotationIndex(r, n).g_r, -1, 2 * n)
     idx, i_f, j_f, k_f = source_index(f, n_f, layout)
     mid = n // (dp * dp)
     base = m * k_f + (m - 1) // 2
@@ -124,19 +107,15 @@ def target(f: int, n_f: int, r: int, layout: BankLayout) -> PermTarget:
     i_fp = (m * i_f + t_f + carry) % dp
     idx_prime = i_fp * (n // dp) + j_fp * dp + k_fp
     assert idx_prime == (m * idx + (m - 1) // 2) % n, "field split disagrees with direct formula"
-    flat = int(bitrev_table(n)[idx_prime])
-    f_prime = flat // (n // dp)
-    n_f_prime = flat % (n // dp)
+    f_prime, n_f_prime = divmod(int(bitrev_table(n)[idx_prime]), n // dp)
     assert f_prime == bitrev_table(dp)[k_fp]
-    return PermTarget(f, n_f, idx, i_f, j_f, k_f, t_f, u_f, v_f,
-                      i_fp, j_fp, k_fp, f_prime, n_f_prime, idx_prime)
+    return f_prime, n_f_prime
 
 
 def bank_map(r: int, layout: BankLayout) -> np.ndarray:
-    """Destination bank per source bank; address-independent by construction."""
-    m = perm_multiplier(r, layout.ring_dim)
-    rev = bitrev_table(layout.dp)
-    return rev[(m * rev + (m - 1) // 2) % layout.dp]  # k_f -> v_f, back to banks
+    """Destination bank per source bank, read at each bank's address 0."""
+    per_bank = layout.ring_dim // layout.dp
+    return _storage_permutation(r, layout.ring_dim)[::per_bank] // per_bank
 
 
 @dataclass
@@ -144,15 +123,6 @@ class MoveStep:
     """One full-occupancy step: dp moves (src_bank, src_addr, dst_bank, dst_addr)."""
 
     moves: list[tuple[int, int, int, int]]
-
-
-def _storage_permutation(r: int, n: int) -> np.ndarray:
-    """dst[s] for each storage position s under the move-to convention."""
-    m = perm_multiplier(r, n)
-    rev = bitrev_table(n)
-    idx = rev  # eval index of each storage slot
-    idx_prime = (m * idx + (m - 1) // 2) % n
-    return rev[idx_prime]
 
 
 def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
@@ -184,11 +154,8 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
         return a
 
     # lane state: current read position (flat); start with address 0 of each bank
-    lanes = []
-    for f in range(dp):
-        pos = f * per_bank + fresh(f)
-        visited[pos] = 1
-        lanes.append(pos)
+    lanes = list(range(0, n, per_bank))
+    visited[::per_bank] = bytes([1]) * dp
     seen = dp  # visited positions, so a closing chain knows whether any are left
     for _ in range(per_bank):
         moves = []
@@ -247,21 +214,16 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     layout.banks[moves[:, 2], moves[:, 3]] = layout.banks[moves[:, 0], moves[:, 1]]
 
 
-def apply_rotation_banked(layout: BankLayout, r: int) -> None:
-    """Apply the full rotation to the banks via the move schedule."""
-    apply_schedule(layout, schedule(r, layout))
-
-
 def mux_controls(r: int, layout: BankLayout) -> np.ndarray:
     """Per-step dp-to-1 selector settings: entry [step, out_bank] names the
     source bank feeding that output bank. Constant across steps because the
     bank map is address-independent."""
     steps = schedule(r, layout)
-    dp = layout.dp
-    table = np.empty((len(steps), dp), dtype=np.int64)
-    for s, step in enumerate(steps):
-        for src_bank, _, dst_bank, _ in step.moves:
-            table[s, dst_bank] = src_bank
+    # flattened for fromiter: np.array on the move tuples takes twice as long
+    flat = chain.from_iterable(chain.from_iterable(step.moves for step in steps))
+    moves = np.fromiter(flat, np.int64).reshape(len(steps), layout.dp, 4)
+    table = np.empty(moves.shape[:2], dtype=np.int64)
+    np.put_along_axis(table, moves[:, :, 2], moves[:, :, 0], axis=1)
     return table
 
 

@@ -160,12 +160,12 @@ def test_criterion_6_permutation_network():
                 bmap = pm.bank_map(r, lay0)
                 assert sorted(bmap.tolist()) == list(range(dp_banks))
                 flat = pm._storage_permutation(r, n)
+                n_f = (r * 7) % per_bank
                 for f in range(dp_banks):
-                    t = pm.target(f, (r * 7) % per_bank, r, lay0)
-                    dst = int(flat[f * per_bank + t.n_f])
-                    assert (t.f_prime, t.n_f_prime) == divmod(dst, per_bank)
+                    dst = int(flat[f * per_bank + n_f])
+                    assert pm.target(f, n_f, r, lay0) == divmod(dst, per_bank)
                 lay = pm.BankLayout.from_storage(poly.coeffs, dp_banks)
-                pm.apply_rotation_banked(lay, r)
+                pm.apply_schedule(lay, pm.schedule(r, lay))
                 ref = ring.automorphism_eval(poly, ring.RotationIndex(r, n))
                 assert np.array_equal(lay.to_storage(), ref.coeffs)
                 checked += 1
@@ -176,9 +176,8 @@ def test_criterion_6_permutation_network():
             flat = pm._storage_permutation(r, n)
             for f in range(dpb):
                 for n_f in range(n // dpb):
-                    t = pm.target(f, n_f, r, lay0)
                     dst = int(flat[f * (n // dpb) + n_f])
-                    assert (t.f_prime, t.n_f_prime) == divmod(dst, n // dpb)
+                    assert pm.target(f, n_f, r, lay0) == divmod(dst, n // dpb)
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(f"criterion 6: {checked} (N, dp, r) schedules verified "

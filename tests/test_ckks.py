@@ -66,16 +66,6 @@ def test_secret_key_encrypt(toy_params, toy_keys):
     assert np.max(np.abs(back - v)) < 2**-15
 
 
-def test_trivial_ciphertext_exact(toy_params, toy_keys):
-    sk, _ = toy_keys
-    rng = np.random.default_rng(4)
-    v = rng.uniform(-1, 1, toy_params.slots)
-    pt = ckks.encode(v, toy_params)
-    dec = ckks.decrypt(ckks.trivial_encrypt(pt), sk)
-    for a, b in zip(dec.poly.limbs, pt.poly.limbs):
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-
 def test_homomorphic_addition(toy_params, toy_keys):
     sk, pk = toy_keys
     rng = np.random.default_rng(5)

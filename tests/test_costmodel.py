@@ -120,8 +120,14 @@ def test_best_tradeoff_ratio_breaks_compute_ties_like_the_tags():
     ((2**10, 5, 0), ring.BasisMismatch),
     ((2**10, 5, 5, 7), InvalidModulus),
     ((2**10, 5, 5, 61), InvalidModulus),
+    ((1024.0, 5, 5), InvalidModulus),
+    ((2**10, 5, 5, 44.0), InvalidModulus),
+    ((2**10, 5.0, 2, 44, 64), ring.BasisMismatch),
+    ((2**10, 5, 2.5), ring.BasisMismatch),
+    ((2**10, 5, 5, 54, 64.0), cm.BadFactors),
 ], ids=["ring-dim-not-power-of-two", "ring-dim-below-8", "no-levels", "no-alpha",
-        "word-below-8-bits", "word-above-60-bits"])
+        "word-below-8-bits", "word-above-60-bits", "float-ring-dim", "float-word-bits",
+        "float-levels", "float-alpha", "float-n"])
 def test_he_params_rejects_unsupported_shapes(args, error):
     with pytest.raises(error):
         cm.HeParams(*args)

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,25 @@ def test_config_out_of_range():
     params, factors, _ = cm.reference_config("set-a")
     with pytest.raises(cm.ConfigOutOfRange):
         dp.simulate(params, factors, cm.ParallelismConfig(m6=99))
+    # a non-integer knob inside its extent would give fractional limb counts
+    for check, cfg in ((dp.simulate, cm.ParallelismConfig(m1=2.5)),
+                       (cm.peak_onchip, cm.ParallelismConfig(m1=2.5)),
+                       (cm.offchip_access, cm.ParallelismConfig(m3=1.5)),
+                       (cm.validate_config, cm.ParallelismConfig(dp=4.0))):
+        with pytest.raises(cm.ConfigOutOfRange):
+            check(params, factors, cfg)
+
+
+def test_datapath_does_not_import_linear():
+    # linear runs its hoisted plans on the walk, so the walk must not need linear
+    code = "import sys, ckkslt.datapath; print('ckkslt.linear' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

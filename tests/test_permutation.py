@@ -48,8 +48,7 @@ def test_target_zero_rotation_is_identity():
     lay = layout_for(64, 8)
     for f in range(8):
         for n_f in range(8):
-            t = pm.target(f, n_f, 0, lay)
-            assert (t.f_prime, t.n_f_prime) == (f, n_f)
+            assert pm.target(f, n_f, 0, lay) == (f, n_f)
 
 
 def test_target_matches_flat_permutation_exhaustive():
@@ -61,9 +60,8 @@ def test_target_matches_flat_permutation_exhaustive():
             flat = pm._storage_permutation(r, n)
             for f in range(dp):
                 for n_f in range(per_bank):
-                    t = pm.target(f, n_f, r, lay)
                     dst = int(flat[f * per_bank + n_f])
-                    assert (t.f_prime, t.n_f_prime) == divmod(dst, per_bank)
+                    assert pm.target(f, n_f, r, lay) == divmod(dst, per_bank)
 
 
 def test_bank_map_bijective_all_rotations():
@@ -80,7 +78,7 @@ def test_bank_map_independent_of_address():
         bmap = pm.bank_map(r, lay)
         for f in range(8):
             for n_f in range(0, 32, 5):
-                assert pm.target(f, n_f, r, lay).f_prime == bmap[f]
+                assert pm.target(f, n_f, r, lay)[0] == bmap[f]
 
 
 def test_schedule_zero_rotation_all_fixed_points():
@@ -97,7 +95,7 @@ def test_schedule_matches_reference_automorphism():
     p = ring.random_poly(m, rng, ring.Domain.NTT)
     ref = ring.automorphism_eval(p, ring.RotationIndex(3, n))
     lay = pm.BankLayout.from_storage(p.coeffs, dp)
-    pm.apply_rotation_banked(lay, 3)
+    pm.apply_schedule(lay, pm.schedule(3, lay))
     assert np.array_equal(lay.to_storage(), ref.coeffs)
 
 
@@ -210,6 +208,16 @@ def test_layout_validation():
         pm.BankLayout.from_storage(np.arange(16, dtype=np.uint64), 3)
     with pytest.raises(ring.BasisMismatch):
         pm.BankLayout(64, 4, np.zeros((4, 8), dtype=np.uint64))
+    # storage that cannot be one NTT block: a length that is not a power of
+    # two, or more than one axis
+    for storage in (np.arange(48, dtype=np.uint64), np.arange(64, dtype=np.uint64).reshape(8, 8)):
+        with pytest.raises(ring.BasisMismatch):
+            pm.BankLayout.from_storage(storage, 2)
+    for ring_dim, shape in ((48, (2, 24)), (64.0, (2, 32))):
+        with pytest.raises(ring.BasisMismatch):
+            pm.BankLayout(ring_dim, 2, np.zeros(shape, dtype=np.uint64))
+    with pytest.raises(ConfigOutOfRange):
+        pm.BankLayout.from_storage(np.arange(64, dtype=np.uint64), 4.0)
     lay = layout_for(64, 4)
     for bank, address in ((5, 0), (0, 16), (-1, 0)):
         with pytest.raises(ConfigOutOfRange):
