@@ -54,7 +54,7 @@ from .ckks import (
 )
 from .costmodel import BadFactors, HeParams, ParallelismConfig, plan_layers
 from .datapath import ComputeContext, OpTrace, PlanMismatch, simulate
-from .ring import RotationIndex, automorphism_coef, ntt
+from .ring import RotationIndex, automorphism_coef, ntt_many
 
 
 class DimensionTooLarge(ValueError):
@@ -141,15 +141,11 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     giant = n1 * n2  # diagonals are pre-rotated by their giant-step offset
     t = np.arange(n)
     rows = f_matrix[t, (t + t[:, None]) % n]  # row i is diagonal i
-    diagonals = []
-    for i in range(n):
-        pt = encode(np.tile(rows[i], reps), params, moduli=context)
-        offset = giant * (i // giant)
-        poly = pt.poly
-        if offset:
-            poly = automorphism_coef(poly, RotationIndex(-offset, params.ring_dim))
-        diagonals.append(Plaintext(ntt(poly), pt.scale))
-    return DiagMatrix(plan, diagonals)
+    # lazily, so one dense diagonal is alive at a time, into one stacked transform
+    encoded = (encode(np.tile(row, reps), params, moduli=context).poly for row in rows)
+    rotated = (automorphism_coef(poly, RotationIndex(-giant * (i // giant), params.ring_dim))
+               if i >= giant else poly for i, poly in enumerate(encoded))
+    return DiagMatrix(plan, [Plaintext(poly, params.scale) for poly in ntt_many(rotated)])
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,13 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
     return steps
 
 
+def _move_array(steps: list[MoveStep]) -> np.ndarray:
+    """A schedule's moves as (M, 4) int64 rows in step order, read flat by
+    fromiter: np.array on the move tuples takes twice as long."""
+    flat = chain.from_iterable(chain.from_iterable(step.moves for step in steps))
+    return np.fromiter(flat, np.int64).reshape(-1, 4)
+
+
 def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     """Execute in place, enforcing the read-before-write step discipline:
     within each step all dp reads land before any write; no position is
@@ -188,7 +195,7 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     read, so the walk needs no scratch buffer. A schedule that breaks a
     rule raises ``ScheduleViolation`` and leaves the banks untouched."""
     n, per_bank = layout.ring_dim, layout.ring_dim // layout.dp
-    moves = np.array([m for step in steps for m in step.moves], dtype=np.int64).reshape(-1, 4)
+    moves = _move_array(steps)
     when = np.repeat(np.arange(len(steps)), [len(step.moves) for step in steps])
     src = moves[:, 0] * per_bank + moves[:, 1]
     dst = moves[:, 2] * per_bank + moves[:, 3]
@@ -218,10 +225,7 @@ def mux_controls(r: int, layout: BankLayout) -> np.ndarray:
     """Per-step dp-to-1 selector settings: entry [step, out_bank] names the
     source bank feeding that output bank. Constant across steps because the
     bank map is address-independent."""
-    steps = schedule(r, layout)
-    # flattened for fromiter: np.array on the move tuples takes twice as long
-    flat = chain.from_iterable(chain.from_iterable(step.moves for step in steps))
-    moves = np.fromiter(flat, np.int64).reshape(len(steps), layout.dp, 4)
+    moves = _move_array(schedule(r, layout)).reshape(-1, layout.dp, 4)
     table = np.empty(moves.shape[:2], dtype=np.int64)
     np.put_along_axis(table, moves[:, :, 2], moves[:, :, 0], axis=1)
     return table

@@ -7,12 +7,12 @@ at the root psi^(2*bitrev(s)+1). That layout is load-bearing: the banked
 permutation network in :mod:`ckkslt.permutation` derives its address math
 from it, so it is not configurable.
 
-Every kernel works on a block: an (L, N) uint64 array whose row j holds
-residues mod the j-th of L moduli, so one numpy call per butterfly stage
-or per operation covers all limbs. Each moduli tuple has one interned
-:class:`BasisContext` holding the moduli as an (L, 1) column, whether
-the block takes the float path, and the stacked twiddle tables, built
-on first use per transform length.
+Every kernel works on a block, an (L, N) uint64 array whose row j holds
+residues mod the j-th of L moduli, or on a (B, L, N) stack of blocks, so
+one numpy call per butterfly stage or per operation covers every limb.
+Each moduli tuple has one interned :class:`BasisContext` holding the
+moduli as an (L, 1) column, whether the block takes the float path, and
+the stacked twiddle tables, built on first use per transform length.
 The polynomial functions take :class:`Poly`, the one polynomial class:
 an (L, N) block, or an (N,) row for a single modulus, with its
 ``context`` (whose ``moduli`` it exposes) and ``domain``; ``like`` hands
@@ -30,15 +30,16 @@ outnumber their half-length, the block is permuted to bit-reversed
 storage, where the remaining stages pair elements whole block-index runs
 apart, and it is permuted back at the end.
 
-The forward transform runs on the subring a block lies in: when every
-row is zero off the multiples of g (the largest such power of two), the
-polynomial is B(X^g), and the (N/g)-point transform of B with root psi^g,
-spread to N slots, is its transform. A vector of period n over the N/2
-slots encodes to such a polynomial with g = N/(2n), the sparse packing of
-Cheon, Han, Kim, Kim and Song (EUROCRYPT 2018), so a packed n-slot
-diagonal costs a 2n-point transform. The gap is read off the integer residues, so the
-result is the full-length transform bit for bit; a dense block pays one
-strided test. The inverse always runs at length N.
+The forward transform runs on the subring a block lies in: when every row is
+zero off the multiples of g (the largest such power of two), the polynomial is
+B(X^g), and the (N/g)-point transform of B with root psi^g, spread to N slots,
+is its transform. A vector of period n over the N/2 slots encodes to such a
+polynomial with g = N/(2n), the sparse packing of Cheon, Han, Kim, Kim and Song
+(EUROCRYPT 2018), so a packed n-slot diagonal costs a 2n-point transform.
+:func:`ntt_many` stacks many blocks' slices on their common (smallest) gap,
+zero-filling wider ones, and :func:`ntt` is its one-block case. The gap is read
+off the integer residues, so the result is the full-length transform bit for
+bit; a dense block pays one strided test. The inverse always runs at length N.
 """
 
 from __future__ import annotations
@@ -238,58 +239,67 @@ def _stage(a: np.ndarray, mm: int, switch: int, table: np.ndarray):
     """Butterfly halves of the stage with mm blocks of length 2t, and the
     stage's twiddles broadcast against them.
 
-    Before the switch stage, storage is natural: an (L, mm, 2, t) view pairs
-    elements t apart inside each block. From it on, storage is bit-reversed
-    (slot bitrev(i) holds element i), where the same pairs are (L, t, 2, mm)
-    with the block index innermost, so every stage walks runs of at least
-    sqrt(N/2) contiguous elements.
+    Before the switch stage, storage is natural: an (..., L, mm, 2, t) view
+    pairs elements t apart inside each block. From it on, storage is
+    bit-reversed (slot bitrev(i) holds element i), where the same pairs are
+    (..., L, t, 2, mm) with the block index innermost, so every stage walks
+    runs of at least sqrt(N/2) contiguous elements.
     """
-    limbs, n = a.shape
+    lead, n = a.shape[:-1], a.shape[-1]
     t = n // (2 * mm)
     twiddles = table[:, mm : 2 * mm]
     if mm < switch:
-        view, twiddles = a.reshape(limbs, mm, 2, t), twiddles[:, :, None]
+        view, twiddles = a.reshape(*lead, mm, 2, t), twiddles[:, :, None]
     else:
-        view, twiddles = a.reshape(limbs, t, 2, mm), twiddles[:, None, :]
-    return view[:, :, 0], view[:, :, 1], twiddles
+        view, twiddles = a.reshape(*lead, t, 2, mm), twiddles[:, None, :]
+    return view[..., 0, :], view[..., 1, :], twiddles
 
 
 def _butterflies(values: np.ndarray, psi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The n-point forward transform of an (L, n) block with twiddle table psi."""
-    n = values.shape[1]
+    """The n-point forward transforms of a block or stack with twiddle table psi."""
+    n = values.shape[-1]
     switch = _switch_stage(n)
     a = values.copy()
     mm = 1
     while mm < n:
         if mm == switch:  # enter bit-reversed storage
-            a = a.take(bitrev_table(n), axis=1)
+            a = a.take(bitrev_table(n), axis=-1)
         lo, hi, twiddles = _stage(a, mm, switch, psi)
         v = mod_mul_vec(hi, twiddles, q)
         lo[...], hi[...] = mod_add_vec(lo, v, q), mod_sub_vec(lo, v, q)
         mm *= 2
-    return a.take(bitrev_table(n), axis=1) if switch < n else a
+    return a.take(bitrev_table(n), axis=-1) if switch < n else a
 
 
 def _subring_gap(values: np.ndarray) -> int:
-    """The largest power of two g such that every row of an (L, N) block is
-    zero off the multiples of g: the block lies in Z_q[X^g]. N for a block
-    of constants; 1, after one strided test, for a dense block."""
-    n = values.shape[1]
+    """The largest power of two g such that every row of a block (or stack) is
+    zero off the multiples of g: the block lies in Z_q[X^g]. N for constants;
+    1, after one strided test, for a dense block."""
+    n = values.shape[-1]
     g = 1
-    while g < n and not values[:, g :: 2 * g].any():
+    while g < n and not values[..., g :: 2 * g].any():
         g *= 2
     return g
 
 
-def _forward_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
+def _forward_ntt(slices: list, context: BasisContext) -> list[np.ndarray]:
+    """The (L, N) transforms of B (g, slice on gap g) pairs; empties the list."""
     # A block in Z_q[X^g] is B(X^g) with deg B < M = N/g. Its value at
     # psi^(2e+1) is B's at (psi^g)^(2e+1), which depends on e mod M only, so
     # the M-point transform of B with root psi^g yields all N values: storage
     # slot s takes sub-slot bitrev_M(bitrev_N(s) mod M), which is s // g.
-    g = _subring_gap(values)
-    m = values.shape[1] // g
-    sub = _butterflies(values[:, ::g], context.psi_table(m), context.q[:, :, None])
-    return np.repeat(sub, g, axis=1) if g > 1 else sub
+    # A block in Z_q[X^g'] lies in Z_q[X^g] for g dividing g'.
+    g = min(gap for gap, _ in slices)
+    stack = slices[0][1][None]
+    if len(slices) > 1:
+        stack = np.zeros((len(slices), len(context.q), context.moduli[0].ring_dim // g), np.uint64)
+        for i, (gap, sub) in enumerate(slices):
+            stack[i, :, :: gap // g] = sub
+    slices.clear()
+    sub = _butterflies(stack, context.psi_table(stack.shape[-1]), context.q[:, :, None])
+    del stack
+    # one array per block: freeing a multi-MB stacked result raised malloc's mmap threshold
+    return [np.repeat(block, g, axis=-1) for block in sub] if g > 1 else list(sub)
 
 
 def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
@@ -411,9 +421,27 @@ def _require(p, domain: Domain):
         raise DomainMismatch(f"expected {domain}, got {p.domain}")
 
 
+def ntt_many(polys) -> list[Poly]:
+    """``[ntt(p) for p in polys]`` bit for bit, over one context, in one stacked transform
+    ([] for none); it keeps only each polynomial's subring slice while reading the next."""
+    context, shapes, slices = None, [], []
+    for p in polys:
+        _require(p, Domain.COEF)
+        context = context or p.context
+        if p.context is not context:
+            raise BasisMismatch("polynomials disagree on moduli or length")
+        block = _block(p)
+        g = _subring_gap(block)
+        shapes.append(p.coeffs.shape)
+        slices.append((g, block[:, ::g].copy() if g > 1 else block))
+    if context is None:
+        return []
+    out = _forward_ntt(slices, context)
+    return [Poly(block.reshape(shape), context, Domain.NTT) for block, shape in zip(out, shapes)]
+
+
 def ntt(p):
-    _require(p, Domain.COEF)
-    return p.like(_forward_ntt(_block(p), p.context), Domain.NTT)
+    return ntt_many([p])[0]
 
 
 def intt(p):

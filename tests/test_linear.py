@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,18 +88,37 @@ def test_diagonal_packing_reconstructs_matrix():
 @pytest.mark.parametrize("method, factors", [("bsgs", (8, 8)), ("th-bsgs", (4, 4, 4))])
 def test_diagonalize_runs_only_subring_transforms(monkeypatch, toy_params, method, factors):
     # at N=2^10, n=64 each diagonal is tiled 8 times, a polynomial in X^8,
-    # so its forward NTT runs at length 1024 / 8
-    lengths = []
+    # so its forward NTT runs at length 1024 / 8; the transforms may be
+    # stacked, so each call records its polynomial count and its length
+    calls = []
     butterflies = ring._butterflies
 
     def recorded(values, psi, q):
-        lengths.append(values.shape[1])
+        calls.append((int(np.prod(values.shape[:-2])), values.shape[-1]))
         return butterflies(values, psi, q)
 
     monkeypatch.setattr(ring, "_butterflies", recorded)
     f = np.random.default_rng(5).uniform(-1, 1, (64, 64))
     linear.diagonalize(f, linear.LtPlan(linear.LtMethod(method), 64, factors), toy_params)
-    assert lengths == [128] * 64
+    assert {length for _, length in calls} == {128}
+    assert sum(count for count, _ in calls) == 64
+
+
+@pytest.mark.parametrize("method, factors", [("bsgs", (8, 8)), ("th-bsgs", (4, 4, 4))])
+def test_diagonalize_peak_memory_stays_near_its_diagonals(toy_params, method, factors):
+    # packing reads one dense diagonal at a time and stacks only the 128-point
+    # subring slices (1.15x); stacking the dense blocks, or holding every
+    # slice beside the stack through the transform (1.28x), fails the fence
+    plan = linear.LtPlan(linear.LtMethod(method), 64, factors)
+    f = np.random.default_rng(7).uniform(-1, 1, (64, 64))
+    linear.diagonalize(f, plan, toy_params)  # builds the twiddle tables first
+    tracemalloc.start()
+    try:
+        dm = linear.diagonalize(f, plan, toy_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * sum(d.poly.coeffs.nbytes for d in dm.diagonals)
 
 
 @pytest.mark.parametrize("method, factors", [("bsgs", (4, 4)), ("dh-bsgs", (4, 4))])

@@ -363,3 +363,58 @@ def test_subring_ntt_matches_full_length_kernel(log_n, rows, bits, data, seed):
     want = ring._butterflies(block, context.psi_table(n), context.q[:, :, None])
     assert np.array_equal(got.coeffs, want)
     assert np.array_equal(ring.intt(got).coeffs, block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_n=st.integers(1, 12), rows=st.integers(1, 5), bits=st.integers(20, 60),
+       count=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_ntt_matches_one_at_a_time(log_n, rows, bits, count, data, seed):
+    # each polynomial has its own gap, so wider slices are zero-filled onto
+    # the stack's smallest; widths from 51 bits on take the exact route
+    from ckkslt.rns import RnsPoly
+
+    n, context = 2**log_n, _context(log_n, bits, rows)
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(count):
+        gap = 2 ** data.draw(st.integers(0, log_n), label="log2 gap")
+        lattice = rng.integers(0, context.q, (rows, n // gap), dtype=np.uint64)
+        for row, q in zip(lattice, context.q[:, 0]):
+            row[rng.integers(0, n // gap, 3)] = [0, 1, q - 1]
+        block = np.zeros((rows, n), dtype=np.uint64)
+        block[:, ::gap] = lattice
+        polys.append(RnsPoly(block, context, ring.Domain.COEF))
+    got = ring.ntt_many(iter(polys))
+    assert len(got) == count
+    for out, p in zip(got, polys):
+        assert out.domain == ring.Domain.NTT and out.context is context
+        assert np.array_equal(out.coeffs, ring.ntt(p).coeffs)
+        assert np.array_equal(ring.intt(out).coeffs, p.coeffs)
+
+
+def test_stacked_ntt_rejects_before_any_transform(monkeypatch):
+    n = 2**6
+    a, b = (find_ntt_primes(bits, n, 1)[0] for bits in (30, 29))
+    rng = np.random.default_rng(9)
+    p, other = ring.random_poly(a, rng), ring.random_poly(b, rng)
+    transformed = ring.ntt(p)
+    calls = []
+    monkeypatch.setattr(ring, "_butterflies", lambda *args: calls.append(1))
+    with pytest.raises(ring.BasisMismatch):
+        ring.ntt_many([p, other])
+    with pytest.raises(ring.DomainMismatch):
+        ring.ntt_many(iter([p, transformed]))
+    assert ring.ntt_many([]) == [] and ring.ntt_many(iter(())) == []
+    assert calls == []
+
+
+def test_stacked_ntt_keeps_each_shape():
+    # an (N,) row and a (1, N) block share a single-modulus context
+    m = find_ntt_primes(30, 2**6, 1)[0]
+    rng = np.random.default_rng(10)
+    row = ring.random_poly(m, rng)
+    block = ring.Poly(ring.random_poly(m, rng).coeffs[None], m, ring.Domain.COEF)
+    got = ring.ntt_many([row, block])
+    assert [out.coeffs.shape for out in got] == [(64,), (1, 64)]
+    assert np.array_equal(got[0].coeffs, ring.ntt(row).coeffs)
+    assert np.array_equal(got[1].coeffs, ring.ntt(block).coeffs)
