@@ -29,6 +29,7 @@ from .ring import (
     ntt,
     pointwise_add,
     pointwise_mul,
+    pointwise_mul_many,
     pointwise_sub,
     scalar_mul,
     to_coef,
@@ -300,7 +301,8 @@ def swk_gen(s_ntt: RnsPoly, s_to: SecretKey, params: CkksParams,
         k1 = uniform_rns(rng, pq, params.ring_dim)
         e = gaussian_rns(rng, pq, params.ring_dim)
         gadget = np.array(gadget, dtype=np.uint64)[:, None]
-        term = s_ntt.like(mod_mul_vec(s_ntt.coeffs, gadget, s_ntt.context.q), Domain.NTT)
+        term = mod_mul_vec(s_ntt.coeffs, gadget, s_ntt.context.block(s_ntt.n))
+        term = s_ntt.like(term, Domain.NTT)
         k0 = rns_add(rns_sub(e, mul_secret(k1, s_to)), term)
         digits.append((k0, k1))
     return SwitchingKey(digits)
@@ -337,8 +339,7 @@ def key_switch(digits: list[RnsPoly], swk: SwitchingKey) -> tuple[RnsPoly, RnsPo
         )
     acc0 = acc1 = None
     for d, (k0, k1) in zip(digits, swk.digits):
-        t0 = pointwise_mul(d, k0)
-        t1 = pointwise_mul(d, k1)
+        t0, t1 = pointwise_mul_many(d, (k0, k1))
         acc0 = t0 if acc0 is None else rns_add(acc0, t0)
         acc1 = t1 if acc1 is None else rns_add(acc1, t1)
     return acc0, acc1
@@ -385,8 +386,8 @@ def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Cip
 
 def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:
     """Raises ``BasisMismatch`` for a plaintext over another basis."""
-    f = to_ntt(pt.poly)
-    return Ciphertext(pointwise_mul(ct.c0, f), pointwise_mul(ct.c1, f), ct.scale * pt.scale)
+    c0, c1 = pointwise_mul_many(to_ntt(pt.poly), (ct.c0, ct.c1))
+    return Ciphertext(c0, c1, ct.scale * pt.scale)
 
 
 def rescale_ct(ct: Ciphertext, params: CkksParams) -> Ciphertext:

@@ -304,7 +304,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             for k in range(n3):
                 for m, (a_m, b_m) in zip(mbatch, pairs):
                     f = inputs.dm.diagonals[total_m * k + m].poly
-                    t0, t1 = ck.pointwise_mul(a_m, f), ck.pointwise_mul(b_m, f)
+                    t0, t1 = ck.pointwise_mul_many(f, (a_m, b_m))
                     if u0_acc[k] is not None:
                         t0, t1 = ck.rns_add(u0_acc[k], t0), ck.rns_add(u1_acc[k], t1)
                     u0_acc[k], u1_acc[k] = t0, t1

@@ -10,9 +10,9 @@ from it, so it is not configurable.
 Every kernel works on a block, an (L, N) uint64 array whose row j holds
 residues mod the j-th of L moduli, or on a (B, L, N) stack of blocks, so
 one numpy call per butterfly stage or per operation covers every limb.
-Each moduli tuple has one interned :class:`BasisContext` holding the
-moduli as an (L, 1) column, whether the block takes the float path, and
-the stacked twiddle tables, built on first use per transform length.
+Each moduli tuple has one interned :class:`BasisContext`: its moduli, their
+route, and the operands the kernels read (contiguous modulus blocks, stage-
+shaped twiddles with float quotients), built on first use per length.
 The polynomial functions take :class:`Poly`, the one polynomial class:
 an (L, N) block, or an (N,) row for a single modulus, with its
 ``context`` (whose ``moduli`` it exposes) and ``domain``; ``like`` hands
@@ -25,10 +25,10 @@ leaves the residual, recovered exactly through uint64 wraparound, in
 division (the bound is proved next to ``_mul_fast``). A block with any
 wider row takes object-dtype (native big-int) arithmetic on every row.
 
-The butterfly stages keep their inner axis long: once a stage's blocks
-outnumber their half-length, the block is permuted to bit-reversed
-storage, where the remaining stages pair elements whole block-index runs
-apart, and it is permuted back at the end.
+The butterfly stages keep their operands contiguous: in Pease's constant
+geometry every stage reads its pairs from the two halves of the block and
+writes them interleaved, so a stage's twiddles, their float quotients and
+the moduli are (L, n/2) tables the context builds once per length.
 
 The forward transform runs on the subring a block lies in: when every row is
 zero off the multiples of g (the largest such power of two), the polynomial is
@@ -45,9 +45,11 @@ bit; a dense block pays one strided test. The inverse always runs at length N.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +78,27 @@ class Domain(enum.Enum):
 # vector kernels
 
 
-def _mul_fast(a, b, q):
+class Moduli(NamedTuple):
+    """A uint64 modulus array and, when every modulus is below FAST_LIMIT, its
+    float64 copy (None otherwise): the route and the float modulus that
+    :func:`mod_mul_vec` reads."""
+
+    q: np.ndarray
+    qf: np.ndarray | None
+
+    def view(self, *shape) -> "Moduli":
+        """A view of an (L, n) block's first columns as ``shape`` (rows are constant)."""
+        cols = math.prod(shape[1:])
+        return Moduli(*(None if x is None else x[:, :cols].reshape(shape) for x in self))
+
+
+def _quotient(b, q: Moduli):
+    """fl(b/q) for operands b of the float route; None on the exact route."""
+    # operands and moduli are below 2^63: their int64 views convert to float faster
+    return None if q.qf is None else np.true_divide(np.asarray(b, np.uint64).view(np.int64), q.qf)
+
+
+def _mul_fast(a, b, q: Moduli, quot):
     # Error bound (a float-quotient reduction in the manner of Harvey,
     # J. Symb. Comp. 2014). Let q < 2^51 and a, b < 2^51 with one of them < q,
     # so a, b, q are exact in float64 and ab/q < 2^51 - 1.
@@ -88,16 +110,18 @@ def _mul_fast(a, b, q):
     #   exact through uint64 wraparound.
     # - min(r, r + q) as uint64 is r mod q: a negative r wraps above 2^63,
     #   where r + q lands in [0, q).
+    # A precomputed quotient (a table's, or one shared by several products) is
+    # the same float fl(b/q): b and q are exact in float64 and IEEE division
+    # rounds correctly.
     b = np.asarray(b, np.uint64)
-    # operands and moduli are below 2^63: their int64 views convert to float faster
-    quot = np.multiply(a.view(np.int64), np.true_divide(b.view(np.int64), q.astype(np.float64)))
+    quot = np.multiply(a.view(np.int64), _quotient(b, q) if quot is None else quot)
     quot += _ROUND
     t = quot.view(np.uint64)
     t -= _ROUND_BITS
-    t *= q
+    t *= q.q
     r = np.multiply(a, b, out=np.empty_like(t))
     r -= t
-    np.add(r, q, out=t)
+    np.add(r, q.q, out=t)
     return np.minimum(r, t, out=r)
 
 
@@ -105,12 +129,14 @@ def _mul_exact(a, b, q):
     return (a.astype(object) * b.astype(object) % q.astype(object)).astype(np.uint64)
 
 
-def mod_mul_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+def mod_mul_vec(a: np.ndarray, b: np.ndarray, q, quot=None) -> np.ndarray:
     """Elementwise a*b mod q for uint64 operands, result in [0, q).
 
-    ``q`` is a uint64 array with the limb axis first that broadcasts
-    against the operands (an (L, 1) column for (L, N) blocks); a plain int
-    is taken as a 0-d array.
+    ``q`` is a :class:`Moduli` operand, as a :class:`BasisContext` builds them,
+    or a uint64 array or int, classified on the call; either has the limb axis
+    first and broadcasts against the operands. ``quot`` is fl(b/q) when the
+    caller holds it (:func:`pointwise_mul_many`, the context's tables), so the
+    call skips the division.
 
     The whole block takes one route: if every q is below FAST_LIMIT (2^51),
     the float-quotient path, whose operands must both lie below FAST_LIMIT
@@ -119,8 +145,10 @@ def mod_mul_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     operands. A caller that multiplies residues of a wider modulus by a
     narrower one reduces them first (see :func:`ckkslt.rns.bconv`).
     """
-    q = np.asarray(q, np.uint64)
-    return (_mul_fast if q.max() < FAST_LIMIT else _mul_exact)(a, b, q)
+    if not isinstance(q, Moduli):
+        q = np.asarray(q, np.uint64)
+        q = Moduli(q, q.astype(np.float64) if q.max() < FAST_LIMIT else None)
+    return _mul_exact(a, b, q.q) if q.qf is None else _mul_fast(a, b, q, quot)
 
 
 def mod_add_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
@@ -152,68 +180,61 @@ def _powers(q: int, root: int, n: int) -> np.ndarray:
                     dtype=np.uint64)[bitrev_table(n)]
 
 
-def _switch_stage(n: int) -> int:
-    """Block count of the first butterfly stage whose blocks outnumber their
-    half-length t = n/(2*mm); n when no stage does (n = 2)."""
-    mm = 1
-    while mm <= n // (2 * mm):
-        mm *= 2
-    return mm
-
-
-def _readonly(values) -> np.ndarray:
-    table = np.asarray(values, dtype=np.uint64)
+def _readonly(values, dtype=np.uint64) -> np.ndarray:
+    table = np.array(values, dtype=dtype, order="C")
     table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=None)
-def _stage_order(n: int) -> np.ndarray:
-    """Column order of an n-point twiddle table: columns mm..2mm-1 hold the
-    twiddles of the stage with mm blocks, in the order that stage reads them:
-    block j's twiddle at j on natural storage, at bitrev(j) over log2(mm)
-    bits on bit-reversed storage."""
-    order = np.arange(n)
-    mm = _switch_stage(n)
-    while mm < n:
-        order[mm : 2 * mm] = mm + bitrev_table(mm)
-        mm *= 2
-    return order
+def _operand(values: np.ndarray, q: Moduli) -> tuple:
+    """Read-only multipliers and their quotients fl(b/q), None off the float path."""
+    quot = _quotient(values, q)
+    return _readonly(values), None if quot is None else _readonly(quot, np.float64)
 
 
 @dataclass(frozen=True, eq=False)
 class BasisContext:
     """The constants of one moduli tuple. Interned by :func:`basis_context`,
-    so two polynomials share a basis exactly when they share the object."""
+    so two polynomials share a basis exactly when they share the object.
+
+    It holds the operands the kernels read as read-only tables, built on
+    first use per length: same-shape contiguous operands keep numpy on one
+    flat loop, where a broadcast column or twiddle splits it into short runs.
+    """
 
     moduli: tuple[Modulus, ...]
     q: np.ndarray  # the moduli as a read-only (L, 1) uint64 column
     fast: bool  # every q below FAST_LIMIT, so mod_mul_vec takes the float path
-    _psi: dict = field(default_factory=dict, init=False, repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
-    def psi_table(self, n: int) -> np.ndarray:
-        """Stacked (L, n) forward twiddles of the n-point transform, read-only
-        and built on first use per length.
+    def block(self, n: int) -> Moduli:
+        """The moduli as a contiguous (L, n) block; n = 1 gives the column."""
+        key = ("block", n)
+        if key not in self._tables:
+            q = _readonly(np.repeat(self.q, n, axis=1))
+            self._tables[key] = Moduli(q, _readonly(q, np.float64) if self.fast else None)
+        return self._tables[key]
 
-        The n-point transform's root is psi^(N/n), a primitive 2n-th root of
-        unity, with psi each modulus's 2N-th root; columns follow
-        :func:`_stage_order`.
-        """
-        table = self._psi.get(n)
-        if table is None:
-            step = self.moduli[0].ring_dim // n
-            table = np.stack([_powers(m.q, pow(m.two_n_root, step, m.q), n)
-                              for m in self.moduli])[:, _stage_order(n)]
-            table = self._psi[n] = _readonly(table)
-        return table
+    def stages(self, n: int, inverse: bool = False) -> list[tuple]:
+        """Per stage of the n-point transform, mm = 1, 2, ..., n/2 blocks (the
+        inverse runs them backwards): the twiddles in the order the stage reads
+        them, (L, n/2) with block b's in every column j with j mod mm = b (see
+        :func:`_butterflies`), and their quotients. The forward root is
+        psi^(N/n), a primitive 2n-th root of unity, the inverse's its inverse."""
+        key = ("stages", n, inverse)
+        if key not in self._tables:
+            step = self.moduli[0].ring_dim // n * (-1 if inverse else 1)
+            table = np.stack([_powers(m.q, pow(m.two_n_root, step, m.q), n) for m in self.moduli])
+            half = self.block(n).view(len(self.moduli), n // 2)
+            self._tables[key] = [_operand(np.tile(table[:, mm : 2 * mm], n // (2 * mm)), half)
+                                 for mm in (1 << s for s in range(n.bit_length() - 1))]
+        return self._tables[key]
 
     @cached_property
-    def inverse_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The N-point inverse twiddles, stacked (L, N) in :func:`_stage_order`,
-        and the N^-1 column, read-only."""
+    def n_inverse(self) -> tuple:
+        """N^-1 mod each modulus as an (L, N) block, with its quotients."""
         n = self.moduli[0].ring_dim
-        ipsi = np.stack([_powers(m.q, pow(m.two_n_root, -1, m.q), n) for m in self.moduli])
-        return _readonly(ipsi[:, _stage_order(n)]), _readonly([[m.n_inv] for m in self.moduli])
+        return _operand(np.repeat([[m.n_inv] for m in self.moduli], n, axis=1), self.block(n))
 
     @cached_property
     def top_inverse(self) -> np.ndarray:
@@ -235,40 +256,31 @@ def basis_context(moduli) -> BasisContext:
     return moduli if isinstance(moduli, BasisContext) else _intern(tuple(moduli))
 
 
-def _stage(a: np.ndarray, mm: int, switch: int, table: np.ndarray):
-    """Butterfly halves of the stage with mm blocks of length 2t, and the
-    stage's twiddles broadcast against them.
+def _butterflies(values: np.ndarray, context: BasisContext) -> np.ndarray:
+    """The n-point forward transforms of a block or stack over ``context``.
 
-    Before the switch stage, storage is natural: an (..., L, mm, 2, t) view
-    pairs elements t apart inside each block. From it on, storage is
-    bit-reversed (slot bitrev(i) holds element i), where the same pairs are
-    (..., L, t, 2, mm) with the block index innermost, so every stage walks
-    runs of at least sqrt(N/2) contiguous elements.
+    The stages run in Pease's constant geometry: each reads its butterfly
+    pairs from the two contiguous halves and writes them interleaved. Element
+    i starts at slot i; a stage takes the pair bit from the top of the slot
+    index to the bottom, so after log2(n) stages element i is back at slot i,
+    where the in-place transform leaves it. At the stage with mm blocks, slot
+    j of the lower half holds block j mod mm.
     """
-    lead, n = a.shape[:-1], a.shape[-1]
-    t = n // (2 * mm)
-    twiddles = table[:, mm : 2 * mm]
-    if mm < switch:
-        view, twiddles = a.reshape(*lead, mm, 2, t), twiddles[:, :, None]
-    else:
-        view, twiddles = a.reshape(*lead, t, 2, mm), twiddles[:, None, :]
-    return view[..., 0, :], view[..., 1, :], twiddles
-
-
-def _butterflies(values: np.ndarray, psi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The n-point forward transforms of a block or stack with twiddle table psi."""
-    n = values.shape[-1]
-    switch = _switch_stage(n)
-    a = values.copy()
-    mm = 1
-    while mm < n:
-        if mm == switch:  # enter bit-reversed storage
-            a = a.take(bitrev_table(n), axis=-1)
-        lo, hi, twiddles = _stage(a, mm, switch, psi)
-        v = mod_mul_vec(hi, twiddles, q)
-        lo[...], hi[...] = mod_add_vec(lo, v, q), mod_sub_vec(lo, v, q)
-        mm *= 2
-    return a.take(bitrev_table(n), axis=-1) if switch < n else a
+    n, h = values.shape[-1], values.shape[-1] // 2
+    q = context.block(n)
+    half = q.view(len(context.moduli), h)
+    a, out = values, np.empty(values.shape, np.uint64)
+    for w, wq in context.stages(n):
+        lo, hi = a[..., :h], a[..., h:]
+        v = mod_mul_vec(hi, w, half, wq)
+        pairs = out.reshape(*out.shape[:-1], h, 2)
+        # lo + v and lo - v + q, both in [0, 2q), then one reduction
+        np.add(lo, v, out=pairs[..., 0])
+        np.subtract(lo, v, out=pairs[..., 1])
+        pairs[..., 1] += half.q
+        np.minimum(out, out - q.q, out=out)
+        a, out = out, (a if a is not values else np.empty_like(out))
+    return a
 
 
 def _subring_gap(values: np.ndarray) -> int:
@@ -296,26 +308,30 @@ def _forward_ntt(slices: list, context: BasisContext) -> list[np.ndarray]:
         for i, (gap, sub) in enumerate(slices):
             stack[i, :, :: gap // g] = sub
     slices.clear()
-    sub = _butterflies(stack, context.psi_table(stack.shape[-1]), context.q[:, :, None])
+    sub = _butterflies(stack, context)
     del stack
     # one array per block: freeing a multi-MB stacked result raised malloc's mmap threshold
     return [np.repeat(block, g, axis=-1) for block in sub] if g > 1 else list(sub)
 
 
 def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
-    ipsi, n_inv = context.inverse_tables
-    q = context.q[:, :, None]
-    n = values.shape[1]
-    switch = _switch_stage(n)
-    a = values.take(bitrev_table(n), axis=1) if switch < n else values.copy()
-    mm = n // 2
-    while mm >= 1:
-        if mm == switch // 2 and switch < n:  # back to natural storage
-            a = a.take(bitrev_table(n), axis=1)
-        lo, hi, twiddles = _stage(a, mm, switch, ipsi)
-        lo[...], hi[...] = mod_add_vec(lo, hi, q), mod_mul_vec(mod_sub_vec(lo, hi, q), twiddles, q)
-        mm //= 2
-    return mod_mul_vec(a, n_inv, q[:, :, 0])
+    """The forward stages undone in reverse order: each reads the interleaved
+    pairs and writes the two halves."""
+    n, h = values.shape[-1], values.shape[-1] // 2
+    q = context.block(n)
+    half = q.view(len(context.moduli), h)
+    a, out = values, np.empty(values.shape, np.uint64)
+    for w, wq in reversed(context.stages(n, inverse=True)):
+        pairs = a.reshape(*a.shape[:-1], h, 2)
+        lo, hi = pairs[..., 0], pairs[..., 1]
+        # lo + hi and lo - hi + q, both in [0, 2q), then one reduction
+        np.add(lo, hi, out=out[..., :h])
+        np.subtract(lo, hi, out=out[..., h:])
+        out[..., h:] += half.q
+        np.minimum(out, out - q.q, out=out)
+        out[..., h:] = mod_mul_vec(out[..., h:], w, half, wq)
+        a, out = out, (a if a is not values else np.empty_like(out))
+    return mod_mul_vec(a, context.n_inverse[0], q, context.n_inverse[1])
 
 
 # ---------------------------------------------------------------------------
@@ -457,33 +473,41 @@ def to_coef(p):
     return p if p.domain == Domain.COEF else intt(p)
 
 
-def _same_basis(a, b):
+def _same_basis(a, b) -> Moduli:
     if a.context is not b.context:
         raise BasisMismatch("operands disagree on moduli or length")
     if a.domain != b.domain:
         raise DomainMismatch("operands in different domains")
-    return a.context.q
+    return a.context.block(a.n)
+
+
+def pointwise_mul_many(f, polys) -> list[Poly]:
+    """``[pointwise_mul(p, f) for p in polys]`` bit for bit, with f's quotient
+    computed once for all the products."""
+    q = [_same_basis(p, f) for p in polys][-1]
+    shared = _block(f)
+    quot = _quotient(shared, q)
+    return [p.like(mod_mul_vec(_block(p), shared, q, quot), p.domain) for p in polys]
 
 
 def pointwise_mul(a, b):
-    q = _same_basis(a, b)
-    return a.like(mod_mul_vec(_block(a), _block(b), q), a.domain)
+    return pointwise_mul_many(b, [a])[0]
 
 
 def pointwise_add(a, b):
     q = _same_basis(a, b)
-    return a.like(mod_add_vec(_block(a), _block(b), q), a.domain)
+    return a.like(mod_add_vec(_block(a), _block(b), q.q), a.domain)
 
 
 def pointwise_sub(a, b):
     q = _same_basis(a, b)
-    return a.like(mod_sub_vec(_block(a), _block(b), q), a.domain)
+    return a.like(mod_sub_vec(_block(a), _block(b), q.q), a.domain)
 
 
 def scalar_mul(p, c: int):
     """Multiply by the integer c, reduced mod every limb's modulus."""
     residues = np.array([[c % m.q] for m in p.moduli], dtype=np.uint64)
-    return p.like(mod_mul_vec(_block(p), residues, p.context.q), p.domain)
+    return p.like(mod_mul_vec(_block(p), residues, p.context.block(p.n)), p.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +553,8 @@ def eval_permutation(ring_dim: int, g_r: int) -> np.ndarray:
 def automorphism_eval(p, rot: RotationIndex):
     """NTT-domain automorphism: a pure index permutation, no transform."""
     _require(p, Domain.NTT)
-    return p.like(_block(p)[:, eval_permutation(p.n, rot.g_r)], Domain.NTT)
+    # take, not [:, idx], which lays the result out limb-innermost (Fortran order)
+    return p.like(_block(p).take(eval_permutation(p.n, rot.g_r), axis=1), Domain.NTT)
 
 
 def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

@@ -139,10 +139,10 @@ def bconv(p: RnsPoly, target) -> RnsPoly:
         raise DomainMismatch("bconv requires coefficient domain")
     src, dst = p.context, basis_context(target)
     hat_inv, hat_mod_dst = _conversion_tables(src, dst)
-    scaled = mod_mul_vec(p.coeffs, hat_inv, src.q)[None]
-    q = dst.q[:, :, None]
+    scaled = mod_mul_vec(p.coeffs, hat_inv, src.block(p.n))[None]
+    q = dst.block(1).view(-1, 1, 1)
     if dst.fast and not src.fast:
-        scaled = np.remainder(scaled, q)
+        scaled = np.remainder(scaled, q.q)
     terms = mod_mul_vec(scaled, hat_mod_dst, q)
     return RnsPoly(_sum_limbs(terms, dst.q), dst, Domain.COEF)
 
@@ -191,8 +191,8 @@ def moddown(c: RnsPoly, basis: RnsBasis) -> RnsPoly:
     p_part = RnsPoly(c.coeffs[:alpha], basis.p_context, c.domain)
     conv = bconv(to_coef(p_part), basis.q_context)
     conv = to_ntt(conv) if c.domain == Domain.NTT else conv
-    q = basis.q_context.q
-    diff = mod_sub_vec(c.coeffs[alpha:], conv.coeffs, q)
+    q = basis.q_context.block(c.n)
+    diff = mod_sub_vec(c.coeffs[alpha:], conv.coeffs, q.q)
     return RnsPoly(mod_mul_vec(diff, basis.p_inverse, q), basis.q_context, c.domain)
 
 
@@ -204,8 +204,9 @@ def rescale(c: RnsPoly) -> RnsPoly:
         raise SingleLimb("cannot rescale a single-limb polynomial")
     kept = basis_context(c.moduli[:-1])
     reduced = np.remainder(c.coeffs[-1], kept.q)
-    diff = mod_sub_vec(c.coeffs[:-1], reduced, kept.q)
-    return RnsPoly(mod_mul_vec(diff, c.context.top_inverse, kept.q), kept, Domain.COEF)
+    q = kept.block(c.n)
+    diff = mod_sub_vec(c.coeffs[:-1], reduced, q.q)
+    return RnsPoly(mod_mul_vec(diff, c.context.top_inverse, q), kept, Domain.COEF)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_names_the_tracer_selftest_uses():
     assert callable(ckks.RnsPoly) and callable(ckks.to_ntt)
 
 
-def test_forward_ntt_calls_mod_mul_vec_once_per_stage(monkeypatch):
+def _count_mod_mul_vec(monkeypatch) -> list:
     calls = []
     original = ring.mod_mul_vec
 
@@ -50,10 +50,23 @@ def test_forward_ntt_calls_mod_mul_vec_once_per_stage(monkeypatch):
 
     # the tracer patches the module attribute the same way
     monkeypatch.setattr(ring, "mod_mul_vec", counted)
+    return calls
+
+
+def test_forward_ntt_calls_mod_mul_vec_once_per_stage(monkeypatch):
+    calls = _count_mod_mul_vec(monkeypatch)
     modulus = find_ntt_primes(30, 2**6, 1)[0]
     poly = ring.random_poly(modulus, np.random.default_rng(0))
     ckks.to_ntt(ckks.RnsPoly([poly]))
     assert len(calls) == 6  # log2(64) butterfly stages
+
+
+def test_inverse_ntt_calls_mod_mul_vec_once_per_stage_and_to_scale(monkeypatch):
+    modulus = find_ntt_primes(30, 2**6, 1)[0]
+    poly = ring.ntt(ckks.RnsPoly([ring.random_poly(modulus, np.random.default_rng(1))]))
+    calls = _count_mod_mul_vec(monkeypatch)
+    ckks.to_coef(poly)
+    assert len(calls) == 6 + 1  # log2(64) butterfly stages, then the N^-1 scaling
 
 
 def test_tiled_encode_transforms_at_subring_length(monkeypatch):
@@ -62,8 +75,6 @@ def test_tiled_encode_transforms_at_subring_length(monkeypatch):
     params = ckks.CkksParams.make(ring_dim=2**6, levels=2, alpha=1, prime_bits=30)
     v = np.tile(np.random.default_rng(0).uniform(-1, 1, 4), 8)
     poly = ckks.encode(v, params).poly
-    calls = []
-    original = ring.mod_mul_vec
-    monkeypatch.setattr(ring, "mod_mul_vec", lambda *args: calls.append(1) or original(*args))
+    calls = _count_mod_mul_vec(monkeypatch)
     ckks.to_ntt(poly)
     assert len(calls) == 3

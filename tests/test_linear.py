@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,9 +97,9 @@ def test_diagonalize_runs_only_subring_transforms(monkeypatch, toy_params, metho
     calls = []
     butterflies = ring._butterflies
 
-    def recorded(values, psi, q):
+    def recorded(values, context):
         calls.append((int(np.prod(values.shape[:-2])), values.shape[-1]))
-        return butterflies(values, psi, q)
+        return butterflies(values, context)
 
     monkeypatch.setattr(ring, "_butterflies", recorded)
     f = np.random.default_rng(5).uniform(-1, 1, (64, 64))
@@ -119,6 +123,49 @@ def test_diagonalize_peak_memory_stays_near_its_diagonals(toy_params, method, fa
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * sum(d.poly.coeffs.nbytes for d in dm.diagonals)
+
+
+CONTEXT_TABLE_BYTES = """
+import gc
+import numpy as np
+from ckkslt import ckks, linear, ring
+
+params = ckks.CkksParams.make(ring_dim=2**10, levels=5, alpha=5, prime_bits=44)
+rng = np.random.default_rng(3)
+sk, pk = ckks.keygen(params, rng)
+f = rng.uniform(-1, 1, (64, 64))
+ct = ckks.encrypt(ckks.encode(np.tile(rng.uniform(-1, 1, 64), 8), params), pk, params, rng)
+for method, factors in (("diagonal", ()), ("bsgs", (8, 8)), ("dh-bsgs", (8, 8)),
+                        ("th-bsgs", (4, 4, 4))):
+    plan = linear.LtPlan(linear.LtMethod(method), 64, factors)
+    keys = linear.generate_lt_keys(sk, plan, params, rng)
+    out, _ = linear.evaluate_lt(ct, linear.diagonalize(f, plan, params), keys, params)
+    ckks.decode(ckks.decrypt(out, sk), params)
+
+def arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list, dict)):
+        for y in x.values() if isinstance(x, dict) else x:
+            yield from arrays(y)
+
+contexts = [c for c in gc.get_objects() if isinstance(c, ring.BasisContext)]
+owned = {id(a): a for c in contexts for a in arrays(vars(c)) if a.base is None}
+print(sum(a.nbytes for a in owned.values()))
+"""
+
+
+def test_context_tables_stay_small_after_the_acceptance_plans():
+    # a fresh process, so the sum holds only what the four plans build: per
+    # length the stage twiddles, their quotients and one modulus block, which
+    # every stage views; a modulus copy per stage would nearly double it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CONTEXT_TABLE_BYTES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 4 * 2**20
 
 
 @pytest.mark.parametrize("method, factors", [("bsgs", (4, 4)), ("dh-bsgs", (4, 4))])

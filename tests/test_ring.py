@@ -259,14 +259,23 @@ def _column(bits, rows):
 
 L, N, S, D = 3, 16, 3, 2
 # (a, b, q) shapes of the callers: pointwise blocks, per-limb constants, the
-# NTT stages on natural and on bit-reversed storage (mm = 4 blocks, t = 2),
-# and bconv's source rows against per-target constants
+# stage shapes of an earlier in-place transform (mm = 4 blocks, t = 2), and
+# bconv's source rows against per-target constants, with q an array that
+# mod_mul_vec classifies; then the operands a context builds, q its (L, N)
+# block viewed at a's last two axes, with or without a precomputed quotient
+# of b: a transform stage's upper halves, one block or a stack of two,
+# against the stage's twiddles; a product sharing its operand's quotient;
+# and a per-limb constant against the block
 CALLER_SHAPES = [
     ((L, N), (L, N), (L, 1)),
     ((L, N), (L, 1), (L, 1)),
     ((L, 4, 2), (L, 4, 1), (L, 1, 1)),
     ((L, 2, 4), (L, 1, 4), (L, 1, 1)),
     ((1, S, N), (D, S, 1), (D, 1, 1)),
+    ((L, N // 2), (L, N // 2), "block", "quotient"),
+    ((2, L, N // 2), (L, N // 2), "block", "quotient"),
+    ((L, N), (L, N), "block", "quotient"),
+    ((L, N), (L, 1), "block", None),
 ]
 FILLS = st.sampled_from(["random", "zero", "one", "max"])
 
@@ -283,23 +292,37 @@ def _operand(rng, shape, cap, fill):
     return rng.integers(0, cap, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("shapes", CALLER_SHAPES, ids=lambda s: "x".join(map(str, s[:2])))
+@pytest.mark.parametrize("shapes", CALLER_SHAPES,
+                         ids=lambda s: "x".join(map(str, s[:2])) + "-context" * (len(s) > 3))
 @settings(max_examples=40, deadline=None)
-@given(bits=st.integers(20, ring.FAST_LIMIT.bit_length() - 1), b_below_q=st.booleans(),
+@given(bits=st.integers(20, 60), b_below_q=st.booleans(),
        fill_a=FILLS, fill_b=FILLS, seed=st.integers(0, 2**32 - 1))
 def test_mod_mul_vec_matches_big_int_oracle(shapes, bits, b_below_q, fill_a, fill_b, seed):
-    # one operand below q, the other below q or anywhere below FAST_LIMIT
-    a_shape, b_shape, q_shape = shapes
-    q = _column(bits, q_shape[0]).reshape(q_shape)
-    assert q.max() < ring.FAST_LIMIT
+    # one operand below q, the other below q or anywhere below FAST_LIMIT;
+    # from 52 bits on every q is at least FAST_LIMIT and the exact route runs
+    a_shape, b_shape, q_shape, *quot = shapes
+    if q_shape == "block":
+        q = _context(4, bits, L).block(N).view(*a_shape[-2:])
+        assert (q.qf is None) == (bits >= 52)  # a wide basis holds no float table
+        q_cap = _column(bits, L)
+    else:
+        q = q_cap = _column(bits, q_shape[0]).reshape(q_shape)
+        if np.broadcast_shapes(b_shape, q_shape) != b_shape:
+            q_cap = q.min()
+    q_int = q.q if q_shape == "block" else q
+    assert (q_int.max() < ring.FAST_LIMIT) == (bits < 52)
     rng = np.random.default_rng(seed)
-    q_cap = q if np.broadcast_shapes(b_shape, q_shape) == b_shape else q.min()
     b = _operand(rng, b_shape, q_cap, fill_b)
-    a_cap = q.min() if b_below_q else ring.FAST_LIMIT
+    a_cap = q_int.min() if b_below_q else ring.FAST_LIMIT
     a = _operand(rng, a_shape, a_cap, fill_a)
-    want = (a.astype(object) * b.astype(object)) % q.astype(object)
-    for x, y in ((a, b), (b, a)):
-        got = ring.mod_mul_vec(x, y, q)
+    want = (a.astype(object) * b.astype(object)) % q_int.astype(object)
+    pairs = [(a, b, None), (b, a, None)]
+    if quot and quot[0]:
+        table, b_quot = ring._operand(b, q)
+        assert (b_quot is None) == (bits >= 52)
+        pairs = [(a, table, b_quot)]
+    for x, y, y_quot in pairs:
+        got = ring.mod_mul_vec(x, y, q, y_quot)
         assert got.dtype == np.uint64
         assert np.array_equal(got.astype(object), want)
 
@@ -312,27 +335,33 @@ def _bitrev(s, bits):
     return int(format(s, f"0{bits}b")[::-1], 2) if bits else 0
 
 
-@pytest.mark.parametrize("log_n", range(1, 9))
-def test_ntt_matches_direct_evaluation(log_n):
-    # N = 2 never leaves natural storage; N = 4 switches to bit-reversed
-    # storage at its last forward stage, which is the inverse's first; from
-    # N = 8 on the switch falls in a middle stage
+# the mixed block sends every row down the exact route (54 bits); the narrow
+# ones take the float route, alone and as an ntt_many stack of three
+DIRECT_CASES = [pytest.param(log_n, bits, count, id=f"{name}{log_n}")
+                for name, bits, count in (("", (30, 44, 54), 1), ("narrow-", (30, 44), 1),
+                                          ("stacked-", (30, 44), 3))
+                for log_n in range(1, 9)]
+
+
+@pytest.mark.parametrize("log_n, bits, count", DIRECT_CASES)
+def test_ntt_matches_direct_evaluation(log_n, bits, count):
+    # from N = 2, a single stage, up to 8 constant-geometry stages
     from ckkslt.rns import RnsPoly
 
     n = 2**log_n
-    moduli = [find_ntt_primes(bits, n, 1)[0] for bits in (30, 44, 54)]
+    moduli = [find_ntt_primes(b, n, 1)[0] for b in bits]
     rng = np.random.default_rng(log_n)
-    p = RnsPoly([ring.random_poly(m, rng) for m in moduli])
-    got = ring.ntt(p)
-    for row, m, coeffs in zip(got.coeffs, moduli, p.coeffs.tolist()):
-        for s in range(n):
-            # storage slot s holds the value at psi^(2*bitrev(s)+1)
-            root = pow(m.two_n_root, 2 * _bitrev(s, log_n) + 1, m.q)
-            value = 0
-            for c in reversed(coeffs):
-                value = (value * root + c) % m.q
-            assert int(row[s]) == value
-    assert np.array_equal(ring.intt(got).coeffs, p.coeffs)
+    polys = [RnsPoly([ring.random_poly(m, rng) for m in moduli]) for _ in range(count)]
+    for p, got in zip(polys, ring.ntt_many(polys)):
+        for row, m, coeffs in zip(got.coeffs, moduli, p.coeffs.tolist()):
+            for s in range(n):
+                # storage slot s holds the value at psi^(2*bitrev(s)+1)
+                root = pow(m.two_n_root, 2 * _bitrev(s, log_n) + 1, m.q)
+                value = 0
+                for c in reversed(coeffs):
+                    value = (value * root + c) % m.q
+                assert int(row[s]) == value
+        assert np.array_equal(ring.intt(got).coeffs, p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +389,43 @@ def test_subring_ntt_matches_full_length_kernel(log_n, rows, bits, data, seed):
     block = np.zeros((rows, n), dtype=np.uint64)
     block[:, ::gap] = lattice
     got = ring.ntt(RnsPoly(block, context, ring.Domain.COEF))
-    want = ring._butterflies(block, context.psi_table(n), context.q[:, :, None])
+    want = ring._butterflies(block, context)
     assert np.array_equal(got.coeffs, want)
     assert np.array_equal(ring.intt(got).coeffs, block)
+
+
+def _tables(context, n):
+    """Every array a context's kernels read at transform length n."""
+    stages = [table for inverse in (False, True) for stage in context.stages(n, inverse)
+              for table in stage]
+    return [context.q, *context.block(n), *context.n_inverse, context.top_inverse, *stages]
+
+
+def test_context_tables_are_read_only():
+    for bits in (30, 55):
+        for table in _tables(_context(4, bits, 3), 16):
+            if table is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    table[(0,) * table.ndim] = 0
+
+
+def test_wide_basis_holds_no_float_table(monkeypatch):
+    # 55-bit moduli: every kernel takes the exact route, so the float one may fail
+    from ckkslt.rns import RnsPoly
+
+    context = _context(4, 55, 3)
+    tables = [t for t in _tables(context, 16) if t is not None]
+    # the column, the block, N^-1, the top inverse, and per stage and direction
+    # the twiddles: no float copy of the block and no quotient
+    assert len(tables) == 4 + 2 * 4
+    assert all(t.dtype == np.uint64 for t in tables)
+    monkeypatch.setattr(ring, "_mul_fast", lambda *args: pytest.fail("float route taken"))
+    rng = np.random.default_rng(12)
+    x, y = (RnsPoly([ring.random_poly(m, rng) for m in context.moduli]) for _ in range(2))
+    prod = ring.intt(ring.pointwise_mul(ring.ntt(x), ring.ntt(y)))
+    for j, m in enumerate(context.moduli):
+        want = ring.negacyclic_mul_schoolbook(x.coeffs[j], y.coeffs[j], m.q)
+        assert np.array_equal(prod.coeffs[j], want)
 
 
 @settings(max_examples=100, deadline=None)
