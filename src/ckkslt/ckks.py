@@ -25,8 +25,10 @@ from .ring import (
     RotationIndex,
     automorphism_eval,
     basis_context,
+    intt_many,
     mod_mul_vec,
     ntt,
+    ntt_many,
     pointwise_add,
     pointwise_mul,
     pointwise_mul_many,
@@ -41,7 +43,9 @@ from .rns import (
     SingleLimb,
     crt_reconstruct_centered,
     decompose,
+    decompose_many,
     moddown,
+    moddown_many,
     rescale,
     rns_from_ints,
 )
@@ -368,20 +372,32 @@ def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
     return automorphism_eval(rns_add(a, u0), rot), automorphism_eval(u1, rot)
 
 
+def rotate_many(jobs, params: CkksParams) -> list[Ciphertext]:
+    """``[rotate(ct, r, swk, params) for ct, r, swk in jobs]`` bit for bit.
+
+    Each rotation still pays its own Decompose and its own two ModDowns,
+    but the Decomposes run as one batch and the ModDowns as two, the u0
+    halves and the u1 halves (one stack of both would hold twice the
+    converted limbs at once).
+    """
+    jobs = [(ct, RotationIndex(r, params.ring_dim), swk) for ct, r, swk in jobs]
+    moving = [(ct, rot, swk) for ct, rot, swk in jobs if rot.r]
+    if any(swk.hoist_offset != 0 for _, _, swk in moving):
+        raise MissingKey("rotate expects a plain (non-hoisted) key")
+    digits = decompose_many((automorphism_eval(ct.c1, rot) for ct, rot, _ in moving),
+                            params.basis)
+    switched = [key_switch(d, swk) for (_, _, swk), d in zip(moving, digits)]
+    del digits
+    d0 = moddown_many([u0 for u0, _ in switched], params.basis)
+    d1 = moddown_many([u1 for _, u1 in switched], params.basis)
+    rotated = iter(Ciphertext(rns_add(automorphism_eval(ct.c0, rot), a), b, ct.scale)
+                   for (ct, rot, _), a, b in zip(moving, d0, d1))
+    return [next(rotated) if rot.r else ct.copy() for ct, rot, _ in jobs]
+
+
 def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Ciphertext:
     """Reference (non-hoisted) rotation: automorphism then full key switch."""
-    rot = RotationIndex(r, params.ring_dim)
-    if rot.r == 0:
-        return ct.copy()
-    if swk.hoist_offset != 0:
-        raise MissingKey("rotate expects a plain (non-hoisted) key")
-    c0r = automorphism_eval(ct.c0, rot)
-    c1r = automorphism_eval(ct.c1, rot)
-    digits = hoist_digits(c1r, params.basis)
-    u0, u1 = key_switch(digits, swk)
-    d0 = moddown_ntt(u0, params.basis)
-    d1 = moddown_ntt(u1, params.basis)
-    return Ciphertext(rns_add(c0r, d0), d1, ct.scale)
+    return rotate_many([(ct, r, swk)], params)[0]
 
 
 def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:
@@ -391,7 +407,7 @@ def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:
 
 
 def rescale_ct(ct: Ciphertext, params: CkksParams) -> Ciphertext:
-    c0 = to_ntt(rescale(to_coef(ct.c0)))
-    c1 = to_ntt(rescale(to_coef(ct.c1)))
-    dropped = ct.c0.moduli[-1].q
-    return Ciphertext(c0, c1, ct.scale / dropped)
+    """Rescale (c0, c1) through one stacked inverse and one forward transform;
+    components over different bases raise ``BasisMismatch`` before either."""
+    c0, c1 = ntt_many(rescale(c) for c in intt_many((ct.c0, ct.c1)))
+    return Ciphertext(c0, c1, ct.scale / ct.c0.moduli[-1].q)

@@ -17,8 +17,11 @@ every logical transfer, attributing each to exactly one category:
 Given live inputs (a ComputeContext), the same walk also executes the
 arithmetic and returns the output ciphertext: this walk is the evaluator
 of every hoisted plan (diagonal as (1, n, 1), dh-bsgs (a, b) as
-(1, a, b), th-bsgs), and ``linear.lt_hoisted`` runs it at unit
-parallelism. The operation trace (Decompose, ModDown, coefficient-wise
+(1, a, b), th-bsgs), and ``linear.lt_hoisted`` runs it. A compute batch
+is one stacked call: phase 2 runs its batch's ModDowns, then its
+Decomposes, phase 5 its batch's u1 ModDowns and Decomposes, and phase 6
+its ModDown pair, each through one transform per direction and digit.
+The operation trace (Decompose, ModDown, coefficient-wise
 limb multiplies) is counted in both modes; key offsets are recorded only
 where a key is actually fetched, so shape-only runs leave that set empty.
 
@@ -72,6 +75,7 @@ from .costmodel import (
 )
 from . import ckks as ck
 from .ring import BasisMismatch, RotationIndex
+from .rns import decompose_many, moddown_many
 
 
 class PlanMismatch(ValueError):
@@ -257,8 +261,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
         trace.moddown += len(batch)
         trace.decompose += len(batch)
         if compute:
-            d_out = [ck.hoist_digits(ck.moddown_ntt(b_i, ap.basis), ap.basis)
-                     for b_i in b_in]
+            d_out = decompose_many(moddown_many(b_in, ap.basis), ap.basis)
         store.write(meter, 2, "d", batch.start, batch.stop, beta * limbs, d_out,
                     reads=key_batches)
     b_in = d_out = None
@@ -322,17 +325,17 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             acc_pair = store.read(meter, 5, "acc", 0, 2)
         u0s = store.read(meter, 5, "u0", kbatch.start, kbatch.stop)
         u1s = store.read(meter, 5, "u1", kbatch.start, kbatch.stop)
-        rotated = len(kbatch) - (r0 == 0)  # outer index 0 seeds the accumulator
+        seeds = int(r0 == 0)  # outer index 0 seeds the accumulator
+        rotated = len(kbatch) - seeds
         meter.add(5, "switching_key", rotated * 2 * beta * limbs)
         trace.cwise_mult_limbs += rotated * 2 * beta * limbs
         trace.moddown += rotated
         trace.decompose += rotated
         if compute:
-            for k, u0, u1 in zip(kbatch, u0s, u1s):
-                if k == 0:
-                    acc_pair = [u0, u1]
-                    continue
-                d = ck.hoist_digits(ck.moddown_ntt(u1, ap.basis), ap.basis)
+            if seeds:
+                acc_pair = [u0s[0], u1s[0]]
+            digits = decompose_many(moddown_many(u1s[seeds:], ap.basis), ap.basis)
+            for k, u0, d in zip(kbatch[seeds:], u0s[seeds:], digits):
                 c0_add, c1_add = rotate(u0, d, total_m * k)
                 acc_pair = [ck.rns_add(acc_pair[0], c0_add),
                             ck.rns_add(acc_pair[1], c1_add)]
@@ -345,8 +348,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     trace.moddown += 2
     out_ct = None
     if compute:
-        c0 = ck.moddown_ntt(acc0, ap.basis)
-        c1 = ck.moddown_ntt(acc1, ap.basis)
+        c0, c1 = moddown_many((acc0, acc1), ap.basis)
         ct_full = ck.Ciphertext(c0, c1, inputs.ct.scale * inputs.dm.diagonals[0].scale)
         out_ct = ck.rescale_ct(ct_full, ap)
     meter.add(6, "poly_write", 2 * (lp - 1))  # the output ciphertext

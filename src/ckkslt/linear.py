@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -49,10 +50,10 @@ from .ckks import (
     keygen,
     pt_ct_mult,
     rescale_ct,
-    rotate,
+    rotate_many,
     rotation_keygen,
 )
-from .costmodel import BadFactors, HeParams, ParallelismConfig, plan_layers
+from .costmodel import BadFactors, HeParams, ParallelismConfig, knob_extents, plan_layers
 from .datapath import ComputeContext, OpTrace, PlanMismatch, simulate
 from .ring import RotationIndex, automorphism_coef, ntt_many
 
@@ -152,42 +153,38 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
 # evaluators
 
 
-def _rotate_traced(ct: Ciphertext, r: int, keys: RotationKeys, trace: OpTrace,
-                   params: CkksParams) -> Ciphertext:
-    """Full rotation (automorphism + complete key switch), trace-counted."""
-    if r == 0:
-        return ct
-    swk = keys[r]
-    trace.key_offsets.add(r)
-    trace.decompose += 1
-    trace.moddown += 2
-    trace.cwise_mult_limbs += 2 * len(swk.digits) * (params.basis.level_count
-                                                     + params.basis.alpha)
-    return rotate(ct, r, swk, params)
+def _rotate_traced(jobs, keys: RotationKeys, trace: OpTrace,
+                   params: CkksParams) -> list[Ciphertext]:
+    """Full rotations (automorphism + complete key switch) of (ct, r) pairs
+    with r != 0, trace-counted, run as one batch."""
+    keyed = [(ct, r, keys[r]) for ct, r in jobs]
+    for _, r, swk in keyed:
+        trace.key_offsets.add(r)
+        trace.decompose += 1
+        trace.moddown += 2
+        trace.cwise_mult_limbs += 2 * len(swk.digits) * (params.basis.level_count
+                                                         + params.basis.alpha)
+    return rotate_many(keyed, params)
 
 
 def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
             params: CkksParams) -> tuple[Ciphertext, OpTrace]:
-    """Two-layer split with full rotations; products stay over Q."""
+    """Two-layer split with full rotations; products stay over Q. The baby
+    steps rotate as one batch, and the giant steps as another once every
+    inner sum is formed."""
     plan = dm.plan
     if plan.hoisted:
         raise PlanMismatch("plan is not bsgs")
     _, n1, n2 = plan.layers
     trace = OpTrace()
     q_limbs = params.basis.level_count
-    baby = [ct]
-    for i in range(1, n1):
-        baby.append(_rotate_traced(ct, i, keys, trace, params))
-    acc: Ciphertext | None = None
-    for j in range(n2):
-        inner: Ciphertext | None = None
-        for i in range(n1):
-            term = pt_ct_mult(dm.diagonals[n1 * j + i], baby[i])
-            trace.cwise_mult_limbs += 2 * q_limbs
-            inner = term if inner is None else add_ct(inner, term)
-        rotated = _rotate_traced(inner, n1 * j, keys, trace, params)
-        acc = rotated if acc is None else add_ct(acc, rotated)
-    return rescale_ct(acc, params), trace
+    baby = [ct, *_rotate_traced([(ct, i) for i in range(1, n1)], keys, trace, params)]
+    inner = [reduce(add_ct, (pt_ct_mult(dm.diagonals[n1 * j + i], b) for i, b in enumerate(baby)))
+             for j in range(n2)]
+    trace.cwise_mult_limbs += 2 * q_limbs * n1 * n2
+    del baby  # freed before the giant steps' batch, where the evaluation peaks
+    giant = _rotate_traced([(inner[j], n1 * j) for j in range(1, n2)], keys, trace, params)
+    return rescale_ct(reduce(add_ct, giant, inner[0]), params), trace
 
 
 def lt_hoisted(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
@@ -197,14 +194,18 @@ def lt_hoisted(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     Inner offsets i < n1 each pay ModDown + Decompose so the middle layer
     can key-switch them; middle offsets n1*j reuse those digit sets; outer
     offsets n1*n2*k behave like giant steps with the ModDown delayed onto
-    accumulated sums. The arithmetic is the six-phase datapath walk at
-    unit parallelism. Degenerate layers collapse loops cleanly: dh-bsgs
-    (a, b) runs as (1, a, b), diagonal as (1, n, 1), and th-bsgs with
-    n3 = 1 matches dh-bsgs (n1, n2) within the approximation error.
+    accumulated sums. The arithmetic is the six-phase datapath walk, where
+    a compute batch is one stacked call: phases 2 and 5 run at their full
+    extents (m2 = n1-1, m6 = n3), as their objects are resident anyway, and
+    every other knob stays at 1 (phase 4 rotates as it reads). Degenerate
+    layers collapse loops cleanly: dh-bsgs (a, b) runs as (1, a, b),
+    diagonal as (1, n, 1), and th-bsgs with n3 = 1 matches dh-bsgs
+    (n1, n2) within the approximation error.
     """
     shape = HeParams(params.ring_dim, params.basis.level_count, params.basis.alpha,
                      n=dm.plan.n)
-    sim = simulate(shape, dm.plan.layers, ParallelismConfig(),
+    extents = dict(knob_extents(dm.plan.layers, shape.pq_limbs))
+    sim = simulate(shape, dm.plan.layers, ParallelismConfig(m2=extents["m2"], m6=extents["m6"]),
                    ComputeContext(params, ct, dm, keys))
     return sim.ciphertext, sim.trace
 

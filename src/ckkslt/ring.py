@@ -39,7 +39,8 @@ polynomial with g = N/(2n), the sparse packing of Cheon, Han, Kim, Kim and Song
 :func:`ntt_many` stacks many blocks' slices on their common (smallest) gap,
 zero-filling wider ones, and :func:`ntt` is its one-block case. The gap is read
 off the integer residues, so the result is the full-length transform bit for
-bit; a dense block pays one strided test. The inverse always runs at length N.
+bit; a dense block pays one strided test. The inverse always runs at length N,
+over a stack too (:func:`intt_many`, of which :func:`intt` is the one-block case).
 """
 
 from __future__ import annotations
@@ -316,7 +317,8 @@ def _forward_ntt(slices: list, context: BasisContext) -> list[np.ndarray]:
 
 def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
     """The forward stages undone in reverse order: each reads the interleaved
-    pairs and writes the two halves."""
+    pairs and writes the two halves. ``values``, a block or stack the caller
+    owns, is overwritten."""
     n, h = values.shape[-1], values.shape[-1] // 2
     q = context.block(n)
     half = q.view(len(context.moduli), h)
@@ -330,7 +332,7 @@ def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
         out[..., h:] += half.q
         np.minimum(out, out - q.q, out=out)
         out[..., h:] = mod_mul_vec(out[..., h:], w, half, wq)
-        a, out = out, (a if a is not values else np.empty_like(out))
+        a, out = out, a
     return mod_mul_vec(a, context.n_inverse[0], q, context.n_inverse[1])
 
 
@@ -437,15 +439,20 @@ def _require(p, domain: Domain):
         raise DomainMismatch(f"expected {domain}, got {p.domain}")
 
 
+def _member(p, context: BasisContext | None, domain: Domain) -> BasisContext:
+    """p's context, checked against the one of the batch read so far (None at first)."""
+    _require(p, domain)
+    if context is not None and p.context is not context:
+        raise BasisMismatch("polynomials disagree on moduli or length")
+    return p.context
+
+
 def ntt_many(polys) -> list[Poly]:
     """``[ntt(p) for p in polys]`` bit for bit, over one context, in one stacked transform
     ([] for none); it keeps only each polynomial's subring slice while reading the next."""
     context, shapes, slices = None, [], []
     for p in polys:
-        _require(p, Domain.COEF)
-        context = context or p.context
-        if p.context is not context:
-            raise BasisMismatch("polynomials disagree on moduli or length")
+        context = _member(p, context, Domain.COEF)
         block = _block(p)
         g = _subring_gap(block)
         shapes.append(p.coeffs.shape)
@@ -460,9 +467,20 @@ def ntt(p):
     return ntt_many([p])[0]
 
 
+def intt_many(polys) -> list[Poly]:
+    """``[intt(p) for p in polys]`` bit for bit, over one context, in one stacked
+    transform ([] for none); every polynomial is checked before it runs."""
+    polys, context = list(polys), None
+    for p in polys:
+        context = _member(p, context, Domain.NTT)
+    if context is None:
+        return []
+    out = _inverse_ntt(np.stack([_block(p) for p in polys]), context)
+    return [p.like(block, Domain.COEF) for p, block in zip(polys, out)]
+
+
 def intt(p):
-    _require(p, Domain.NTT)
-    return p.like(_inverse_ntt(_block(p), p.context), Domain.COEF)
+    return intt_many([p])[0]
 
 
 def to_ntt(p):

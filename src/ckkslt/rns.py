@@ -27,7 +27,7 @@ import numpy as np
 
 from .modarith import Modulus
 from .ring import (BasisContext, BasisMismatch, Domain, DomainMismatch, Poly, basis_context,
-                   mod_mul_vec, mod_sub_vec, to_coef, to_ntt)
+                   intt_many, mod_mul_vec, mod_sub_vec, ntt_many)
 
 
 class BasisOverlap(ValueError):
@@ -147,6 +147,37 @@ def bconv(p: RnsPoly, target) -> RnsPoly:
     return RnsPoly(_sum_limbs(terms, dst.q), dst, Domain.COEF)
 
 
+def _convert_many(parts: list[RnsPoly], target: BasisContext) -> list[RnsPoly]:
+    """``bconv`` of every part to ``target``, in the parts' one domain. From the
+    NTT domain they take one stacked inverse transform and the conversions one
+    forward transform; ``bconv`` itself runs per part, as a stacked
+    (B, D, S, N) term tensor would multiply its memory by B."""
+    if not parts or parts[0].domain != Domain.NTT:
+        return [bconv(p, target) for p in parts]
+    return ntt_many(bconv(p, target) for p in intt_many(parts))
+
+
+def decompose_many(polys, basis: RnsBasis) -> list[list[RnsPoly]]:
+    """``[decompose(c, basis) for c in polys]`` bit for bit, for polynomials in
+    one domain: each digit's conversions run as one batch (a digit's
+    complement is its own basis, so digits are never stacked together)."""
+    polys = list(polys)
+    if any(c.context is not basis.q_context for c in polys):
+        raise BasisMismatch("decompose expects a full set of Q limbs")
+    pq = basis.pq_context
+    digits = [[] for _ in polys]
+    for rows, group, rest in basis.digit_contexts:
+        lo, hi = basis.alpha + rows.start, basis.alpha + rows.stop
+        groups = [RnsPoly(c.coeffs[rows], group, c.domain) for c in polys]
+        for out, part, converted in zip(digits, groups, _convert_many(groups, rest)):
+            block = np.empty((len(pq.moduli), part.n), dtype=np.uint64)
+            block[:lo] = converted.coeffs[:lo]
+            block[lo:hi] = part.coeffs
+            block[hi:] = converted.coeffs[lo:]
+            out.append(RnsPoly(block, pq, part.domain))
+    return digits
+
+
 def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
     """Split into beta digits, each raised to the full PQ basis.
 
@@ -160,21 +191,23 @@ def decompose(c: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
     rescaling) raises :class:`BasisMismatch`, because the digit groups
     and the switching keys are laid out for the full basis.
     """
-    if c.context is not basis.q_context:
-        raise BasisMismatch("decompose expects a full set of Q limbs")
-    pq = basis.pq_context
-    digits = []
-    for rows, group, rest in basis.digit_contexts:
-        lo, hi = basis.alpha + rows.start, basis.alpha + rows.stop
-        group_poly = RnsPoly(c.coeffs[rows], group, c.domain)
-        converted = bconv(to_coef(group_poly), rest)
-        converted = (to_ntt(converted) if c.domain == Domain.NTT else converted).coeffs
-        block = np.empty((len(pq.moduli), c.n), dtype=np.uint64)
-        block[:lo] = converted[:lo]
-        block[lo:hi] = group_poly.coeffs
-        block[hi:] = converted[lo:]
-        digits.append(RnsPoly(block, pq, c.domain))
-    return digits
+    return decompose_many([c], basis)[0]
+
+
+def moddown_many(polys, basis: RnsBasis) -> list[RnsPoly]:
+    """``[moddown(c, basis) for c in polys]`` bit for bit, for polynomials in one
+    domain, with the special limbs' conversions run as one batch."""
+    polys = list(polys)
+    if any(c.context is not basis.pq_context for c in polys):
+        raise BasisMismatch("moddown expects PQ limbs")
+    alpha, qc = basis.alpha, basis.q_context
+    parts = [RnsPoly(c.coeffs[:alpha], basis.p_context, c.domain) for c in polys]
+    out = []
+    for c, conv in zip(polys, _convert_many(parts, qc)):
+        q = qc.block(c.n)
+        diff = mod_sub_vec(c.coeffs[alpha:], conv.coeffs, q.q)
+        out.append(RnsPoly(mod_mul_vec(diff, basis.p_inverse, q), qc, c.domain))
+    return out
 
 
 def moddown(c: RnsPoly, basis: RnsBasis) -> RnsPoly:
@@ -185,15 +218,7 @@ def moddown(c: RnsPoly, basis: RnsBasis) -> RnsPoly:
     the NTT domain only the special limbs are inverse-transformed: the
     correction is linear, so it applies to the transformed data limbs.
     """
-    alpha = basis.alpha
-    if c.context is not basis.pq_context:
-        raise BasisMismatch("moddown expects PQ limbs")
-    p_part = RnsPoly(c.coeffs[:alpha], basis.p_context, c.domain)
-    conv = bconv(to_coef(p_part), basis.q_context)
-    conv = to_ntt(conv) if c.domain == Domain.NTT else conv
-    q = basis.q_context.block(c.n)
-    diff = mod_sub_vec(c.coeffs[alpha:], conv.coeffs, q.q)
-    return RnsPoly(mod_mul_vec(diff, basis.p_inverse, q), basis.q_context, c.domain)
+    return moddown_many([c], basis)[0]
 
 
 def rescale(c: RnsPoly) -> RnsPoly:

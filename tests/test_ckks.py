@@ -3,7 +3,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from ckkslt import ckks
+from ckkslt import ckks, ring
 from ckkslt.ring import BasisMismatch, Domain, RotationIndex, automorphism_coef, automorphism_eval
 from ckkslt.rns import RnsPoly, SingleLimb, crt_reconstruct, crt_reconstruct_centered
 
@@ -347,6 +347,46 @@ def test_operands_over_different_bases_are_a_basis_mismatch(toy_params, toy_keys
         ckks.pt_ct_mult(ckks.encode(v, toy_params), low)
     with pytest.raises(BasisMismatch):
         ckks.decrypt(ckks.Ciphertext(ct.c0, low.c1, ct.scale), sk)
+
+
+def test_rescale_of_components_over_different_bases_is_a_basis_mismatch(
+        monkeypatch, toy_params, toy_keys):
+    # unchecked, c0 over five limbs and c1 over four came back over four and
+    # three, with the scale divided by c0's top modulus
+    sk, pk = toy_keys
+    rng = np.random.default_rng(23)
+    ct = ckks.encrypt(ckks.encode(rng.uniform(-1, 1, toy_params.slots), toy_params), pk,
+                      toy_params, rng)
+    low = ckks.rescale_ct(ct, toy_params)
+    calls = []
+    inverse = ring._inverse_ntt
+    monkeypatch.setattr(ring, "_inverse_ntt", lambda *args: calls.append(1) or inverse(*args))
+    for mixed in (ckks.Ciphertext(ct.c0, low.c1, ct.scale), ckks.Ciphertext(low.c0, ct.c1, ct.scale)):
+        with pytest.raises(BasisMismatch):
+            ckks.rescale_ct(mixed, toy_params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bits, alpha", [(44, 5), (44, 2), (54, 5), (54, 2)])
+def test_batched_rotation_equals_one_at_a_time(bits, alpha):
+    # beta = 1 and 3 on the float and the exact multiply route; a zero offset
+    # in the batch is a copy and takes no key switch
+    params = ckks.CkksParams.make(ring_dim=2**6, levels=5, alpha=alpha, prime_bits=bits)
+    rng = np.random.default_rng(bits * alpha)
+    sk, pk = ckks.keygen(params, rng)
+    keys = {r: ckks.rotation_keygen(sk, r, params, rng) for r in (1, 3, 7)}
+    vs = [rng.uniform(-1, 1, params.slots) for _ in range(2)]
+    cts = [ckks.encrypt(ckks.encode(v, params), pk, params, rng) for v in vs]
+    jobs = [(cts[0], 1, keys[1]), (cts[1], 3, keys[3]), (cts[0], 0, keys[7]), (cts[1], 7, keys[7])]
+    got = ckks.rotate_many(iter(jobs), params)
+    assert len(got) == len(jobs)
+    for out, (ct, r, swk) in zip(got, jobs):
+        want = ckks.rotate(ct, r, swk, params)
+        assert out.scale == want.scale
+        for a, b in ((out.c0, want.c0), (out.c1, want.c1)):
+            assert a.context is b.context and np.array_equal(a.coeffs, b.coeffs)
+    back = ckks.decode(ckks.decrypt(got[3], sk), params)
+    assert np.max(np.abs(back - np.roll(vs[1], -7))) < 2**-10
 
 
 def test_one_level_is_rejected_before_any_work():

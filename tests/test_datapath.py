@@ -325,6 +325,29 @@ def test_count_only_trace_matches_compute(compute_env, toy_params, cfg):
     assert tr_n.key_offsets == set()
 
 
+@pytest.mark.parametrize("name", ["diagonal", "dh-bsgs", "th-bsgs", "th-bsgs (2,4,8)"])
+def test_compute_batches_return_what_unit_batches_return(monkeypatch, acceptance_lt,
+                                                         toy_params, name):
+    # layers (1,64,1), (1,8,8), (4,4,4) and (2,4,8): a compute batch is one
+    # stacked call, so neither the ciphertext nor the trace may depend on the
+    # knobs, which is what lets lt_hoisted batch phases 2 and 5 whole
+    ct, packed = acceptance_lt
+    dm, keys = packed[name]
+    extents = dict(cm.knob_extents(dm.plan.layers, ACCEPT_SHAPE.pq_limbs))
+    configs = []
+    simulate = linear.simulate
+    monkeypatch.setattr(linear, "simulate", lambda *args: configs.append(args[2]) or simulate(*args))
+    out, trace = linear.lt_hoisted(ct, dm, keys, toy_params)
+    assert configs == [cm.ParallelismConfig(m2=extents["m2"], m6=extents["m6"])]
+    ctx = dp.ComputeContext(toy_params, ct, dm, keys)
+    for cfg in (cm.ParallelismConfig(), cm.ParallelismConfig(m1=extents["m1"], m3=extents["m3"])):
+        sim = dp.simulate(ACCEPT_SHAPE, dm.plan.layers, cfg, inputs=ctx)
+        assert sim.trace == trace, cfg
+        assert sim.ciphertext.scale == out.scale
+        for got, want in ((sim.ciphertext.c0, out.c0), (sim.ciphertext.c1, out.c1)):
+            assert got.context is want.context and np.array_equal(got.coeffs, want.coeffs), cfg
+
+
 def test_compute_mode_rejects_mismatched_plan(small_params):
     # keys from a diagonal plan are hoisted and cover every offset, so
     # only the plan check can stop a wrong answer

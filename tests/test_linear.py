@@ -433,3 +433,48 @@ def test_keys_of_the_other_kind_raise_missing_key(env, toy_params, toy_keys):
         dm = linear.diagonalize(np.eye(N1), plan, toy_params)
         with pytest.raises(ckks.MissingKey):
             linear.evaluate_lt(ct, dm, keys, toy_params)
+
+
+# ---------------------------------------------------------------------------
+# stacked transforms at the acceptance shape
+
+# per direction: the most transform calls one evaluation may make, and the
+# polynomials they transform, which batching must leave unchanged
+TRANSFORM_CALLS = {"diagonal": (3, 5), "bsgs": (7, 44), "dh-bsgs": (5, 19), "th-bsgs": (7, 17)}
+
+
+@pytest.mark.parametrize("method", TRANSFORM_CALLS)
+def test_evaluation_stacks_the_transforms_of_each_batch(monkeypatch, acceptance_lt,
+                                                        toy_params, method):
+    # unstacked, every polynomial is its own call: 5/44/19/17 calls per direction
+    ct, packed = acceptance_lt
+    dm, keys = packed[method]
+    counts = {}
+    for name in ("_butterflies", "_inverse_ntt"):
+        def counted(values, context, kernel=getattr(ring, name), seen=counts.setdefault(name, [])):
+            seen.append(int(np.prod(values.shape[:-2])))
+            return kernel(values, context)
+
+        monkeypatch.setattr(ring, name, counted)
+    linear.evaluate_lt(ct, dm, keys, toy_params)
+    most, polys = TRANSFORM_CALLS[method]
+    for name, seen in counts.items():
+        assert len(seen) <= most and sum(seen) == polys, (name, seen)
+
+
+def test_one_requests_evaluations_stay_within_their_memory_fence(acceptance_lt, toy_params):
+    # a rotation batch ModDowns its u0 halves and its u1 halves as two
+    # stacks: the four evaluations peak at 3.6 MB (2.2 MB unstacked); one
+    # stack of both halves peaks at 4.6 MB and fails the fence
+    ct, packed = acceptance_lt
+    plans = [packed[method] for method in TRANSFORM_CALLS]
+    for dm, keys in plans:
+        linear.evaluate_lt(ct, dm, keys, toy_params)  # builds lazy tables
+    tracemalloc.start()
+    try:
+        for dm, keys in plans:
+            linear.evaluate_lt(ct, dm, keys, toy_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak

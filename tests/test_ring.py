@@ -471,6 +471,49 @@ def test_stacked_ntt_rejects_before_any_transform(monkeypatch):
     assert calls == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(log_n=st.integers(1, 12), rows=st.integers(1, 5), bits=st.integers(20, 60),
+       count=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_intt_matches_one_at_a_time(log_n, rows, bits, count, data, seed):
+    # widths from 51 bits on take the exact route; a single-modulus
+    # polynomial may be an (N,) row or a (1, N) block
+    n, context = 2**log_n, _context(log_n, bits, rows)
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(count):
+        block = rng.integers(0, context.q, (rows, n), dtype=np.uint64)
+        for row, q in zip(block, context.q[:, 0]):
+            row[rng.integers(0, n, 3)] = [0, 1, q - 1]
+        if rows == 1 and data.draw(st.booleans(), label="(N,) row"):
+            block = block[0]
+        polys.append(ring.Poly(block, context, ring.Domain.NTT))
+    inputs = [p.coeffs.copy() for p in polys]
+    got = ring.intt_many(iter(polys))
+    assert len(got) == count
+    for out, p, given_coeffs in zip(got, polys, inputs):
+        assert np.array_equal(p.coeffs, given_coeffs)  # the stack is a copy
+        assert out.domain == ring.Domain.COEF and out.context is context
+        assert out.coeffs.shape == p.coeffs.shape
+        assert np.array_equal(out.coeffs, ring.intt(p).coeffs)
+        assert np.array_equal(ring.ntt(out).coeffs, p.coeffs)
+
+
+def test_stacked_intt_rejects_before_any_transform(monkeypatch):
+    n = 2**6
+    a, b = (find_ntt_primes(bits, n, 1)[0] for bits in (30, 29))
+    rng = np.random.default_rng(11)
+    p, other = ring.ntt(ring.random_poly(a, rng)), ring.ntt(ring.random_poly(b, rng))
+    coefficients = ring.random_poly(a, rng)
+    calls = []
+    monkeypatch.setattr(ring, "_inverse_ntt", lambda *args: calls.append(1))
+    with pytest.raises(ring.BasisMismatch):
+        ring.intt_many([p, other])
+    with pytest.raises(ring.DomainMismatch):
+        ring.intt_many(iter([p, coefficients]))
+    assert ring.intt_many([]) == [] and ring.intt_many(iter(())) == []
+    assert calls == []
+
+
 def test_stacked_ntt_keeps_each_shape():
     # an (N,) row and a (1, N) block share a single-modulus context
     m = find_ntt_primes(30, 2**6, 1)[0]

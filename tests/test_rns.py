@@ -358,3 +358,44 @@ def test_wrong_domain_is_a_domain_mismatch_and_one_basis_mismatch_class(toy_basi
     with pytest.raises(DomainMismatch):
         rns.rescale(ntt(c))
     assert rns.BasisMismatch is ring.BasisMismatch
+
+
+def _uniform_batch(rng, context, domain, count=4, n=64):
+    return [ring.Poly(rng.integers(0, context.q, (len(context.q), n), dtype=np.uint64),
+                      context, domain) for _ in range(count)]
+
+
+@pytest.mark.parametrize("domain", [Domain.COEF, Domain.NTT])
+@pytest.mark.parametrize("alpha", [5, 2])  # beta = 1 and 3 over five levels
+@pytest.mark.parametrize("bits", [44, 54])  # the float and the exact multiply route
+def test_batched_moddown_and_decompose_equal_one_at_a_time(bits, alpha, domain):
+    primes = find_ntt_primes(bits, 2**6, 5 + alpha)
+    basis = rns.RnsBasis(primes[:5], primes[5:])
+    assert basis.beta == {5: 1, 2: 3}[alpha]
+    rng = np.random.default_rng(bits * alpha)
+    raised = _uniform_batch(rng, basis.pq_context, domain)
+    for got, p in zip(rns.moddown_many(iter(raised), basis), raised, strict=True):
+        want = rns.moddown(p, basis)
+        assert got.context is want.context and got.domain == domain
+        assert np.array_equal(got.coeffs, want.coeffs)
+    data = _uniform_batch(rng, basis.q_context, domain)
+    for got, c in zip(rns.decompose_many(iter(data), basis), data, strict=True):
+        want = rns.decompose(c, basis)
+        assert len(got) == len(want) == basis.beta
+        for g, w in zip(got, want):
+            assert g.context is w.context and g.domain == domain
+            assert np.array_equal(g.coeffs, w.coeffs)
+    assert rns.moddown_many([], basis) == [] and rns.decompose_many([], basis) == []
+
+
+def test_batches_reject_mixed_domains_and_bases(toy_basis):
+    rng = np.random.default_rng(15)
+    for context, batched in ((toy_basis.pq_context, rns.moddown_many),
+                             (toy_basis.q_context, rns.decompose_many)):
+        coef, = _uniform_batch(rng, context, Domain.COEF, count=1)
+        for mixed in ([ntt(coef), coef], [coef, ntt(coef)]):
+            with pytest.raises(DomainMismatch):
+                batched(mixed, toy_basis)
+        below = ring.Poly(coef.coeffs[1:], context.moduli[1:], Domain.COEF)
+        with pytest.raises(rns.BasisMismatch):
+            batched([coef, below], toy_basis)
