@@ -67,7 +67,7 @@ class MissingKey(ValueError):
 
 @dataclass
 class CkksParams:
-    """Ring dimension, RNS basis, and default encoding scale."""
+    """Ring dimension, RNS basis, and encoding scale."""
 
     ring_dim: int
     basis: RnsBasis
@@ -144,7 +144,7 @@ class SwitchingKey:
     hoist_offset r != 0 marks a key stored pre-twisted by the inverse
     automorphism, so the rotation can be applied after the inner product.
     It is the key's only record of its kind: ``hoisted_rotation`` accepts
-    only a key twisted for its rotation, ``rotate`` only an untwisted one.
+    only a key twisted for its rotation, ``rotate_many`` only untwisted ones.
     """
 
     digits: list[tuple[RnsPoly, RnsPoly]]
@@ -186,11 +186,11 @@ def embed_forward(coeffs: np.ndarray, ring_dim: int) -> np.ndarray:
     return evals[slot_exponents(n)].real
 
 
-def encode(v, params: CkksParams, scale: float | None = None,
+def encode(v, params: CkksParams,
            moduli: list[Modulus] | BasisContext | None = None) -> Plaintext:
-    """Scale, embed, and round a length-N/2 real vector into coefficient-
-    domain RNS limbs over ``moduli`` (default Q)."""
-    scale = params.scale if scale is None else scale
+    """Scale by ``params.scale``, embed, and round a length-N/2 real vector into
+    coefficient-domain RNS limbs over ``moduli`` (default Q)."""
+    scale = params.scale
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.slots,):
         raise BasisMismatch(f"expected {params.slots} slots, got {v.shape}")
@@ -222,12 +222,12 @@ def sample_gaussian_ints(rng: np.random.Generator, n: int) -> list[int]:
     return [int(x) for x in np.rint(rng.normal(0.0, NOISE_SIGMA, n))]
 
 
-def uniform_rns(rng: np.random.Generator, moduli: list[Modulus],
-                ring_dim: int, domain: Domain = Domain.NTT) -> RnsPoly:
+def uniform_rns(rng: np.random.Generator, moduli: list[Modulus], ring_dim: int) -> RnsPoly:
+    """Uniform mod the product of ``moduli``, NTT domain."""
     # independent uniform residues per limb are CRT-equivalent to uniform mod the product
     context = basis_context(moduli)
     block = rng.integers(0, context.q, (len(context.moduli), ring_dim), dtype=np.uint64)
-    return RnsPoly(block, context, domain)
+    return RnsPoly(block, context, Domain.NTT)
 
 
 def gaussian_rns(rng: np.random.Generator, moduli: list[Modulus], ring_dim: int) -> RnsPoly:
@@ -373,7 +373,9 @@ def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
 
 
 def rotate_many(jobs, params: CkksParams) -> list[Ciphertext]:
-    """``[rotate(ct, r, swk, params) for ct, r, swk in jobs]`` bit for bit.
+    """Reference (non-hoisted) rotations of ``(ct, r, swk)`` jobs: each is the
+    automorphism then a full key switch with a plain key, and an offset of 0
+    is a copy.
 
     Each rotation still pays its own Decompose and its own two ModDowns,
     but the Decomposes run as one batch and the ModDowns as two, the u0
@@ -393,11 +395,6 @@ def rotate_many(jobs, params: CkksParams) -> list[Ciphertext]:
     rotated = iter(Ciphertext(rns_add(automorphism_eval(ct.c0, rot), a), b, ct.scale)
                    for (ct, rot, _), a, b in zip(moving, d0, d1))
     return [next(rotated) if rot.r else ct.copy() for ct, rot, _ in jobs]
-
-
-def rotate(ct: Ciphertext, r: int, swk: SwitchingKey, params: CkksParams) -> Ciphertext:
-    """Reference (non-hoisted) rotation: automorphism then full key switch."""
-    return rotate_many([(ct, r, swk)], params)[0]
 
 
 def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:

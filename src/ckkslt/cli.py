@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -110,21 +111,17 @@ def _shape_params(args) -> cm.HeParams:
 def cmd_demo(args) -> int:
     from . import ckks, linear
 
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance {args.tolerance} is not a finite number > 0")
     shape = TOY_PROFILES[args.params]
     params = ckks.CkksParams.make(ring_dim=shape.ring_dim, levels=shape.levels,
                                   alpha=shape.alpha, prime_bits=shape.word_bits)
     n = args.n
     if n > params.slots:
         raise UsageError(f"--n {n} exceeds slot count {params.slots}")
-    rng = np.random.default_rng(args.seed)
-    if args.identity:
-        f_matrix = np.eye(n)
-    else:
-        f_matrix = rng.uniform(-1, 1, (n, n))
-    v = rng.uniform(-1, 1, n)
-
     methods = ([m.value for m in linear.LtMethod] if args.method == "all"
                else [args.method])
+    # the plans validate n and the factors before anything is drawn
     plans = []
     for name in methods:
         # a single method takes --factors as given, so a wrong arity is an
@@ -134,6 +131,13 @@ def cmd_demo(args) -> int:
             fs = cm.search_factors(name, _shape_params(args),
                                    "min_keys" if name == "th-bsgs" else "min_compute")
         plans.append(linear.LtPlan(linear.LtMethod(name), n, tuple(fs)))
+
+    rng = np.random.default_rng(args.seed)
+    if args.identity:
+        f_matrix = np.eye(n)
+    else:
+        f_matrix = rng.uniform(-1, 1, (n, n))
+    v = rng.uniform(-1, 1, n)
 
     t0 = time.time()
     report = linear.lt_equivalence_check(f_matrix, v, params, plans,

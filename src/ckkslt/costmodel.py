@@ -424,11 +424,6 @@ def peak_onchip(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
     }
 
 
-def total_offchip_limbs(params: HeParams, factors, cfg: ParallelismConfig) -> int:
-    table = offchip_access(params, factors, cfg)
-    return sum(sum(row.values()) for row in table.values())
-
-
 def max_peak_limbs(params: HeParams, factors, cfg: ParallelismConfig) -> int:
     return max(peak_onchip(params, factors, cfg).values())
 

@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 
 from .costmodel import (
     CATEGORIES,
+    PHASES,
     HeParams,
     ParallelismConfig,
     ceil_div,
@@ -93,10 +94,10 @@ class OpTrace:
 @dataclass
 class MemoryMeter:
     offchip: dict = field(default_factory=lambda: {
-        p: {c: 0 for c in CATEGORIES} for p in range(1, 7)
+        p: {c: 0 for c in CATEGORIES} for p in PHASES
     })
-    onchip_peak: dict = field(default_factory=lambda: {p: 0 for p in range(1, 7)})
-    rounds: dict = field(default_factory=lambda: {p: 0 for p in range(1, 7)})
+    onchip_peak: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
+    rounds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0))
 
     def add(self, phase: int, category: str, limbs: int):
         self.offchip[phase][category] += limbs
@@ -401,7 +402,7 @@ def validate_against_model(params: HeParams, factors, cfg: ParallelismConfig) ->
     model = offchip_access(params, factors, cfg)
     wl = _whitelist(params, factors, cfg)
     rows = []
-    for phase in range(1, 7):
+    for phase in PHASES:
         for cat in CATEGORIES:
             simulated = sim.meter.offchip[phase][cat]
             modeled = model[phase][cat]
@@ -442,11 +443,9 @@ def report_json(params: HeParams, factors, cfg: ParallelismConfig,
                 "dp": cfg.dp,
             },
         },
-        "phases": {
-            str(p): dict(sim.meter.offchip[p]) for p in range(1, 7)
-        },
-        "onchip_peak": {str(p): sim.meter.onchip_peak[p] for p in range(1, 7)},
-        "rounds": {str(p): sim.meter.rounds[p] for p in range(1, 7)},
+        "phases": {str(p): dict(sim.meter.offchip[p]) for p in PHASES},
+        "onchip_peak": {str(p): sim.meter.onchip_peak[p] for p in PHASES},
+        "rounds": {str(p): sim.meter.rounds[p] for p in PHASES},
         "totals": sim.meter.totals(),
         "trace": {"decompose": sim.trace.decompose, "moddown": sim.trace.moddown},
     }

@@ -229,11 +229,3 @@ def mux_controls(r: int, layout: BankLayout) -> np.ndarray:
     table = np.empty(moves.shape[:2], dtype=np.int64)
     np.put_along_axis(table, moves[:, :, 2], moves[:, :, 0], axis=1)
     return table
-
-
-def dump_schedule(steps: list[MoveStep]) -> str:
-    lines = []
-    for s, step in enumerate(steps):
-        for sb, sa, db, da in step.moves:
-            lines.append(f"{s}, {sb}, {sa}, {db}, {da}")
-    return "\n".join(lines)

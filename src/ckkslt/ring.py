@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -201,35 +201,33 @@ class BasisContext:
     It holds the operands the kernels read as read-only tables, built on
     first use per length: same-shape contiguous operands keep numpy on one
     flat loop, where a broadcast column or twiddle splits it into short runs.
+    The per-length tables live in method caches that hold their context, which
+    is no leak: interned contexts live as long as the process anyway.
     """
 
     moduli: tuple[Modulus, ...]
     q: np.ndarray  # the moduli as a read-only (L, 1) uint64 column
     fast: bool  # every q below FAST_LIMIT, so mod_mul_vec takes the float path
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cache
     def block(self, n: int) -> Moduli:
         """The moduli as a contiguous (L, n) block; n = 1 gives the column."""
-        key = ("block", n)
-        if key not in self._tables:
-            q = _readonly(np.repeat(self.q, n, axis=1))
-            self._tables[key] = Moduli(q, _readonly(q, np.float64) if self.fast else None)
-        return self._tables[key]
+        q = _readonly(np.repeat(self.q, n, axis=1))
+        return Moduli(q, _readonly(q, np.float64) if self.fast else None)
 
-    def stages(self, n: int, inverse: bool = False) -> list[tuple]:
+    @cache
+    def stages(self, n: int, inverse: bool) -> list[tuple]:
         """Per stage of the n-point transform, mm = 1, 2, ..., n/2 blocks (the
         inverse runs them backwards): the twiddles in the order the stage reads
         them, (L, n/2) with block b's in every column j with j mod mm = b (see
         :func:`_butterflies`), and their quotients. The forward root is
-        psi^(N/n), a primitive 2n-th root of unity, the inverse's its inverse."""
-        key = ("stages", n, inverse)
-        if key not in self._tables:
-            step = self.moduli[0].ring_dim // n * (-1 if inverse else 1)
-            table = np.stack([_powers(m.q, pow(m.two_n_root, step, m.q), n) for m in self.moduli])
-            half = self.block(n).view(len(self.moduli), n // 2)
-            self._tables[key] = [_operand(np.tile(table[:, mm : 2 * mm], n // (2 * mm)), half)
-                                 for mm in (1 << s for s in range(n.bit_length() - 1))]
-        return self._tables[key]
+        psi^(N/n), a primitive 2n-th root of unity, the inverse's its inverse.
+        Callers pass ``inverse`` positionally, so each table has one cache key."""
+        step = self.moduli[0].ring_dim // n * (-1 if inverse else 1)
+        table = np.stack([_powers(m.q, pow(m.two_n_root, step, m.q), n) for m in self.moduli])
+        half = self.block(n).view(len(self.moduli), n // 2)
+        return [_operand(np.tile(table[:, mm : 2 * mm], n // (2 * mm)), half)
+                for mm in (1 << s for s in range(n.bit_length() - 1))]
 
     @cached_property
     def n_inverse(self) -> tuple:
@@ -271,7 +269,7 @@ def _butterflies(values: np.ndarray, context: BasisContext) -> np.ndarray:
     q = context.block(n)
     half = q.view(len(context.moduli), h)
     a, out = values, np.empty(values.shape, np.uint64)
-    for w, wq in context.stages(n):
+    for w, wq in context.stages(n, False):
         lo, hi = a[..., :h], a[..., h:]
         v = mod_mul_vec(hi, w, half, wq)
         pairs = out.reshape(*out.shape[:-1], h, 2)
@@ -323,7 +321,7 @@ def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
     q = context.block(n)
     half = q.view(len(context.moduli), h)
     a, out = values, np.empty(values.shape, np.uint64)
-    for w, wq in reversed(context.stages(n, inverse=True)):
+    for w, wq in reversed(context.stages(n, True)):
         pairs = a.reshape(*a.shape[:-1], h, 2)
         lo, hi = pairs[..., 0], pairs[..., 1]
         # lo + hi and lo - hi + q, both in [0, 2q), then one reduction
@@ -368,9 +366,9 @@ class Poly:
 
     ``Poly(block, moduli, domain)`` wraps a block without copying, with
     ``moduli`` a :class:`Modulus`, a sequence of them or their context;
-    ``Poly(limbs)`` stacks a list of single-modulus polynomials. Assigning
-    to ``coeffs`` writes into the existing array, so a limb taken from
-    ``limbs`` stays a view of its block.
+    ``Poly(limbs)`` stacks a list of single-modulus polynomials. A limb
+    taken from ``limbs`` is a view of its block, so writing through its
+    ``coeffs[...]`` writes into the block.
     """
 
     __slots__ = ("_coeffs", "context", "domain")
@@ -394,10 +392,6 @@ class Poly:
     def coeffs(self) -> np.ndarray:
         return self._coeffs
 
-    @coeffs.setter
-    def coeffs(self, values):
-        self._coeffs[...] = values
-
     @property
     def modulus(self) -> Modulus:
         return self.context.moduli[0]
@@ -420,10 +414,6 @@ class Poly:
 
     def copy(self) -> "Poly":
         return Poly(self.coeffs.copy(), self.context, self.domain)
-
-
-def zero_poly(m: Modulus, domain: Domain = Domain.COEF) -> Poly:
-    return Poly(np.zeros(m.ring_dim, dtype=np.uint64), m, domain)
 
 
 def random_poly(m: Modulus, rng: np.random.Generator, domain: Domain = Domain.COEF) -> Poly:
@@ -500,10 +490,15 @@ def _same_basis(a, b) -> Moduli:
 
 
 def pointwise_mul_many(f, polys) -> list[Poly]:
-    """``[pointwise_mul(p, f) for p in polys]`` bit for bit, with f's quotient
-    computed once for all the products."""
-    q = [_same_basis(p, f) for p in polys][-1]
-    shared = _block(f)
+    """``[pointwise_mul(p, f) for p in polys]`` bit for bit ([] for none), with
+    f's quotient computed once for all the products; every polynomial is
+    checked before any runs."""
+    polys = list(polys)
+    for p in polys:
+        _same_basis(p, f)
+    if not polys:
+        return []
+    q, shared = f.context.block(f.n), _block(f)
     quot = _quotient(shared, q)
     return [p.like(mod_mul_vec(_block(p), shared, q, quot), p.domain) for p in polys]
 
@@ -574,20 +569,3 @@ def automorphism_eval(p, rot: RotationIndex):
     # take, not [:, idx], which lays the result out limb-innermost (Fortran order)
     return p.like(_block(p).take(eval_permutation(p.n, rot.g_r), axis=1), Domain.NTT)
 
-
-def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """O(N^2) reference product mod (x^N + 1, q), exact big-int arithmetic."""
-    n = len(a)
-    out = [0] * n
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = ai * int(b[j])
-            if k >= n:
-                out[k - n] = (out[k - n] - term) % q
-            else:
-                out[k] = (out[k] + term) % q
-    return np.array(out, dtype=np.uint64)

@@ -1,16 +1,16 @@
-"""Length-prefixed little-endian binary containers for CKKS objects.
+"""Length-prefixed little-endian binary containers for CKKS ciphertexts.
 
 Layout: magic b"HLT1", then a header (format version u32, object tag u8,
-ring_dim u32, level i32, scale f64, hoist/meta u32). A switching key
-follows with its digit count u32. Every polynomial is a limb count u32
-followed by that many records of (modulus u64, domain u8, ring_dim
-coefficients u64); ``load`` reads each polynomial with one
-``frombuffer``. All integers little-endian.
+ring_dim u32, level i32, scale f64, meta u32), then the components c0 and
+c1. The object tag is 1, the only one defined, and meta is 0. Each
+component is a limb count u32 followed by that many records of (modulus
+u64, domain u8, ring_dim coefficients u64); ``load`` reads each component
+with one ``frombuffer``. All integers little-endian.
 
 ``load`` rejects every byte string that is not exactly such a container
-(truncated, trailing bytes, unknown codes, invalid moduli, coefficients
-not below their modulus, components over different bases, a ciphertext
-level other than its limb count minus one) with :class:`CorruptContainer`,
+(truncated, trailing bytes, unknown codes or tags, invalid moduli,
+coefficients not below their modulus, components over different bases, a
+level other than the limb count minus one) with :class:`CorruptContainer`,
 a ``ValueError``.
 """
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ckks import Ciphertext, Plaintext, SwitchingKey
+from .ckks import Ciphertext
 from .modarith import Modulus
 from .ring import Domain, basis_context
 from .rns import RnsPoly
@@ -30,8 +30,6 @@ from .rns import RnsPoly
 MAGIC = b"HLT1"
 VERSION = 1
 TAG_CIPHERTEXT = 1
-TAG_SWITCHING_KEY = 2
-TAG_PLAINTEXT = 3
 
 _HEADER = struct.Struct("<IBIidI")
 _COUNT = struct.Struct("<I")
@@ -101,35 +99,16 @@ class _Reader:
         return RnsPoly(coeffs, context, _DOMAIN_FROM[domains.pop()])
 
 
-def _save(tag: int, level: int, scale: float, meta: int, polys, prefix=b"") -> bytes:
-    out = bytearray(MAGIC + _HEADER.pack(VERSION, tag, polys[0].n, level, scale, meta) + prefix)
-    for p in polys:
+def save_ciphertext(ct: Ciphertext) -> bytes:
+    out = bytearray(MAGIC + _HEADER.pack(VERSION, TAG_CIPHERTEXT, ct.c0.n, ct.level, ct.scale, 0))
+    for p in (ct.c0, ct.c1):
         _pack_rns(out, p)
     return bytes(out)
 
 
-def save_ciphertext(ct: Ciphertext) -> bytes:
-    return _save(TAG_CIPHERTEXT, ct.level, ct.scale, 0, [ct.c0, ct.c1])
-
-
-def save_plaintext(pt: Plaintext) -> bytes:
-    return _save(TAG_PLAINTEXT, 0, pt.scale, 0, [pt.poly])
-
-
-def save_switching_key(swk: SwitchingKey) -> bytes:
-    return _save(TAG_SWITCHING_KEY, 0, 0.0, swk.hoist_offset,
-                 [p for pair in swk.digits for p in pair], _COUNT.pack(len(swk.digits)))
-
-
-def _pair(reader: _Reader, ring_dim: int) -> tuple[RnsPoly, RnsPoly]:
-    a = reader.rns(ring_dim)
-    b = reader.rns(ring_dim)
-    if a.context is not b.context or a.domain != b.domain:
-        raise CorruptContainer("the two components disagree on moduli or domain")
-    return a, b
-
-
-def _parse(reader: _Reader):
+def load(data: bytes) -> Ciphertext:
+    """Parse a container produced by :func:`save_ciphertext`."""
+    reader = _Reader(data)
     if bytes(reader.take(len(MAGIC))) != MAGIC:
         raise CorruptContainer("bad magic")
     version, tag, ring_dim, level, scale, meta = reader.unpack(_HEADER)
@@ -137,32 +116,15 @@ def _parse(reader: _Reader):
         raise CorruptContainer(f"unsupported version {version}")
     if ring_dim < 2 or ring_dim & (ring_dim - 1):
         raise CorruptContainer(f"ring dimension {ring_dim} is not a power of two >= 2")
-    if tag == TAG_SWITCHING_KEY:
-        if level or scale or math.copysign(1.0, scale) < 0:
-            raise CorruptContainer("switching key header carries a level or scale")
-        (count,) = reader.unpack(_COUNT)
-        digits = [_pair(reader, ring_dim) for _ in range(count)]
-        if not digits or len({k0.context for k0, _ in digits}) != 1:
-            raise CorruptContainer("switching key digits missing or over different bases")
-        return SwitchingKey(digits, hoist_offset=meta)
-    if tag not in (TAG_CIPHERTEXT, TAG_PLAINTEXT):
+    if tag != TAG_CIPHERTEXT:
         raise CorruptContainer(f"unknown object tag {tag}")
     if meta or not (math.isfinite(scale) and scale > 0):
         raise CorruptContainer(f"scale {scale} or meta {meta} out of range")
-    if tag == TAG_PLAINTEXT:
-        if level:
-            raise CorruptContainer("plaintext header carries a level")
-        return Plaintext(reader.rns(ring_dim), scale)
-    c0, c1 = _pair(reader, ring_dim)
+    c0, c1 = reader.rns(ring_dim), reader.rns(ring_dim)
+    if c0.context is not c1.context or c0.domain != c1.domain:
+        raise CorruptContainer("the two components disagree on moduli or domain")
     if level != len(c0.moduli) - 1:
         raise CorruptContainer(f"level {level} does not match {len(c0.moduli)} limbs")
-    return Ciphertext(c0, c1, scale)
-
-
-def load(data: bytes):
-    """Parse any container produced by the save_* functions."""
-    reader = _Reader(data)
-    obj = _parse(reader)
     if reader.off != len(reader.view):
         raise CorruptContainer(f"{len(reader.view) - reader.off} trailing bytes")
-    return obj
+    return Ciphertext(c0, c1, scale)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_encode_slot_shift_compatibility(toy_params):
 def test_encode_overflow_guard(toy_params):
     v = np.full(toy_params.slots, 1.0)
     with pytest.raises(ckks.Overflow):
-        ckks.encode(v, toy_params, scale=2**70)
+        ckks.encode(v, replace(toy_params, scale=2**70))
 
 
 @pytest.mark.parametrize("fill, scale", [(np.nan, None), (np.inf, None), (-np.inf, None),
@@ -44,8 +45,9 @@ def test_encode_overflow_guard(toy_params):
 def test_encode_rejects_non_finite_values_and_bad_scales(toy_params, fill, scale):
     v = np.zeros(toy_params.slots)
     v[3] = fill
+    params = toy_params if scale is None else replace(toy_params, scale=scale)
     with pytest.raises(ckks.Overflow):
-        ckks.encode(v, toy_params, scale=scale)
+        ckks.encode(v, params)
 
 
 def test_encrypt_decrypt_roundtrip(toy_params, toy_keys):
@@ -91,8 +93,9 @@ def test_switching_key_gadget_identity(small_params):
     # sum_b gadget_b * digit_b == P*c1 (mod PQ): the overshoot terms vanish
     basis = small_params.basis
     rng = np.random.default_rng(7)
-    c1 = ckks.uniform_rns(rng, basis.q_moduli, small_params.ring_dim,
-                          domain=Domain.COEF)
+    # uniform residues are uniform in either domain
+    c1 = ckks.uniform_rns(rng, basis.q_moduli, small_params.ring_dim)
+    c1 = c1.like(c1.coeffs, Domain.COEF)
     from ckkslt.rns import decompose
     digits = decompose(c1, basis)
     gadgets = ckks.gadget_constants(basis)
@@ -123,10 +126,8 @@ def test_key_switch_zero_digits(toy_params, toy_keys):
     rng = np.random.default_rng(8)
     swk = ckks.rotation_keygen(sk, 3, toy_params, rng)
     basis = toy_params.basis
-    zero = ckks.uniform_rns(rng, basis.q_moduli, toy_params.ring_dim,
-                            domain=Domain.COEF)
-    for limb in zero.limbs:
-        limb.coeffs[:] = 0
+    zero = RnsPoly(np.zeros((len(basis.q_moduli), toy_params.ring_dim), np.uint64),
+                   basis.q_moduli, Domain.COEF)
     digits = ckks.hoist_digits(zero, basis)
     u0, u1 = ckks.key_switch(digits, swk)
     assert not any(l.coeffs.any() for l in u0.limbs)
@@ -164,7 +165,7 @@ def test_rotate_identity(toy_params, toy_keys):
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     swk = ckks.rotation_keygen(sk, 1, toy_params, rng)
-    out = ckks.rotate(ct, 0, swk, toy_params)
+    [out] = ckks.rotate_many([(ct, 0, swk)], toy_params)
     back = ckks.decode(ckks.decrypt(out, sk), toy_params)
     assert np.max(np.abs(back - v)) < 2**-15
 
@@ -175,7 +176,7 @@ def test_rotate_shifts_slots(toy_params, toy_keys):
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     swk = ckks.rotation_keygen(sk, 5, toy_params, rng)
-    out = ckks.rotate(ct, 5, swk, toy_params)
+    [out] = ckks.rotate_many([(ct, 5, swk)], toy_params)
     back = ckks.decode(ckks.decrypt(out, sk), toy_params)
     assert np.max(np.abs(back - np.roll(v, -5))) < 2**-15
 
@@ -189,8 +190,8 @@ def test_rotate_composition(toy_params, toy_keys):
     k3 = ckks.rotation_keygen(sk, 3, toy_params, rng)
     k9 = ckks.rotation_keygen(sk, 9, toy_params, rng)
     k12 = ckks.rotation_keygen(sk, 12, toy_params, rng)
-    via_two = ckks.rotate(ckks.rotate(ct, 3, k3, toy_params), 9, k9, toy_params)
-    direct = ckks.rotate(ct, 12, k12, toy_params)
+    [by_three, direct] = ckks.rotate_many([(ct, 3, k3), (ct, 12, k12)], toy_params)
+    [via_two] = ckks.rotate_many([(by_three, 9, k9)], toy_params)
     d1 = ckks.decode(ckks.decrypt(via_two, sk), toy_params)
     d2 = ckks.decode(ckks.decrypt(direct, sk), toy_params)
     assert np.max(np.abs(d1 - d2)) < 2**-14
@@ -205,9 +206,9 @@ def test_rotation_offset_is_taken_mod_slot_count(toy_params, toy_keys):
     wrapped = ckks.rotation_keygen(sk, 5 + half, toy_params, np.random.default_rng(0))
     for (k0, k1), (w0, w1) in zip(swk.digits, wrapped.digits):
         assert np.array_equal(k0.coeffs, w0.coeffs) and np.array_equal(k1.coeffs, w1.coeffs)
-    ref = ckks.rotate(ct, 5, swk, toy_params)
-    for r in (5 + half, 5 - half):
-        out = ckks.rotate(ct, r, swk, toy_params)
+    ref, *wrapped_outs = ckks.rotate_many([(ct, r, swk) for r in (5, 5 + half, 5 - half)],
+                                          toy_params)
+    for out in wrapped_outs:
         assert np.array_equal(out.c0.coeffs, ref.c0.coeffs)
         assert np.array_equal(out.c1.coeffs, ref.c1.coeffs)
     # a hoisted key records its offset as given and serves the reduced rotation
@@ -255,7 +256,7 @@ def test_hoisted_rotation_equals_plain(toy_params, toy_keys, r):
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     plain = ckks.rotation_keygen(sk, r, toy_params, rng)
     hoisted = ckks.rotation_keygen(sk, r, toy_params, rng, hoisted=True)
-    ref = ckks.rotate(ct, r, plain, toy_params)
+    [ref] = ckks.rotate_many([(ct, r, plain)], toy_params)
     rot = RotationIndex(r, toy_params.ring_dim)
     digits = ckks.hoist_digits(ct.c1, toy_params.basis)
     u0, u1 = ckks.key_switch(digits, hoisted)
@@ -325,7 +326,7 @@ def test_end_to_end_pipeline(toy_params, toy_keys):
     f = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     swk = ckks.rotation_keygen(sk, 2, toy_params, rng)
-    ct = ckks.rotate(ct, 2, swk, toy_params)
+    [ct] = ckks.rotate_many([(ct, 2, swk)], toy_params)
     ct = ckks.rescale_ct(ckks.pt_ct_mult(ckks.encode(f, toy_params), ct),
                          toy_params)
     back = ckks.decode(ckks.decrypt(ct, sk), toy_params)
@@ -380,8 +381,8 @@ def test_batched_rotation_equals_one_at_a_time(bits, alpha):
     jobs = [(cts[0], 1, keys[1]), (cts[1], 3, keys[3]), (cts[0], 0, keys[7]), (cts[1], 7, keys[7])]
     got = ckks.rotate_many(iter(jobs), params)
     assert len(got) == len(jobs)
-    for out, (ct, r, swk) in zip(got, jobs):
-        want = ckks.rotate(ct, r, swk, params)
+    for out, job in zip(got, jobs):
+        [want] = ckks.rotate_many([job], params)
         assert out.scale == want.scale
         for a, b in ((out.c0, want.c0), (out.c1, want.c1)):
             assert a.context is b.context and np.array_equal(a.coeffs, b.coeffs)

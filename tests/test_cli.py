@@ -67,6 +67,27 @@ def test_demo_tolerance_breach_exit_code(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_demo_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    # a usage error (exit 1), not a FAIL (exit 2) or a PASS against nothing
+    code, out, err = run_cli(
+        capsys, "demo", "--params", "toy-small", "--method", "diagonal",
+        "--n", "16", f"--tolerance={tolerance}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --tolerance")
+
+
+@pytest.mark.parametrize("extra", [[], ["--method", "bsgs", "--factors", "2,2"]])
+def test_demo_negative_n_is_rejected_by_the_plan_checks(capsys, extra):
+    # the plans are built before the matrix is drawn, so numpy never sees
+    # a negative dimension
+    code, out, err = run_cli(capsys, "demo", "--params", "toy-small", "--n", "-4", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "power of two" in err
+
+
 def test_demo_bad_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "demo", "--params", "set-c")
     assert code == 1

@@ -239,6 +239,10 @@ def test_config_validation():
         cm.validate_config(params, factors, cm.ParallelismConfig(l1=999))
 
 
+def _offchip_total(params, factors, cfg):
+    return sum(sum(row.values()) for row in cm.offchip_access(params, factors, cfg).values())
+
+
 def test_search_parallelism_unlimited_budget():
     params = cm.HeParams(2**10, 4, 2, 54, n=2**6)
     factors = (4, 4, 4)
@@ -246,8 +250,8 @@ def test_search_parallelism_unlimited_budget():
     assert (cfg.m1, cfg.m3, cfg.m6) == (3, 3, 4)
     assert cfg.m5 == 16
     assert cfg.ls() == (6, 6, 6, 6, 6)
-    base_total = cm.total_offchip_limbs(params, factors, cm.ParallelismConfig())
-    assert cm.total_offchip_limbs(params, factors, cfg) <= base_total
+    base_total = _offchip_total(params, factors, cm.ParallelismConfig())
+    assert _offchip_total(params, factors, cfg) <= base_total
 
 
 @pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c"])
@@ -273,7 +277,7 @@ def test_search_parallelism_matches_exhaustive_small():
     best = cm.search_parallelism(params, factors, budget)
     budget_limbs = budget // params.limb_bytes
     assert cm.max_peak_limbs(params, factors, best) <= budget_limbs
-    got = cm.total_offchip_limbs(params, factors, best)
+    got = _offchip_total(params, factors, best)
     # exhaustive oracle over the traffic-relevant knobs
     opt = math.inf
     for m1, m3, m5, m6 in itertools.product(
@@ -281,7 +285,7 @@ def test_search_parallelism_matches_exhaustive_small():
         cand = cm.ParallelismConfig(m1=m1, m3=m3, m5=m5, m6=m6)
         if cm.max_peak_limbs(params, factors, cand) > budget_limbs:
             continue
-        opt = min(opt, cm.total_offchip_limbs(params, factors, cand))
+        opt = min(opt, _offchip_total(params, factors, cand))
     assert got == opt
 
 

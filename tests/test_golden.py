@@ -42,6 +42,7 @@ from ckkslt import costmodel as cm
 from ckkslt import datapath as dp
 from ckkslt import permutation as pm
 from ckkslt.modarith import find_ntt_primes
+from oracles import dump_schedule
 
 N_LT = 64
 N_WIDE = 16
@@ -296,7 +297,7 @@ def compute_sweep_hashes() -> dict:
             layout = pm.BankLayout.from_storage(np.arange(n, dtype=np.uint64), dp_val)
             h = _Hasher()
             for r in SCHEDULE_ROTATIONS:
-                h.text(pm.dump_schedule(pm.schedule(r, layout)))
+                h.text(dump_schedule(pm.schedule(r, layout)))
             out[f"schedule:N={n} dp={dp_val}"] = h.digest()
     return out
 

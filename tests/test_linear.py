@@ -149,8 +149,13 @@ def arrays(x):
         for y in x.values() if isinstance(x, dict) else x:
             yield from arrays(y)
 
+# the per-length tables sit in the method caches, which gc sees as dicts
 contexts = [c for c in gc.get_objects() if isinstance(c, ring.BasisContext)]
-owned = {id(a): a for c in contexts for a in arrays(vars(c)) if a.base is None}
+caches = [d for method in (ring.BasisContext.block, ring.BasisContext.stages)
+          for d in gc.get_referents(method) if isinstance(d, dict)]
+assert any(caches)
+held = [vars(c) for c in contexts] + [list(d.values()) for d in caches]
+owned = {id(a): a for a in arrays(held) if a.base is None}
 print(sum(a.nbytes for a in owned.values()))
 """
 

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from ckkslt import ring
 from ckkslt.modarith import find_ntt_primes
+from oracles import negacyclic_mul_schoolbook
 
 
 @pytest.fixture(scope="module")
 def mod64():
     return find_ntt_primes(30, 64, 1)[0]
+
+
+def _zero(m):
+    return ring.Poly(np.zeros(m.ring_dim, dtype=np.uint64), m, ring.Domain.COEF)
 
 
 @pytest.mark.parametrize("log_n", [4, 6, 8, 10, 13])
@@ -31,7 +36,7 @@ def test_roundtrip_many_random(mod64):
 
 
 def test_ntt_zero_is_zero(mod64):
-    z = ring.zero_poly(mod64)
+    z = _zero(mod64)
     assert not ring.ntt(z).coeffs.any()
 
 
@@ -41,15 +46,15 @@ def test_pointwise_product_matches_schoolbook(mod64):
         a = ring.random_poly(mod64, rng)
         b = ring.random_poly(mod64, rng)
         fast = ring.intt(ring.pointwise_mul(ring.ntt(a), ring.ntt(b)))
-        ref = ring.negacyclic_mul_schoolbook(a.coeffs, b.coeffs, mod64.q)
+        ref = negacyclic_mul_schoolbook(a.coeffs, b.coeffs, mod64.q)
         assert np.array_equal(fast.coeffs, ref)
 
 
 def test_negacyclic_wrap_sign(mod64):
     n = mod64.ring_dim
-    a = ring.zero_poly(mod64)
+    a = _zero(mod64)
     a.coeffs[n - 1] = 1  # x^(N-1)
-    b = ring.zero_poly(mod64)
+    b = _zero(mod64)
     b.coeffs[1] = 1  # x
     prod = ring.intt(ring.pointwise_mul(ring.ntt(a), ring.ntt(b)))
     expect = np.zeros(n, dtype=np.uint64)
@@ -57,10 +62,23 @@ def test_negacyclic_wrap_sign(mod64):
     assert np.array_equal(prod.coeffs, expect)
 
 
+@pytest.mark.parametrize("wrap", [tuple, list, iter, lambda ps: (p for p in ps)],
+                         ids=["tuple", "list", "iterator", "generator"])
+def test_pointwise_mul_many_reads_its_input_once(mod64, wrap):
+    # one pass over the input, so a one-shot iterator is read once; none gives []
+    rng = np.random.default_rng(13)
+    f, a, b = (ring.ntt(ring.random_poly(mod64, rng)) for _ in range(3))
+    got = ring.pointwise_mul_many(f, wrap([a, b]))
+    assert len(got) == 2
+    for p, out in zip((a, b), got):
+        assert np.array_equal(out.coeffs, ring.pointwise_mul(p, f).coeffs)
+    assert ring.pointwise_mul_many(f, wrap([])) == []
+
+
 def test_pointwise_identities(mod64):
     rng = np.random.default_rng(5)
     p = ring.random_poly(mod64, rng)
-    z = ring.zero_poly(mod64)
+    z = _zero(mod64)
     assert np.array_equal(ring.pointwise_add(p, z).coeffs, p.coeffs)
     assert np.array_equal(ring.scalar_mul(p, 1).coeffs, p.coeffs)
     assert not ring.pointwise_sub(p, p).coeffs.any()
@@ -96,7 +114,7 @@ def test_one_interned_context_per_moduli_tuple():
     fresh = tuple(Modulus(m.q, n) for m in moduli)
     assert fresh[0] is not moduli[0]
     assert RnsPoly(x.coeffs, fresh, x.domain).context is x.context
-    loaded = serialize.load(serialize.save_plaintext(ckks.Plaintext(xn, 1.0))).poly
+    loaded = serialize.load(serialize.save_ciphertext(ckks.Ciphertext(xn, xn, 1.0))).c0
     assert loaded.moduli[0] is not moduli[0] and loaded.context is xn.context
     # another tuple, the same moduli reordered included, is another basis
     reordered = RnsPoly(xn.coeffs[::-1].copy(), moduli[::-1], xn.domain)
@@ -112,9 +130,11 @@ def test_limb_coeffs_assignment_writes_into_the_block():
     assert rns.RnsPoly is ring.Poly
     n = 64
     x = ring.Poly(np.zeros((3, n), np.uint64), find_ntt_primes(30, n, 3), ring.Domain.COEF)
-    x.limbs[1].coeffs = np.arange(n, dtype=np.uint64)
+    x.limbs[1].coeffs[...] = np.arange(n, dtype=np.uint64)
     assert np.array_equal(x.coeffs[1], np.arange(n))
     assert not x.coeffs[[0, 2]].any()
+    with pytest.raises(AttributeError):  # the attribute itself is read-only
+        x.coeffs = x.coeffs
 
 
 def test_single_modulus_poly_rejects_a_non_uint64_row(mod64):
@@ -133,7 +153,7 @@ def test_automorphism_zero_rotation_identity(mod64):
 
 def test_automorphism_x_to_x5():
     m = find_ntt_primes(20, 8, 1)[0]
-    p = ring.zero_poly(m)
+    p = _zero(m)
     p.coeffs[1] = 1
     out = ring.automorphism_coef(p, ring.RotationIndex(1, 8))
     expect = np.zeros(8, dtype=np.uint64)
@@ -242,7 +262,7 @@ def test_mixed_width_block_matches_single_limbs():
             a, b = x.limbs[j], y.limbs[j]
             assert np.array_equal(xn.coeffs[j], ring.ntt(a).coeffs)
             assert np.array_equal(prod.coeffs[j],
-                                  ring.negacyclic_mul_schoolbook(a.coeffs, b.coeffs, m.q))
+                                  negacyclic_mul_schoolbook(a.coeffs, b.coeffs, m.q))
             assert np.array_equal(auto_eval.coeffs[j],
                                   ring.automorphism_eval(ring.ntt(a), rot).coeffs)
             assert np.array_equal(auto_coef.coeffs[j], ring.automorphism_coef(a, rot).coeffs)
@@ -424,7 +444,7 @@ def test_wide_basis_holds_no_float_table(monkeypatch):
     x, y = (RnsPoly([ring.random_poly(m, rng) for m in context.moduli]) for _ in range(2))
     prod = ring.intt(ring.pointwise_mul(ring.ntt(x), ring.ntt(y)))
     for j, m in enumerate(context.moduli):
-        want = ring.negacyclic_mul_schoolbook(x.coeffs[j], y.coeffs[j], m.q)
+        want = negacyclic_mul_schoolbook(x.coeffs[j], y.coeffs[j], m.q)
         assert np.array_equal(prod.coeffs[j], want)
 
 

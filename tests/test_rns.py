@@ -27,7 +27,7 @@ def random_rns(rng, moduli, n):
     # uniform mod prod(moduli) via independent per-limb residues (CRT)
     poly = rns.rns_from_ints([0] * n, moduli)
     for limb in poly.limbs:
-        limb.coeffs = rng.integers(0, limb.modulus.q, n, dtype=np.uint64)
+        limb.coeffs[...] = rng.integers(0, limb.modulus.q, n, dtype=np.uint64)
     vals = rns.crt_reconstruct(poly)
     return vals, poly
 

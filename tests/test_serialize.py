@@ -22,28 +22,6 @@ def test_ciphertext_roundtrip(toy_params, toy_keys):
     assert np.max(np.abs(dec - v)) < 2**-15
 
 
-def test_plaintext_roundtrip(toy_params):
-    rng = np.random.default_rng(1)
-    v = rng.uniform(-1, 1, toy_params.slots)
-    pt = ckks.encode(v, toy_params)
-    back = serialize.load(serialize.save_plaintext(pt))
-    assert back.scale == pt.scale
-    for a, b in zip(back.poly.limbs, pt.poly.limbs):
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-
-def test_switching_key_roundtrip(toy_params, toy_keys):
-    sk, _ = toy_keys
-    rng = np.random.default_rng(2)
-    swk = ckks.rotation_keygen(sk, 9, toy_params, rng, hoisted=True)
-    back = serialize.load(serialize.save_switching_key(swk))
-    assert back.hoist_offset == 9
-    assert len(back.digits) == len(swk.digits)
-    for (a0, a1), (b0, b1) in zip(back.digits, swk.digits):
-        for x, y in zip(a0.limbs + a1.limbs, b0.limbs + b1.limbs):
-            assert np.array_equal(x.coeffs, y.coeffs)
-
-
 def test_bad_magic_rejected():
     with pytest.raises(ValueError):
         serialize.load(b"XXXX" + b"\x00" * 64)
@@ -66,6 +44,15 @@ def test_every_truncation_rejected(tiny_blob):
     for end in range(len(tiny_blob)):
         with pytest.raises(ValueError):
             serialize.load(tiny_blob[:end])
+
+
+@pytest.mark.parametrize("tag", [0, 2, 3, 255])
+def test_only_the_ciphertext_tag_loads(tiny_blob, tag):
+    # 2 and 3 were switching-key and plaintext containers; no caller wrote them
+    blob = bytearray(tiny_blob)
+    blob[8] = tag  # after the magic and the u32 version
+    with pytest.raises(serialize.CorruptContainer, match=f"unknown object tag {tag}"):
+        serialize.load(bytes(blob))
 
 
 def test_trailing_bytes_rejected(tiny_blob):
