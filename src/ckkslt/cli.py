@@ -113,6 +113,8 @@ def cmd_demo(args) -> int:
 
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance {args.tolerance} is not a finite number > 0")
+    if args.seed < 0:
+        raise UsageError(f"--seed {args.seed} is negative; numpy seeds are >= 0")
     shape = TOY_PROFILES[args.params]
     params = ckks.CkksParams.make(ring_dim=shape.ring_dim, levels=shape.levels,
                                   alpha=shape.alpha, prime_bits=shape.word_bits)

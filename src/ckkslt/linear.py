@@ -46,6 +46,7 @@ from .ckks import (
     decode,
     decrypt,
     encode,
+    encode_rows,
     encrypt,
     keygen,
     pt_ct_mult,
@@ -55,7 +56,8 @@ from .ckks import (
 )
 from .costmodel import BadFactors, HeParams, ParallelismConfig, knob_extents, plan_layers
 from .datapath import ComputeContext, OpTrace, PlanMismatch, simulate
-from .ring import RotationIndex, automorphism_coef, ntt_many
+from .ring import RotationIndex, automorphism_block, ntt_subring, subring_gap
+from .rns import rns_residues
 
 
 class DimensionTooLarge(ValueError):
@@ -129,6 +131,14 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     Diagonal i at slot t holds F[t mod n, (t+i) mod n]. Hoisted plans
     accumulate over the raised modulus, so their diagonals are encoded
     over PQ; plain BSGS multiplies over Q.
+
+    The diagonals are packed as one batch in the subring, a giant block of
+    n1*n2 diagonals at a time: the block's slot vectors are embedded as a stack
+    (``encode_rows``), and a tiled diagonal lies in Z[X^g] with g = N/2n, so
+    only the coefficients on the block's common gap are reduced into the basis,
+    as one (B, L, N/g) stack. Past the first block that stack is pre-rotated by
+    the block's giant-step offset in one ``automorphism_block`` call, and the
+    stacks of all blocks take one subring transform (``ntt_subring``).
     """
     f_matrix = np.asarray(f_matrix, dtype=np.float64)
     n = plan.n
@@ -136,17 +146,25 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
         raise PlanMismatch(f"matrix shape {f_matrix.shape} != ({n}, {n})")
     if n > params.slots:
         raise DimensionTooLarge(f"n={n} exceeds {params.slots} slots")
-    reps = params.slots // n
     context = params.basis.pq_context if plan.hoisted else params.basis.q_context
     n1, n2, _ = plan.layers
     giant = n1 * n2  # diagonals are pre-rotated by their giant-step offset
     t = np.arange(n)
     rows = f_matrix[t, (t + t[:, None]) % n]  # row i is diagonal i
-    # lazily, so one dense diagonal is alive at a time, into one stacked transform
-    encoded = (encode(np.tile(row, reps), params, moduli=context).poly for row in rows)
-    rotated = (automorphism_coef(poly, RotationIndex(-giant * (i // giant), params.ring_dim))
-               if i >= giant else poly for i, poly in enumerate(encoded))
-    return DiagMatrix(plan, [Plaintext(poly, params.scale) for poly in ntt_many(rotated)])
+
+    def blocks():
+        # one giant block's coefficients at a time, never a dense (L, N) block
+        for start in range(0, n, giant):
+            ints = encode_rows(np.tile(rows[start : start + giant], params.slots // n), params)
+            gap = subring_gap(ints)
+            stack = rns_residues(ints[:, ::gap], context)
+            if start:
+                stack = automorphism_block(
+                    stack, context.q, RotationIndex(-start, params.ring_dim).g_r)
+            yield gap, stack
+
+    return DiagMatrix(plan, [Plaintext(poly, params.scale)
+                             for poly in ntt_subring(blocks(), context)])
 
 
 # ---------------------------------------------------------------------------

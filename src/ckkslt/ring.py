@@ -39,8 +39,17 @@ polynomial with g = N/(2n), the sparse packing of Cheon, Han, Kim, Kim and Song
 :func:`ntt_many` stacks many blocks' slices on their common (smallest) gap,
 zero-filling wider ones, and :func:`ntt` is its one-block case. The gap is read
 off the integer residues, so the result is the full-length transform bit for
-bit; a dense block pays one strided test. The inverse always runs at length N,
-over a stack too (:func:`intt_many`, of which :func:`intt` is the one-block case).
+bit; a dense block pays one strided test. :func:`ntt_subring` takes the same
+path from coefficient stacks of B that a caller built in the subring, as
+packing does, never holding the dense (L, N) blocks. The inverse always runs at
+length N, over a stack too (:func:`intt_many`, of which :func:`intt` is the
+one-block case).
+
+The coefficient automorphism x -> x^{g_r} maps Z_q[X^g] to itself: on B it is
+y -> y^{g_r} at ring dimension N/g. Its kernel, :func:`automorphism_block`,
+takes a stack of blocks of any length, so packing pre-rotates its subring
+coefficients as one call per rotation; :func:`automorphism_coef` is its
+one-polynomial case.
 """
 
 from __future__ import annotations
@@ -282,7 +291,7 @@ def _butterflies(values: np.ndarray, context: BasisContext) -> np.ndarray:
     return a
 
 
-def _subring_gap(values: np.ndarray) -> int:
+def subring_gap(values: np.ndarray) -> int:
     """The largest power of two g such that every row of a block (or stack) is
     zero off the multiples of g: the block lies in Z_q[X^g]. N for constants;
     1, after one strided test, for a dense block."""
@@ -294,18 +303,25 @@ def _subring_gap(values: np.ndarray) -> int:
 
 
 def _forward_ntt(slices: list, context: BasisContext) -> list[np.ndarray]:
-    """The (L, N) transforms of B (g, slice on gap g) pairs; empties the list."""
+    """The (L, N) transforms of B(X^g) for (g, stack) pairs, a stack (..., L, N/g)
+    holding one or more B's coefficients, in stack order; empties the list."""
     # A block in Z_q[X^g] is B(X^g) with deg B < M = N/g. Its value at
     # psi^(2e+1) is B's at (psi^g)^(2e+1), which depends on e mod M only, so
     # the M-point transform of B with root psi^g yields all N values: storage
     # slot s takes sub-slot bitrev_M(bitrev_N(s) mod M), which is s // g.
     # A block in Z_q[X^g'] lies in Z_q[X^g] for g dividing g'.
     g = min(gap for gap, _ in slices)
-    stack = slices[0][1][None]
-    if len(slices) > 1:
-        stack = np.zeros((len(slices), len(context.q), context.moduli[0].ring_dim // g), np.uint64)
-        for i, (gap, sub) in enumerate(slices):
-            stack[i, :, :: gap // g] = sub
+    rows, m = len(context.q), context.moduli[0].ring_dim // g
+    if len(slices) == 1:
+        stack = slices[0][1].reshape(-1, rows, m)
+    else:
+        count = sum(math.prod(sub.shape[:-1]) // rows for _, sub in slices)
+        stack, start = np.zeros((count, rows, m), np.uint64), 0
+        for gap, sub in slices:
+            sub = sub.reshape(-1, rows, sub.shape[-1])
+            stack[start : start + len(sub), :, :: gap // g] = sub
+            start += len(sub)
+        del sub
     slices.clear()
     sub = _butterflies(stack, context)
     del stack
@@ -444,7 +460,7 @@ def ntt_many(polys) -> list[Poly]:
     for p in polys:
         context = _member(p, context, Domain.COEF)
         block = _block(p)
-        g = _subring_gap(block)
+        g = subring_gap(block)
         shapes.append(p.coeffs.shape)
         slices.append((g, block[:, ::g].copy() if g > 1 else block))
     if context is None:
@@ -455,6 +471,17 @@ def ntt_many(polys) -> list[Poly]:
 
 def ntt(p):
     return ntt_many([p])[0]
+
+
+def ntt_subring(stacks, context: BasisContext) -> list[Poly]:
+    """The NTT-form (L, N) polynomials B(X^g) over ``context`` of (g, stack) pairs,
+    a (B, L, N/g) stack holding B's coefficients, in one transform ([] for none).
+
+    It reads the iterable to the end before transforming, so a caller can build
+    each stack lazily; the stacks are dropped before the results are spread."""
+    slices = list(stacks)
+    out = _forward_ntt(slices, context) if slices else []
+    return [Poly(block, context, Domain.NTT) for block in out]
 
 
 def intt_many(polys) -> list[Poly]:
@@ -535,15 +562,22 @@ def coef_permutation(ring_dim: int, g_r: int) -> tuple[np.ndarray, np.ndarray]:
     return idx % n, idx >= n
 
 
-def automorphism_coef(p, rot: RotationIndex):
-    """Substitution x -> x^{g_r}: coefficient i lands at g_r*i mod 2N,
-    negated whenever the exponent wraps past N."""
-    _require(p, Domain.COEF)
-    block = _block(p)
-    pos, flip = coef_permutation(p.n, rot.g_r)
+def automorphism_block(block: np.ndarray, q: np.ndarray, g_r: int) -> np.ndarray:
+    """x -> x^{g_r} on a (..., L, M) stack of coefficient blocks, row j mod q[j]:
+    coefficient i lands at g_r*i mod 2M, negated whenever the exponent wraps
+    past M. At M = N/g it acts on B for B(X^g), as x^{g_r} maps X^g to
+    (X^g)^{g_r}, so it takes g_r mod 2M."""
+    m = block.shape[-1]
+    pos, flip = coef_permutation(m, g_r % (2 * m))
     out = np.empty_like(block)
-    out[:, pos] = np.where(flip & (block != 0), p.context.q - block, block)
-    return p.like(out, Domain.COEF)
+    out[..., pos] = np.where(flip & (block != 0), q - block, block)
+    return out
+
+
+def automorphism_coef(p, rot: RotationIndex):
+    """Substitution x -> x^{g_r} on one coefficient-domain polynomial."""
+    _require(p, Domain.COEF)
+    return p.like(automorphism_block(_block(p), p.context.q, rot.g_r), Domain.COEF)
 
 
 @lru_cache(maxsize=None)

@@ -254,15 +254,21 @@ def crt_reconstruct_centered(p: RnsPoly) -> list[int]:
     return [v - big if v > big // 2 else v for v in crt_reconstruct(p)]
 
 
+def rns_residues(values, moduli) -> np.ndarray:
+    """Arbitrary (possibly negative) integers, an (..., M) array, reduced into
+    every limb of ``moduli``: the (..., L, M) uint64 residue stack."""
+    q = basis_context(moduli).q
+    try:
+        ints = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        block = np.array(values, dtype=object)[..., None, :] % q.astype(object)
+    else:
+        block = np.remainder(ints[..., None, :], q.astype(np.int64))
+    return block.astype(np.uint64)
+
+
 def rns_from_ints(values, moduli) -> RnsPoly:
     """Reduce arbitrary (possibly negative) integers into every limb,
     coefficient domain."""
     context = basis_context(moduli)
-    q = context.q
-    try:
-        ints = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        block = np.array(values, dtype=object)[None] % q.astype(object)
-    else:
-        block = np.remainder(ints[None], q.astype(np.int64))
-    return RnsPoly(block.astype(np.uint64), context, Domain.COEF)
+    return RnsPoly(rns_residues(values, context), context, Domain.COEF)

@@ -21,6 +21,27 @@ def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarra
     return np.array(out, dtype=np.uint64)
 
 
+def diagonalize_one_at_a_time(f_matrix: np.ndarray, plan, params) -> list:
+    """``linear.diagonalize``'s packed diagonals (their polynomials), one dense
+    diagonal at a time: ``encode`` over the plan's basis, ``automorphism_coef``
+    by the diagonal's giant-step offset, then ``ntt``."""
+    from ckkslt import ckks, ring
+
+    n = plan.n
+    context = params.basis.pq_context if plan.hoisted else params.basis.q_context
+    n1, n2, _ = plan.layers
+    giant = n1 * n2
+    t = np.arange(n)
+    out = []
+    for i, row in enumerate(np.asarray(f_matrix, dtype=np.float64)[t, (t + t[:, None]) % n]):
+        poly = ckks.encode(np.tile(row, params.slots // n), params, moduli=context).poly
+        if i >= giant:
+            poly = ring.automorphism_coef(
+                poly, ring.RotationIndex(-giant * (i // giant), params.ring_dim))
+        out.append(ring.ntt(poly))
+    return out
+
+
 def dump_schedule(steps) -> str:
     """A permutation schedule as "step, src_bank, src_addr, dst_bank, dst_addr" lines."""
     lines = []

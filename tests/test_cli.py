@@ -78,6 +78,16 @@ def test_demo_tolerance_must_be_finite_and_positive(capsys, tolerance):
     assert err.startswith("error: --tolerance")
 
 
+def test_demo_negative_seed_is_a_usage_error(capsys):
+    # numpy's own message ("expected non-negative integer") does not name the flag
+    code, out, err = run_cli(
+        capsys, "demo", "--params", "toy-small", "--method", "diagonal",
+        "--n", "16", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --seed")
+
+
 @pytest.mark.parametrize("extra", [[], ["--method", "bsgs", "--factors", "2,2"]])
 def test_demo_negative_n_is_rejected_by_the_plan_checks(capsys, extra):
     # the plans are built before the matrix is drawn, so numpy never sees

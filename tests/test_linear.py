@@ -4,11 +4,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckkslt import ckks, linear, ring
+from ckkslt import ckks, linear, ring, rns
 from ckkslt import costmodel as cm
+from oracles import diagonalize_one_at_a_time
 from ckkslt.ring import RotationIndex, automorphism_eval
 from ckkslt.rns import RnsPoly
 
@@ -108,11 +113,13 @@ def test_diagonalize_runs_only_subring_transforms(monkeypatch, toy_params, metho
     assert sum(count for count, _ in calls) == 64
 
 
-@pytest.mark.parametrize("method, factors", [("bsgs", (8, 8)), ("th-bsgs", (4, 4, 4))])
+@pytest.mark.parametrize("method, factors", [("bsgs", (8, 8)), ("th-bsgs", (4, 4, 4)),
+                                             ("diagonal", ()), ("dh-bsgs", (8, 8))])
 def test_diagonalize_peak_memory_stays_near_its_diagonals(toy_params, method, factors):
-    # packing reads one dense diagonal at a time and stacks only the 128-point
-    # subring slices (1.15x); stacking the dense blocks, or holding every
-    # slice beside the stack through the transform (1.28x), fails the fence
+    # packing holds one giant block's (B, N) coefficients at a time, keeps only
+    # their (B, L, 128) subring residues, and drops those stacks before the
+    # transform's results are spread to N slots: 1.13x. Holding the residue
+    # stack through the spread reads 1.26x and fails the fence
     plan = linear.LtPlan(linear.LtMethod(method), 64, factors)
     f = np.random.default_rng(7).uniform(-1, 1, (64, 64))
     linear.diagonalize(f, plan, toy_params)  # builds the twiddle tables first
@@ -123,6 +130,100 @@ def test_diagonalize_peak_memory_stays_near_its_diagonals(toy_params, method, fa
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * sum(d.poly.coeffs.nbytes for d in dm.diagonals)
+
+
+@pytest.mark.parametrize("method, factors", [("diagonal", ()), ("th-bsgs", (4, 4, 4))])
+def test_diagonalize_makes_no_per_diagonal_call(monkeypatch, toy_params, method, factors):
+    # one dense diagonal at a time, th-bsgs (4, 4, 4) made 64 encode, 64
+    # rns_from_ints and 48 automorphism_coef calls; each name is counted in
+    # every module that binds it
+    calls = []
+    for home, name in ((ckks, "encode"), (rns, "rns_from_ints"), (ring, "automorphism_coef")):
+        original = getattr(home, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for module in (ckks, rns, ring, linear):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    f = np.random.default_rng(12).uniform(-1, 1, (64, 64))
+    linear.diagonalize(f, linear.LtPlan(linear.LtMethod(method), 64, factors), toy_params)
+    assert calls == []
+
+
+@lru_cache(maxsize=None)
+def _packing_params(log_n, bits):
+    return ckks.CkksParams.make(ring_dim=2**log_n, levels=2, alpha=1, prime_bits=bits)
+
+
+@st.composite
+def _packing_plans(draw, log_slots):
+    """Any plan_layers-valid plan with n from 1 to the slot count."""
+    log_n = draw(st.integers(0, log_slots), label="log2 n")
+    method = draw(st.sampled_from(list(linear.LtMethod)))
+    arity = cm.METHOD_ARITY[method.value]
+    cuts = sorted(draw(st.integers(0, log_n), label="cut") for _ in range(max(arity - 1, 0)))
+    bounds = [0, *cuts, log_n]
+    factors = tuple(2 ** (b - a) for a, b in zip(bounds, bounds[1:])) if arity else ()
+    return linear.LtPlan(method, 2**log_n, factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_n=st.integers(5, 10), bits=st.sampled_from([30, 44, 54]), data=st.data(),
+       magnitude=st.integers(-10, 30), zeros=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_diagonalize_matches_one_diagonal_at_a_time(log_n, bits, data, magnitude, zeros, seed):
+    # 54-bit bases take the exact multiply route; bsgs packs over Q, the rest
+    # over PQ. Zeroed diagonals widen a block's gap, up to N for an all-zero
+    # block, and large entries overflow, which both routes must reject alike
+    params = _packing_params(log_n, bits)
+    plan = data.draw(_packing_plans(log_n - 1), label="plan")
+    n = plan.n
+    rng = np.random.default_rng(seed)
+    diagonals = rng.uniform(-1, 1, (n, n)) * 2.0**magnitude * (rng.random((n, 1)) >= zeros)
+    t = np.arange(n)
+    f = np.empty((n, n))
+    f[t, (t + t[:, None]) % n] = diagonals
+    try:
+        want = diagonalize_one_at_a_time(f, plan, params)
+    except ckks.Overflow:
+        with pytest.raises(ckks.Overflow):
+            linear.diagonalize(f, plan, params)
+        return
+    got = linear.diagonalize(f, plan, params)
+    assert len(got.diagonals) == n
+    for pt, poly in zip(got.diagonals, want):
+        assert pt.scale == params.scale
+        assert pt.poly.context is poly.context and pt.poly.domain == ring.Domain.NTT
+        assert np.array_equal(pt.poly.coeffs, poly.coeffs)
+
+
+# entry (0, 63) lies on diagonal 63, in th-bsgs's last giant block
+BAD_ENTRIES = {"nan": np.nan, "inf": -np.inf, "past 2^62": 1e12}
+
+
+@pytest.mark.parametrize("method, factors", [("diagonal", ()), ("th-bsgs", (4, 4, 4))])
+@pytest.mark.parametrize("case", [*BAD_ENTRIES, "shape", "n > slots"])
+def test_diagonalize_rejects_before_any_transform(monkeypatch, toy_params, method, factors,
+                                                  case):
+    def transform(*args):
+        raise AssertionError("a transform ran before the input was rejected")
+
+    monkeypatch.setattr(ring, "_butterflies", transform)
+    f = np.random.default_rng(13).uniform(-1, 1, (64, 64))
+    plan = linear.LtPlan(linear.LtMethod(method), 64, factors)
+    error = ckks.Overflow
+    if case in BAD_ENTRIES:
+        f[0, 63] = BAD_ENTRIES[case]
+    elif case == "shape":
+        error, f = linear.PlanMismatch, f[:-1]
+    else:
+        n = 2 * toy_params.slots
+        error, f = linear.DimensionTooLarge, np.eye(n)
+        plan = linear.LtPlan(linear.LtMethod(method), n, (4, 4, n // 16) if factors else ())
+    with pytest.raises(error):
+        linear.diagonalize(f, plan, toy_params)
 
 
 CONTEXT_TABLE_BYTES = """

@@ -414,6 +414,61 @@ def test_subring_ntt_matches_full_length_kernel(log_n, rows, bits, data, seed):
     assert np.array_equal(ring.intt(got).coeffs, block)
 
 
+def _lattices(rng, context, counts_and_gaps, n):
+    """Per (count, gap): a (count, L, n/gap) stack of residues, with 0, 1 and q-1
+    in every row, and the same polynomials as dense (count, L, n) blocks."""
+    out = []
+    for count, gap in counts_and_gaps:
+        lattice = rng.integers(0, context.q, (count, len(context.q), n // gap), dtype=np.uint64)
+        corner = np.concatenate([0 * context.q, 0 * context.q + 1, context.q - 1], axis=1)
+        lattice[..., :3] = corner[:, : n // gap]
+        dense = np.zeros((count, len(context.q), n), dtype=np.uint64)
+        dense[..., ::gap] = lattice
+        out.append((gap, lattice, dense))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_n=st.integers(2, 11), rows=st.integers(1, 4), bits=st.sampled_from([30, 44, 55]),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_subring_automorphism_matches_full_length(log_n, rows, bits, data, seed):
+    # x -> x^{g_r} keeps Z_q[X^g], and on B it is the (N/g)-dimension
+    # automorphism with g_r mod 2N/g, for every rotation offset
+    from ckkslt.rns import RnsPoly
+
+    n, context = 2**log_n, _context(log_n, bits, rows)
+    gap = 2 ** data.draw(st.integers(0, log_n - 2), label="log2 gap")
+    rot = ring.RotationIndex(data.draw(st.integers(-n, n), label="offset"), n)
+    count = data.draw(st.integers(1, 3), label="count")
+    [(_, lattice, dense)] = _lattices(np.random.default_rng(seed), context, [(count, gap)], n)
+    got = ring.automorphism_block(lattice, context.q, rot.g_r)
+    for sub, block in zip(got, dense):
+        want = ring.automorphism_coef(RnsPoly(block, context, ring.Domain.COEF), rot).coeffs
+        assert ring.subring_gap(want) >= gap
+        assert np.array_equal(want[:, ::gap], sub)
+
+
+@settings(max_examples=50, deadline=None)
+@given(log_n=st.integers(1, 10), rows=st.integers(1, 4), bits=st.sampled_from([30, 44, 55]),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_subring_stacks_transform_as_their_polynomials(log_n, rows, bits, data, seed):
+    # stacks on different gaps share one transform at the smallest
+    from ckkslt.rns import RnsPoly
+
+    n, context = 2**log_n, _context(log_n, bits, rows)
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, log_n)),
+                                min_size=1, max_size=3), label="(count, log2 gap)")
+    stacks = _lattices(np.random.default_rng(seed), context,
+                       [(count, 2**log_gap) for count, log_gap in shapes], n)
+    got = ring.ntt_subring(((gap, lattice) for gap, lattice, _ in stacks), context)
+    dense = [block for _, _, blocks in stacks for block in blocks]
+    assert len(got) == len(dense)
+    for out, block in zip(got, dense):
+        assert out.domain == ring.Domain.NTT and out.context is context
+        assert np.array_equal(out.coeffs, ring.ntt(RnsPoly(block, context, ring.Domain.COEF)).coeffs)
+    assert ring.ntt_subring(iter(()), context) == []
+
+
 def _tables(context, n):
     """Every array a context's kernels read at transform length n."""
     stages = [table for inverse in (False, True) for stage in context.stages(n, inverse)
