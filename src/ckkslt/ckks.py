@@ -19,7 +19,6 @@ import numpy as np
 
 from .modarith import Modulus, find_ntt_primes
 from .ring import (
-    BasisContext,
     BasisMismatch,
     Domain,
     RotationIndex,
@@ -199,8 +198,6 @@ def encode_rows(vs, params: CkksParams) -> np.ndarray:
     a time; a stacked FFT rounds as the separate ones do."""
     scale = params.scale
     vs = np.asarray(vs, dtype=np.float64)
-    if vs.ndim != 2 or vs.shape[1] != params.slots:
-        raise BasisMismatch(f"expected rows of {params.slots} slots, got {vs.shape}")
     if not (np.isfinite(vs).all() and 0 < scale < np.inf):
         raise Overflow(f"slot values must be finite and the scale finite and > 0, not {scale}")
     out = np.empty((len(vs), params.ring_dim), np.int64)
@@ -212,16 +209,15 @@ def encode_rows(vs, params: CkksParams) -> np.ndarray:
     return out
 
 
-def encode(v, params: CkksParams,
-           moduli: list[Modulus] | BasisContext | None = None) -> Plaintext:
+def encode(v, params: CkksParams) -> Plaintext:
     """Scale by ``params.scale``, embed, and round a length-N/2 real vector into
-    coefficient-domain RNS limbs over ``moduli`` (default Q): the one-vector
-    case of :func:`encode_rows`."""
+    coefficient-domain RNS limbs over Q: the one-vector case of
+    :func:`encode_rows`."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.slots,):
         raise BasisMismatch(f"expected {params.slots} slots, got {v.shape}")
-    target = params.basis.q_context if moduli is None else moduli
-    return Plaintext(rns_from_ints(encode_rows(v[None], params)[0], target), params.scale)
+    return Plaintext(rns_from_ints(encode_rows(v[None], params)[0], params.basis.q_context),
+                     params.scale)
 
 
 def decode(pt: Plaintext, params: CkksParams) -> np.ndarray:

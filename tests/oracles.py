@@ -23,9 +23,9 @@ def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarra
 
 def diagonalize_one_at_a_time(f_matrix: np.ndarray, plan, params) -> list:
     """``linear.diagonalize``'s packed diagonals (their polynomials), one dense
-    diagonal at a time: ``encode`` over the plan's basis, ``automorphism_coef``
+    diagonal at a time: ``encode``'s body over the plan's basis, ``automorphism_coef``
     by the diagonal's giant-step offset, then ``ntt``."""
-    from ckkslt import ckks, ring
+    from ckkslt import ckks, ring, rns
 
     n = plan.n
     context = params.basis.pq_context if plan.hoisted else params.basis.q_context
@@ -34,7 +34,8 @@ def diagonalize_one_at_a_time(f_matrix: np.ndarray, plan, params) -> list:
     t = np.arange(n)
     out = []
     for i, row in enumerate(np.asarray(f_matrix, dtype=np.float64)[t, (t + t[:, None]) % n]):
-        poly = ckks.encode(np.tile(row, params.slots // n), params, moduli=context).poly
+        ints = ckks.encode_rows(np.tile(row, params.slots // n)[None], params)[0]
+        poly = rns.rns_from_ints(ints, context)
         if i >= giant:
             poly = ring.automorphism_coef(
                 poly, ring.RotationIndex(-giant * (i // giant), params.ring_dim))
