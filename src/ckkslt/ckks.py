@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class LevelMismatch(ValueError):
 
 class Overflow(ValueError):
     """Scaled values are not finite or would not fit the level modulus with margin."""
+
+
+class NotReal(ValueError):
+    """Slot values or matrix entries are complex or not numbers."""
 
 
 class MissingKey(ValueError):
@@ -191,6 +196,18 @@ def embed_forward(coeffs: np.ndarray, ring_dim: int) -> np.ndarray:
 EMBED_ROWS = 8
 
 
+def real_array(values) -> np.ndarray:
+    """``values`` as a float64 array. Complex or non-numeric input raises
+    ``NotReal``: a float conversion would drop an imaginary part with only a
+    warning, or fail with numpy's bare ``ValueError``."""
+    values = np.asarray(values)
+    if values.dtype == object and all(isinstance(x, Real) for x in values.flat):
+        values = values.astype(np.float64)  # Python ints past int64, say
+    if values.dtype.kind not in "biuf":
+        raise NotReal(f"expected real numbers, got {values.dtype} values")
+    return values.astype(np.float64, copy=False)
+
+
 def encode_rows(vs, params: CkksParams) -> np.ndarray:
     """Scale by ``params.scale``, embed and round a (B, N/2) stack of real slot
     vectors: the int64 (B, N) coefficients that :func:`encode` reduces into
@@ -212,8 +229,8 @@ def encode_rows(vs, params: CkksParams) -> np.ndarray:
 def encode(v, params: CkksParams) -> Plaintext:
     """Scale by ``params.scale``, embed, and round a length-N/2 real vector into
     coefficient-domain RNS limbs over Q: the one-vector case of
-    :func:`encode_rows`."""
-    v = np.asarray(v, dtype=np.float64)
+    :func:`encode_rows`. Complex or non-numeric values raise ``NotReal``."""
+    v = real_array(v)
     if v.shape != (params.slots,):
         raise BasisMismatch(f"expected {params.slots} slots, got {v.shape}")
     return Plaintext(rns_from_ints(encode_rows(v[None], params)[0], params.basis.q_context),
@@ -234,8 +251,8 @@ def sample_ternary(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(-1, 2, n, dtype=np.int64)
 
 
-def sample_gaussian_ints(rng: np.random.Generator, n: int) -> list[int]:
-    return [int(x) for x in np.rint(rng.normal(0.0, NOISE_SIGMA, n))]
+def sample_gaussian_ints(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.rint(rng.normal(0.0, NOISE_SIGMA, n)).astype(np.int64)
 
 
 def uniform_rns(rng: np.random.Generator, moduli: list[Modulus], ring_dim: int) -> RnsPoly:

@@ -307,7 +307,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
                      for m, a_m, b_m in zip(mbatch, a_in, b_in)]
             for k in range(n3):
                 for m, (a_m, b_m) in zip(mbatch, pairs):
-                    f = inputs.dm.diagonals[total_m * k + m].poly
+                    f = inputs.dm.diagonal(total_m * k + m).poly
                     t0, t1 = ck.pointwise_mul_many(f, (a_m, b_m))
                     if u0_acc[k] is not None:
                         t0, t1 = ck.rns_add(u0_acc[k], t0), ck.rns_add(u1_acc[k], t1)
@@ -350,7 +350,7 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     out_ct = None
     if compute:
         c0, c1 = moddown_many((acc0, acc1), ap.basis)
-        ct_full = ck.Ciphertext(c0, c1, inputs.ct.scale * inputs.dm.diagonals[0].scale)
+        ct_full = ck.Ciphertext(c0, c1, inputs.ct.scale * inputs.dm.scale)
         out_ct = ck.rescale_ct(ct_full, ap)
     meter.add(6, "poly_write", 2 * (lp - 1))  # the output ciphertext
     if store.live():

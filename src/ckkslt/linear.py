@@ -50,14 +50,23 @@ from .ckks import (
     encrypt,
     keygen,
     pt_ct_mult,
+    real_array,
     rescale_ct,
     rotate_many,
     rotation_keygen,
 )
 from .costmodel import BadFactors, HeParams, ParallelismConfig, knob_extents, plan_layers
 from .datapath import ComputeContext, OpTrace, PlanMismatch, simulate
-from .ring import RotationIndex, automorphism_block, ntt_subring, subring_gap
-from .rns import rns_residues
+from .ring import (
+    BasisContext,
+    Domain,
+    RotationIndex,
+    automorphism_block,
+    ntt_subring,
+    spread,
+    subring_gap,
+)
+from .rns import RnsPoly, rns_residues
 
 
 class DimensionTooLarge(ValueError):
@@ -92,8 +101,23 @@ class LtPlan:
 
 @dataclass
 class DiagMatrix:
+    """A plan's packed diagonals, held in the subring. Diagonal i, pre-rotated,
+    is a polynomial B_i(X^g) in NTT form, whose N values are B_i's N/g values
+    each repeated g times; ``stack`` holds only those, one read-only
+    (n, L, N/g) stack on the plan's common gap g, and :meth:`diagonal` spreads
+    one to the dense plaintext a product reads."""
+
     plan: LtPlan
-    diagonals: list[Plaintext]  # index i holds the (pre-rotated) i-th diagonal
+    stack: np.ndarray  # (n, L, N/g); row i holds the (pre-rotated) i-th diagonal
+    gap: int
+    context: BasisContext
+    scale: float
+
+    def diagonal(self, i: int) -> Plaintext:
+        """Diagonal i as an NTT-form (L, N) plaintext, bit for bit the full-length
+        transform; a view of the store when the gap is 1."""
+        return Plaintext(RnsPoly(spread(self.stack[i], self.gap), self.context, Domain.NTT),
+                         self.scale)
 
 
 class RotationKeys(dict):
@@ -138,9 +162,13 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
     only the coefficients on the block's common gap are reduced into the basis,
     as one (B, L, N/g) stack. Past the first block that stack is pre-rotated by
     the block's giant-step offset in one ``automorphism_block`` call, and the
-    stacks of all blocks take one subring transform (``ntt_subring``).
+    stacks of all blocks take one subring transform (``ntt_subring``), whose
+    (n, L, N/g) result the matrix keeps unspread: n*L*(N/g) words, g times
+    fewer than the dense diagonals.
+
+    Complex or non-numeric entries raise ``NotReal`` before any FFT.
     """
-    f_matrix = np.asarray(f_matrix, dtype=np.float64)
+    f_matrix = real_array(f_matrix)
     n = plan.n
     if f_matrix.shape != (n, n):
         raise PlanMismatch(f"matrix shape {f_matrix.shape} != ({n}, {n})")
@@ -163,8 +191,9 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
                     stack, context.q, RotationIndex(-start, params.ring_dim).g_r)
             yield gap, stack
 
-    return DiagMatrix(plan, [Plaintext(poly, params.scale)
-                             for poly in ntt_subring(blocks(), context)])
+    gap, stack = ntt_subring(blocks(), context)
+    stack.flags.writeable = False  # diagonal() hands out views of it at gap 1
+    return DiagMatrix(plan, stack, gap, context, params.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +226,7 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     trace = OpTrace()
     q_limbs = params.basis.level_count
     baby = [ct, *_rotate_traced([(ct, i) for i in range(1, n1)], keys, trace, params)]
-    inner = [reduce(add_ct, (pt_ct_mult(dm.diagonals[n1 * j + i], b) for i, b in enumerate(baby)))
+    inner = [reduce(add_ct, (pt_ct_mult(dm.diagonal(n1 * j + i), b) for i, b in enumerate(baby)))
              for j in range(n2)]
     trace.cwise_mult_limbs += 2 * q_limbs * n1 * n2
     del baby  # freed before the giant steps' batch, where the evaluation peaks

@@ -41,7 +41,9 @@ zero-filling wider ones, and :func:`ntt` is its one-block case. The gap is read
 off the integer residues, so the result is the full-length transform bit for
 bit; a dense block pays one strided test. :func:`ntt_subring` takes the same
 path from coefficient stacks of B that a caller built in the subring, as
-packing does, never holding the dense (L, N) blocks. The inverse always runs at
+packing does, and does not spread: it returns the gap and the (B, L, N/g) stack
+of values, and :func:`spread` repeats a row g times when a product reads it, so
+the dense (L, N) blocks are never held together. The inverse always runs at
 length N, over a stack too (:func:`intt_many`, of which :func:`intt` is the
 one-block case).
 
@@ -302,15 +304,17 @@ def subring_gap(values: np.ndarray) -> int:
     return g
 
 
-def _forward_ntt(slices: list, context: BasisContext) -> list[np.ndarray]:
-    """The (L, N) transforms of B(X^g) for (g, stack) pairs, a stack (..., L, N/g)
-    holding one or more B's coefficients, in stack order; empties the list."""
+def _forward_ntt(slices: list, context: BasisContext) -> tuple[int, np.ndarray]:
+    """The transforms of B(X^g) for (g, stack) pairs, a stack (..., L, N/g) holding one
+    or more B's coefficients, on their common (smallest) gap g: g and the (B, L, N/g)
+    stack of B's values in stack order, which :func:`spread` takes to N slots.
+    Empties the list; no pairs give gap N and an empty stack."""
     # A block in Z_q[X^g] is B(X^g) with deg B < M = N/g. Its value at
     # psi^(2e+1) is B's at (psi^g)^(2e+1), which depends on e mod M only, so
     # the M-point transform of B with root psi^g yields all N values: storage
     # slot s takes sub-slot bitrev_M(bitrev_N(s) mod M), which is s // g.
     # A block in Z_q[X^g'] lies in Z_q[X^g] for g dividing g'.
-    g = min(gap for gap, _ in slices)
+    g = min((gap for gap, _ in slices), default=context.moduli[0].ring_dim)
     rows, m = len(context.q), context.moduli[0].ring_dim // g
     if len(slices) == 1:
         stack = slices[0][1].reshape(-1, rows, m)
@@ -321,12 +325,15 @@ def _forward_ntt(slices: list, context: BasisContext) -> list[np.ndarray]:
             sub = sub.reshape(-1, rows, sub.shape[-1])
             stack[start : start + len(sub), :, :: gap // g] = sub
             start += len(sub)
-        del sub
+            del sub
     slices.clear()
-    sub = _butterflies(stack, context)
-    del stack
-    # one array per block: freeing a multi-MB stacked result raised malloc's mmap threshold
-    return [np.repeat(block, g, axis=-1) for block in sub] if g > 1 else list(sub)
+    return g, _butterflies(stack, context)
+
+
+def spread(values: np.ndarray, gap: int) -> np.ndarray:
+    """The N-slot NTT values of B(X^g) from B's (..., N/g) values: storage slot s
+    takes sub-slot s // g, so each value repeats g times. At g = 1, ``values``."""
+    return np.repeat(values, gap, axis=-1) if gap > 1 else values
 
 
 def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
@@ -465,23 +472,25 @@ def ntt_many(polys) -> list[Poly]:
         slices.append((g, block[:, ::g].copy() if g > 1 else block))
     if context is None:
         return []
-    out = _forward_ntt(slices, context)
-    return [Poly(block.reshape(shape), context, Domain.NTT) for block, shape in zip(out, shapes)]
+    g, out = _forward_ntt(slices, context)
+    # one array per polynomial: freeing a multi-MB stacked result raised malloc's mmap threshold
+    return [Poly(spread(block, g).reshape(shape), context, Domain.NTT)
+            for block, shape in zip(out, shapes)]
 
 
 def ntt(p):
     return ntt_many([p])[0]
 
 
-def ntt_subring(stacks, context: BasisContext) -> list[Poly]:
-    """The NTT-form (L, N) polynomials B(X^g) over ``context`` of (g, stack) pairs,
-    a (B, L, N/g) stack holding B's coefficients, in one transform ([] for none).
+def ntt_subring(stacks, context: BasisContext) -> tuple[int, np.ndarray]:
+    """The NTT-form polynomials B(X^g) over ``context`` of (g, stack) pairs, a
+    (B, L, N/g) stack holding B's coefficients, in one transform, left in the
+    subring: their common gap g and the (B, L, N/g) stack of every B's values,
+    in stack order. ``spread`` of a row is its polynomial's (L, N) block.
 
     It reads the iterable to the end before transforming, so a caller can build
-    each stack lazily; the stacks are dropped before the results are spread."""
-    slices = list(stacks)
-    out = _forward_ntt(slices, context) if slices else []
-    return [Poly(block, context, Domain.NTT) for block in out]
+    each stack lazily."""
+    return _forward_ntt(list(stacks), context)
 
 
 def intt_many(polys) -> list[Poly]:

@@ -22,9 +22,10 @@ def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarra
 
 
 def diagonalize_one_at_a_time(f_matrix: np.ndarray, plan, params) -> list:
-    """``linear.diagonalize``'s packed diagonals (their polynomials), one dense
-    diagonal at a time: ``encode``'s body over the plan's basis, ``automorphism_coef``
-    by the diagonal's giant-step offset, then ``ntt``."""
+    """The polynomials of ``linear.diagonalize``'s packed diagonals, as
+    ``DiagMatrix.diagonal`` returns them, one dense diagonal at a time: ``encode``'s
+    body over the plan's basis, ``automorphism_coef`` by the diagonal's giant-step
+    offset, then ``ntt``."""
     from ckkslt import ckks, ring, rns
 
     n = plan.n

@@ -50,6 +50,23 @@ def test_encode_rejects_non_finite_values_and_bad_scales(toy_params, fill, scale
         ckks.encode(v, params)
 
 
+def test_encode_takes_real_python_objects(toy_params):
+    # an object array of real numbers (Python ints past int64, say) converts
+    v = np.random.default_rng(15).uniform(-1, 1, toy_params.slots)
+    want = ckks.encode(v, toy_params).poly.coeffs
+    assert np.array_equal(ckks.encode(v.astype(object), toy_params).poly.coeffs, want)
+    assert np.array_equal(ckks.encode(list(v), toy_params).poly.coeffs, want)
+    with pytest.raises(ckks.Overflow):
+        ckks.encode(np.array([2**70] * toy_params.slots, dtype=object), toy_params)
+
+
+def test_gaussian_ints_are_one_int64_array():
+    # the same draws as the Python list of ints they replaced
+    draw = ckks.sample_gaussian_ints(np.random.default_rng(4), 1024)
+    want = np.rint(np.random.default_rng(4).normal(0.0, ckks.NOISE_SIGMA, 1024))
+    assert draw.dtype == np.int64 and np.array_equal(draw, want)
+
+
 def test_encrypt_decrypt_roundtrip(toy_params, toy_keys):
     sk, pk = toy_keys
     rng = np.random.default_rng(2)

@@ -178,8 +178,8 @@ def _hash_keys(keys: linear.RotationKeys) -> str:
 
 def _hash_diagonals(dm: linear.DiagMatrix) -> str:
     h = _Hasher()
-    h.text((dm.plan.hoisted, len(dm.diagonals)))
-    for pt in dm.diagonals:
+    h.text((dm.plan.hoisted, dm.plan.n))
+    for pt in map(dm.diagonal, range(dm.plan.n)):
         h.text(pt.scale)
         h.poly(pt.poly)
     return h.digest()

@@ -59,11 +59,11 @@ def test_diagonalize_identity(toy_params):
     plan = linear.LtPlan(linear.LtMethod.DIAGONAL, 8)
     dm = linear.diagonalize(np.eye(8), plan, toy_params)
     d0 = ckks.decode(ckks.Plaintext(
-        RnsPoly([l for l in dm.diagonals[0].poly.limbs]),
-        dm.diagonals[0].scale), toy_params)
+        RnsPoly([l for l in dm.diagonal(0).poly.limbs]),
+        dm.diagonal(0).scale), toy_params)
     assert np.max(np.abs(d0 - 1)) < 2**-20
     for i in range(1, 8):
-        di = ckks.decode(dm.diagonals[i], toy_params)
+        di = ckks.decode(dm.diagonal(i), toy_params)
         assert np.max(np.abs(di)) < 2**-20
 
 
@@ -75,10 +75,10 @@ def test_diagonalize_cyclic_shift(toy_params):
         perm[t, (t + 1) % n] = 1.0
     plan = linear.LtPlan(linear.LtMethod.DIAGONAL, n)
     dm = linear.diagonalize(perm, plan, toy_params)
-    d1 = ckks.decode(dm.diagonals[1], toy_params)
+    d1 = ckks.decode(dm.diagonal(1), toy_params)
     assert np.max(np.abs(d1 - 1)) < 2**-20
     for i in (0, 2, 3, 4, 5, 6, 7):
-        assert np.max(np.abs(ckks.decode(dm.diagonals[i], toy_params))) < 2**-20
+        assert np.max(np.abs(ckks.decode(dm.diagonal(i), toy_params))) < 2**-20
 
 
 def test_diagonal_packing_reconstructs_matrix():
@@ -117,9 +117,10 @@ def test_diagonalize_runs_only_subring_transforms(monkeypatch, toy_params, metho
                                              ("diagonal", ()), ("dh-bsgs", (8, 8))])
 def test_diagonalize_peak_memory_stays_near_its_diagonals(toy_params, method, factors):
     # packing holds one giant block's (B, N) coefficients at a time, keeps only
-    # their (B, L, 128) subring residues, and drops those stacks before the
-    # transform's results are spread to N slots: 1.13x. Holding the residue
-    # stack through the spread reads 1.26x and fails the fence
+    # their (B, L, 128) subring residues, and keeps the transform's (64, L, 128)
+    # result unspread: 0.59x (bsgs 0.63x) the n*L*N words of the dense
+    # diagonals. Spreading every diagonal to N slots, as a dense store does,
+    # reads 1.13x and fails the fence
     plan = linear.LtPlan(linear.LtMethod(method), 64, factors)
     f = np.random.default_rng(7).uniform(-1, 1, (64, 64))
     linear.diagonalize(f, plan, toy_params)  # builds the twiddle tables first
@@ -129,7 +130,24 @@ def test_diagonalize_peak_memory_stays_near_its_diagonals(toy_params, method, fa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * sum(d.poly.coeffs.nbytes for d in dm.diagonals)
+    assert peak <= 0.75 * plan.n * len(dm.context.q) * toy_params.ring_dim * 8
+
+
+@pytest.mark.parametrize("method, factors, limbs", [
+    ("diagonal", (), 10), ("bsgs", (8, 8), 5), ("dh-bsgs", (8, 8), 10), ("th-bsgs", (4, 4, 4), 10)])
+def test_packed_diagonals_are_stored_in_the_subring(toy_params, method, factors, limbs):
+    # at N=2^10 and n=64 each diagonal lies in Z[X^8]: a plan stores its n
+    # diagonals' L*128 values, 655,360 bytes over PQ, where the (L, N) NTT
+    # blocks took 5,242,880; bsgs packs over Q's 5 limbs
+    plan = linear.LtPlan(linear.LtMethod(method), 64, factors)
+    f = np.random.default_rng(9).uniform(-1, 1, (64, 64))
+    dm = linear.diagonalize(f, plan, toy_params)
+    assert dm.gap == 8 and dm.stack.shape == (64, limbs, 128)
+    assert dm.stack.nbytes == 64 * limbs * (toy_params.ring_dim // 8) * 8
+    assert not dm.stack.flags.writeable
+    pt = dm.diagonal(5)
+    assert pt.poly.coeffs.shape == (limbs, toy_params.ring_dim)
+    assert np.array_equal(pt.poly.coeffs[:, ::8], dm.stack[5])
 
 
 @pytest.mark.parametrize("method, factors", [("diagonal", ()), ("th-bsgs", (4, 4, 4))])
@@ -192,8 +210,8 @@ def test_diagonalize_matches_one_diagonal_at_a_time(log_n, bits, data, magnitude
             linear.diagonalize(f, plan, params)
         return
     got = linear.diagonalize(f, plan, params)
-    assert len(got.diagonals) == n
-    for pt, poly in zip(got.diagonals, want):
+    assert len(got.stack) == len(want) == n
+    for pt, poly in zip(map(got.diagonal, range(n)), want):
         assert pt.scale == params.scale
         assert pt.poly.context is poly.context and pt.poly.domain == ring.Domain.NTT
         assert np.array_equal(pt.poly.coeffs, poly.coeffs)
@@ -224,6 +242,33 @@ def test_diagonalize_rejects_before_any_transform(monkeypatch, toy_params, metho
         plan = linear.LtPlan(linear.LtMethod(method), n, (4, 4, n // 16) if factors else ())
     with pytest.raises(error):
         linear.diagonalize(f, plan, toy_params)
+
+
+NOT_REAL = {
+    "imaginary": lambda x: x * 1j,
+    "complex dtype": lambda x: x.astype(np.complex128),
+    "strings": lambda x: x.astype(str),
+    "None entries": lambda x: np.where(x > 0, x, None),
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL)
+def test_complex_and_non_numeric_input_is_rejected_before_any_fft(monkeypatch, toy_params,
+                                                                 case):
+    # a float conversion kept only the real part, with numpy's ComplexWarning
+    # as the only sign (encode(1j * ones) encoded zeros), or raised numpy's
+    # bare ValueError for strings
+    def transform(*args, **kwargs):
+        raise AssertionError("an FFT or transform ran before the input was rejected")
+
+    monkeypatch.setattr(np.fft, "fft", transform)
+    monkeypatch.setattr(ring, "_butterflies", transform)
+    rng = np.random.default_rng(14)
+    with pytest.raises(ckks.NotReal):
+        ckks.encode(NOT_REAL[case](rng.uniform(-1, 1, toy_params.slots)), toy_params)
+    plan = linear.LtPlan(linear.LtMethod.TH_BSGS, 64, (4, 4, 4))
+    with pytest.raises(ckks.NotReal):
+        linear.diagonalize(NOT_REAL[case](rng.uniform(-1, 1, (64, 64))), plan, toy_params)
 
 
 CONTEXT_TABLE_BYTES = """
@@ -335,9 +380,9 @@ def test_prerotation_is_exact_permutation(toy_params):
         offset = 8 * (i // 8)
         rot = RotationIndex(offset % half, toy_params.ring_dim)
         restored = RnsPoly([
-            automorphism_eval(l, rot) for l in dm.diagonals[i].poly.limbs
+            automorphism_eval(l, rot) for l in dm.diagonal(i).poly.limbs
         ])
-        for a, b in zip(restored.limbs, plain.diagonals[i].poly.limbs):
+        for a, b in zip(restored.limbs, plain.diagonal(i).poly.limbs):
             assert np.array_equal(a.coeffs, b.coeffs)
 
 

@@ -460,13 +460,15 @@ def test_subring_stacks_transform_as_their_polynomials(log_n, rows, bits, data, 
                                 min_size=1, max_size=3), label="(count, log2 gap)")
     stacks = _lattices(np.random.default_rng(seed), context,
                        [(count, 2**log_gap) for count, log_gap in shapes], n)
-    got = ring.ntt_subring(((gap, lattice) for gap, lattice, _ in stacks), context)
+    gap, got = ring.ntt_subring(((g, lattice) for g, lattice, _ in stacks), context)
     dense = [block for _, _, blocks in stacks for block in blocks]
-    assert len(got) == len(dense)
-    for out, block in zip(got, dense):
-        assert out.domain == ring.Domain.NTT and out.context is context
-        assert np.array_equal(out.coeffs, ring.ntt(RnsPoly(block, context, ring.Domain.COEF)).coeffs)
-    assert ring.ntt_subring(iter(()), context) == []
+    assert gap == min(g for g, _, _ in stacks)
+    assert got.shape == (len(dense), len(context.q), n // gap)
+    for values, block in zip(got, dense):
+        want = ring.ntt(RnsPoly(block, context, ring.Domain.COEF)).coeffs
+        assert np.array_equal(ring.spread(values, gap), want)
+    gap, got = ring.ntt_subring(iter(()), context)
+    assert gap == n and got.shape == (0, len(context.q), 1)
 
 
 def _tables(context, n):
