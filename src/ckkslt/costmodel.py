@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .modarith import InvalidModulus
 from .ring import BasisMismatch
@@ -351,7 +351,13 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def offchip_access(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
-    """Off-chip traffic per phase and category, in limbs."""
+    """Off-chip traffic per phase and category, in limbs.
+
+    ``lt_matrix`` counts each of the n diagonals as dense: ``pq_limbs``
+    limbs of N words. A packed diagonal lies in the subring Z[X^g],
+    g = N/2n, and is stored as pq_limbs * N/g words, so the cell is g times
+    the words stored; it is exact only at n = N/2, as in set-a/b/c.
+    """
     n1, n2, n3 = validate_config(params, factors, cfg)
     n = params.n
     lp = params.levels  # L + 1
@@ -406,22 +412,31 @@ def offchip_access(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
     return table
 
 
-def peak_onchip(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
-    """Peak on-chip residency per phase, in limbs."""
-    validate_config(params, factors, cfg)
+def _phase_peaks(params: HeParams, k) -> dict:
+    """Peak on-chip residency per phase, in limbs, at the knob values of
+    the mapping ``k`` (field name -> value), unchecked: the body of
+    ``peak_onchip`` and of ``search_parallelism``'s bounds.
+
+    Each peak is a sum of products of distinct knobs, so it is affine in
+    any one knob while the others stay fixed.
+    """
     lp = params.levels
     limbs = params.pq_limbs
     beta = params.beta
-    m1, m2, m3, m4, m5, m6 = cfg.ms()
-    l1, l2, l3, l4, l5 = cfg.ls()
     return {
-        1: 2 * lp + (beta + 4) * l1 + (4 * beta + 6) * m1 * l1,
-        2: m2 * (2 * lp + params.alpha + 2 * beta * l2) + 2 * l2,
-        3: 2 * l3 * ((beta + 1) * m4 + 2 * beta * m3 + 2 * m3 * m4),
-        4: 6 * m5 * l4 + 5 * l4,
-        5: m6 * limbs + (5 * beta * m6 + 2 * m6 + 6) * l5 + 2 * l5,
+        1: 2 * lp + (beta + 4) * k["l1"] + (4 * beta + 6) * k["m1"] * k["l1"],
+        2: k["m2"] * (2 * lp + params.alpha + 2 * beta * k["l2"]) + 2 * k["l2"],
+        3: 2 * k["l3"] * ((beta + 1) * k["m4"] + 2 * beta * k["m3"] + 2 * k["m3"] * k["m4"]),
+        4: 6 * k["m5"] * k["l4"] + 5 * k["l4"],
+        5: k["m6"] * limbs + (5 * beta * k["m6"] + 2 * k["m6"] + 6) * k["l5"] + 2 * k["l5"],
         6: 2 * limbs,
     }
+
+
+def peak_onchip(params: HeParams, factors, cfg: ParallelismConfig) -> dict:
+    """Peak on-chip residency per phase, in limbs."""
+    validate_config(params, factors, cfg)
+    return _phase_peaks(params, vars(cfg))
 
 
 def max_peak_limbs(params: HeParams, factors, cfg: ParallelismConfig) -> int:
@@ -437,29 +452,35 @@ def search_parallelism(params: HeParams, factors, onchip_budget_bytes: int,
     Off-chip traffic depends only on m1, m3, m5, m6 and each of those
     couples to a single phase's peak, so the phases optimize
     independently.
+
+    The greedy grows each knob in ``knob_extents`` order to the largest
+    value at which every phase still fits, the others held. With the
+    others held, every phase peak is affine in the knob: a phase at peak
+    p that rises by s > 0 per unit fits up to ``(budget - p) // s`` units
+    more, and one that does not rise fits at any value. So the largest
+    fitting value is the least of those bounds and the knob's extent, the
+    value that growing one unit at a time stops at, and each knob costs
+    one evaluation of the peaks a unit up. The new peaks follow from the
+    same two points.
     """
-    budget_limbs = onchip_budget_bytes // params.limb_bytes
+    budget_limbs = int(onchip_budget_bytes // params.limb_bytes)
     base = ParallelismConfig(dp=dp)
     layers = validate_config(params, factors, base)
-    if max_peak_limbs(params, factors, base) > budget_limbs:
+    knobs = dict(vars(base))
+    peaks = _phase_peaks(params, knobs)
+    if max(peaks.values()) > budget_limbs:
         raise Infeasible("budget below the minimal-footprint configuration")
-
-    def grows(cfg: ParallelismConfig, name: str, hi: int) -> ParallelismConfig:
-        best = cfg
-        for val in range(getattr(cfg, name) + 1, hi + 1):
-            cand = replace(cfg, **{name: val})
-            if max_peak_limbs(params, factors, cand) <= budget_limbs:
-                best = cand
-            else:
-                break
-        return best
-
-    cfg = base
     # off-chip-relevant knobs come first (larger is never worse for
     # traffic); the rest only trade on-chip space
     for name, hi in knob_extents(layers, params.pq_limbs):
-        cfg = grows(cfg, name, hi)
-    return cfg
+        cur = knobs[name]
+        knobs[name] = cur + 1
+        rises = {p: v - peaks[p] for p, v in _phase_peaks(params, knobs).items()}
+        grown = min([hi, *(cur + (budget_limbs - peaks[p]) // s
+                           for p, s in rises.items() if s > 0)])
+        peaks = {p: v + rises[p] * (grown - cur) for p, v in peaks.items()}
+        knobs[name] = grown
+    return ParallelismConfig(**knobs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,13 @@ where a key is actually fetched, so shape-only runs leave that set empty.
 Metering happens once per loop nest, not once per object: each batch
 iteration meters its whole batch, and the store is addressed by object
 kind (``a``, ``b``, ``d``, ``u0``, ``u1``, ``acc``) and a contiguous
-index range. Off-chip traffic is metered as events: no closed-form cell
-enters it, so the comparison against the closed forms is a cross-check.
+index range. A repeated transfer is one store call with a count: every
+phase-3 key batch streams all (a_i, d_i) back, so phase 3 reads each
+range once with its batch count, and the groups its batches write in
+turn leave as one range; phase 4 reads its ``a`` and ``b`` ranges once,
+in chunk order. Compute mode runs the same statements. Off-chip traffic
+is metered as events: no closed-form cell enters it, so the comparison
+against the closed forms is a cross-check.
 On-chip peaks are modeled, not walked: each phase that runs reports its
 closed-form envelope (``peak_onchip``), and a phase whose loop never
 runs reports 0. Phase 1 always runs its decomposition pass, so only
@@ -121,20 +126,25 @@ class OffchipStore:
     ``[start, stop)`` and meter the whole range at once as ``poly_write``
     or ``poly_read``; every object of a kind has the same size. ``write``
     declares how many modeled reads each object gets, and ``read`` counts
-    them down and drops a payload at zero.
-    A read whose range holds a dropped or never-written object raises
-    before it meters anything, and ``live`` names (``kind:index``) what was
-    written but not yet read out.
+    them down and drops a payload at zero. ``read(..., times=k)`` is k
+    reads of the range in one call: it meters k times the range and counts
+    each object down by k. A read returns the range's payloads, or None
+    for a kind never written with any (a shape-only walk keeps no payload
+    slots).
+    A read whose range holds an object with fewer than ``times`` reads due
+    (dropped, never written, or read out too soon) raises before it meters
+    anything, and ``live`` names (``kind:index``) what was written but not
+    yet read out.
     """
 
     def __init__(self):
-        # per kind: reads still due and payload slot per index; a spent
-        # slot is reused when the index is written again (the phase-4
-        # partials, the phase-5 accumulator)
+        # per kind: reads still due per index, and payload slots once a
+        # payload is written (a shape-only walk keeps none); a spent slot
+        # is reused when the index is written again (the phase-4 partials,
+        # the phase-5 accumulator)
         self._left: dict[str, list[int]] = {}
         self._payload: dict[str, list] = {}
         self._limbs: dict[str, int] = {}
-        self._has_payloads = False  # a shape-only walk skips the freeing
 
     def write(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int,
               limbs: int, payloads=None, reads: int = 1):
@@ -142,28 +152,31 @@ class OffchipStore:
         if payloads is not None and len(payloads) != count:
             raise RuntimeError(f"{len(payloads)} payloads for {count} objects")
         meter.add(phase, "poly_write", count * limbs)
-        self._has_payloads |= payloads is not None
         left = self._left.setdefault(kind, [])
-        slots = self._payload.setdefault(kind, [])
-        if len(left) < stop:
-            left += [0] * (stop - len(left))
-            slots += [None] * (stop - len(slots))
+        left += [0] * (stop - len(left))
         left[start:stop] = [reads] * count
-        slots[start:stop] = payloads if reads and payloads is not None else [None] * count
         self._limbs[kind] = limbs
+        if payloads is not None or kind in self._payload:
+            slots = self._payload.setdefault(kind, [])
+            slots += [None] * (stop - len(slots))
+            slots[start:stop] = payloads if reads and payloads is not None else [None] * count
 
-    def read(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int) -> list:
+    def read(self, meter: MemoryMeter, phase: int, kind: str, start: int, stop: int,
+             times: int = 1) -> list | None:
         left = self._left.get(kind, [])
         due = left[start:stop]
-        if len(due) < stop - start or 0 in due:
-            spent = next(i for i in range(start, stop) if i >= len(left) or not left[i])
-            raise KeyError(f"off-chip object {kind}:{spent} is not live")
-        meter.add(phase, "poly_read", (stop - start) * self._limbs[kind])
-        slots = self._payload[kind]
+        if len(due) < stop - start or min(due, default=times) < times:
+            short = next(i for i in range(start, stop) if i >= len(left) or left[i] < times)
+            raise KeyError(f"off-chip object {kind}:{short} has fewer than {times} "
+                           "reads due")
+        meter.add(phase, "poly_read", times * (stop - start) * self._limbs[kind])
+        left[start:stop] = [n - times for n in due]
+        slots = self._payload.get(kind)
+        if slots is None:
+            return None
         out = slots[start:stop]
-        left[start:stop] = [n - 1 for n in due]
-        if 1 in due and self._has_payloads:
-            slots[start:stop] = [p if n > 1 else None for p, n in zip(out, due)]
+        if times in due:
+            slots[start:stop] = [p if n > times else None for p, n in zip(out, due)]
         return out
 
     def live(self) -> list[str]:
@@ -268,43 +281,44 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
     b_in = d_out = None
 
     # ---- phase 3: second-layer rotations, keys cached per batch ----------
-    for j0 in range(1, n2, cfg.m3):
-        jbatch = range(j0, min(j0 + cfg.m3, n2))
-        key_limbs = len(jbatch) * 2 * beta * limbs
-        meter.add(3, "switching_key", key_limbs)
-        trace.cwise_mult_limbs += n1 * key_limbs  # each cached key serves all n1 inputs
-        meter.tick(3, ceil_div(n1, cfg.m4) * ceil_div(limbs, cfg.l3))
-        # every (a_i, d_i) streams back once per key batch
-        a_vals = store.read(meter, 3, "a", 0, n1)
-        d_vals = store.read(meter, 3, "d", 0, n1)
-        if compute:
-            # a:m holds its rotation's operands (a_i, d_i, offset) and phase 4
-            # rotates it as it reads it: the walk then holds n1 digit sets,
-            # not n1*(n2-1) rotated pairs, so its memory does not grow with n2
-            a_out = [(a_vals[i], d_vals[i], n1 * j) for j in jbatch for i in range(n1)]
-        store.write(meter, 3, "a", n1 * j0, n1 * jbatch.stop, limbs, a_out)
-        store.write(meter, 3, "b", n1 * j0, n1 * jbatch.stop, limbs)
+    # each key batch streams every (a_i, d_i) back: one read of each range
+    # with the batch count, and the rotated groups leave as one range
+    key_limbs = (n2 - 1) * 2 * beta * limbs
+    meter.add(3, "switching_key", key_limbs)
+    trace.cwise_mult_limbs += n1 * key_limbs  # each cached key serves all n1 inputs
+    meter.tick(3, key_batches * ceil_div(n1, cfg.m4) * ceil_div(limbs, cfg.l3))
+    a_vals = store.read(meter, 3, "a", 0, n1, times=key_batches)
+    d_vals = store.read(meter, 3, "d", 0, n1, times=key_batches)
+    if compute:
+        # a:m holds its rotation's operands (a_i, d_i, offset) and phase 4
+        # rotates it as it reads it: the walk then holds n1 digit sets,
+        # not n1*(n2-1) rotated pairs, so its memory does not grow with n2
+        a_out = [(a_vals[i], d_vals[i], n1 * j) for j in range(1, n2) for i in range(n1)]
+    store.write(meter, 3, "a", n1, n1 * n2, limbs, a_out)
+    store.write(meter, 3, "b", n1, n1 * n2, limbs)
     a_vals = d_vals = a_out = None
 
     # ---- phase 4: diagonal products into n3 accumulated pairs ------------
     meter.add(4, "ntt", limbs)  # one inverse table set for the final transforms
     total_m = n1 * n2
+    # every a:m and b:m is read once, in chunk order: one read per range
+    a_in = store.read(meter, 4, "a", 0, total_m)
+    b_in = store.read(meter, 4, "b", 0, total_m)
     u0_acc = u1_acc = None  # the n3 partial pairs, compute mode only
     if compute:
         u0_acc, u1_acc = [None] * n3, [None] * n3
     for m0 in range(0, total_m, cfg.m5):
         meter.tick(4)
         mbatch = range(m0, min(m0 + cfg.m5, total_m))
-        a_in = store.read(meter, 4, "a", mbatch.start, mbatch.stop)
-        b_in = store.read(meter, 4, "b", mbatch.start, mbatch.stop)
         meter.add(4, "lt_matrix", len(mbatch) * n3 * limbs)
         trace.cwise_mult_limbs += 2 * len(mbatch) * n3 * limbs
         if m0 > 0:
             store.read(meter, 4, "u0", 0, n3)
             store.read(meter, 4, "u1", 0, n3)
         if compute:
-            pairs = [(a_m, b_m) if m < n1 else rotate(*a_m)
-                     for m, a_m, b_m in zip(mbatch, a_in, b_in)]
+            pairs = [(a_in[m], b_in[m]) if m < n1 else rotate(*a_in[m]) for m in mbatch]
+            # the chunk is read out: hold its operands no longer than the store would
+            a_in[m0:mbatch.stop] = b_in[m0:mbatch.stop] = [None] * len(mbatch)
             for k in range(n3):
                 for m, (a_m, b_m) in zip(mbatch, pairs):
                     f = inputs.dm.diagonal(total_m * k + m).poly
@@ -344,12 +358,12 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
 
     # ---- phase 6: combined ModDown and rescale ----------------------------
     meter.tick(6)
-    acc0, acc1 = store.read(meter, 6, "acc", 0, 2)
+    acc_pair = store.read(meter, 6, "acc", 0, 2)
     meter.add(6, "ntt", limbs)
     trace.moddown += 2
     out_ct = None
     if compute:
-        c0, c1 = moddown_many((acc0, acc1), ap.basis)
+        c0, c1 = moddown_many(acc_pair, ap.basis)
         ct_full = ck.Ciphertext(c0, c1, inputs.ct.scale * inputs.dm.scale)
         out_ct = ck.rescale_ct(ct_full, ap)
     meter.add(6, "poly_write", 2 * (lp - 1))  # the output ciphertext

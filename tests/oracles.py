@@ -1,6 +1,11 @@
 """Reference implementations that tests check ckkslt against."""
 
+from dataclasses import replace
+
 import numpy as np
+
+from ckkslt.costmodel import (Infeasible, ParallelismConfig, knob_extents, max_peak_limbs,
+                              validate_config)
 
 
 def negacyclic_mul_schoolbook(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -51,3 +56,32 @@ def dump_schedule(steps) -> str:
         for sb, sa, db, da in step.moves:
             lines.append(f"{s}, {sb}, {sa}, {db}, {da}")
     return "\n".join(lines)
+
+
+def search_parallelism_stepping(params, factors, onchip_budget_bytes: int,
+                                dp: int = 2) -> ParallelismConfig:
+    """``costmodel.search_parallelism`` as it was before its closed form:
+    each knob grows one unit at a time, with one checked ``peak_onchip``
+    per candidate, while every phase peak fits the budget."""
+    budget_limbs = onchip_budget_bytes // params.limb_bytes
+    base = ParallelismConfig(dp=dp)
+    layers = validate_config(params, factors, base)
+    if max_peak_limbs(params, factors, base) > budget_limbs:
+        raise Infeasible("budget below the minimal-footprint configuration")
+
+    def grows(cfg: ParallelismConfig, name: str, hi: int) -> ParallelismConfig:
+        best = cfg
+        for val in range(getattr(cfg, name) + 1, hi + 1):
+            cand = replace(cfg, **{name: val})
+            if max_peak_limbs(params, factors, cand) <= budget_limbs:
+                best = cand
+            else:
+                break
+        return best
+
+    cfg = base
+    # off-chip-relevant knobs come first (larger is never worse for
+    # traffic); the rest only trade on-chip space
+    for name, hi in knob_extents(layers, params.pq_limbs):
+        cfg = grows(cfg, name, hi)
+    return cfg

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckkslt import costmodel as cm
 from ckkslt import ring
 from ckkslt.modarith import InvalidModulus
+from oracles import search_parallelism_stepping
 
 # hand-evaluated operation-count table, one row per evaluation set:
 # (set, method, factors) -> (decompose, moddown, cwise_limbs, key_limbs)
@@ -287,6 +290,81 @@ def test_search_parallelism_matches_exhaustive_small():
             continue
         opt = min(opt, _offchip_total(params, factors, cand))
     assert got == opt
+
+
+def _search_outcome(search, params, factors, budget, dp):
+    try:
+        return search(params, factors, budget, dp=dp)
+    except cm.Infeasible as exc:
+        return "Infeasible", str(exc)
+
+
+@st.composite
+def _search_inputs(draw):
+    """A shape, one of its th-bsgs splits, a dp, and a budget from a little
+    below the minimal footprint up to 1 << 80 bytes."""
+    log_dim = draw(st.integers(3, 11))
+    levels = draw(st.integers(1, 40))
+    params = cm.HeParams(2**log_dim, levels, draw(st.integers(1, levels + 4)),
+                         draw(st.integers(8, 60)), n=2 ** draw(st.integers(0, log_dim - 1)))
+    log_n = params.n.bit_length() - 1
+    a = draw(st.integers(0, log_n))
+    b = draw(st.integers(0, log_n - a))
+    factors = (1 << a, 1 << b, 1 << (log_n - a - b))
+    dp = 2 ** draw(st.integers(1, log_dim // 2))
+    floor = cm.max_peak_limbs(params, factors, cm.ParallelismConfig(dp=dp))
+    roof = cm.max_peak_limbs(params, factors, cm.ParallelismConfig(
+        **dict(cm.knob_extents(factors, params.pq_limbs)), dp=dp))
+    # most budgets land between the floor and the footprint at every extent,
+    # where each knob stops at its own phase bound
+    limbs = draw(st.one_of(st.integers(max(floor - 3, 0), roof + 1),
+                           st.integers(floor, (1 << 80) // params.limb_bytes)))
+    budget = limbs * params.limb_bytes + draw(st.integers(0, params.limb_bytes - 1))
+    return params, factors, budget, dp
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_inputs())
+def test_search_parallelism_equals_the_unit_stepping_search(case):
+    assert (_search_outcome(cm.search_parallelism, *case)
+            == _search_outcome(search_parallelism_stepping, *case))
+
+
+def test_search_parallelism_equals_the_unit_stepping_search_on_the_sweep_grid():
+    for set_name, (_, _, _, dp) in cm.REFERENCE_CONFIGS.items():
+        params = cm.NAMED_SETS[set_name]
+        for factors in cm.pareto_factorizations("th-bsgs", params):
+            for mib in (1, 4, 16, 64):
+                case = params, factors, mib << 20, dp
+                assert (_search_outcome(cm.search_parallelism, *case)
+                        == _search_outcome(search_parallelism_stepping, *case)), case
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 4 << 20, 64 << 20, 1 << 80])
+@pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c"])
+def test_search_parallelism_evaluates_the_peaks_at_most_twice_per_knob(
+        monkeypatch, set_name, budget):
+    params, factors, ref = cm.reference_config(set_name)
+    calls = {"peaks": 0, "checks": 0}
+    peaks, check = cm._phase_peaks, cm.validate_config
+
+    def counted_peaks(*args):
+        calls["peaks"] += 1
+        return peaks(*args)
+
+    def counted_check(*args):
+        calls["checks"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(cm, "_phase_peaks", counted_peaks)
+    monkeypatch.setattr(cm, "validate_config", counted_check)
+    try:
+        cm.search_parallelism(params, factors, budget, dp=ref.dp)
+    except cm.Infeasible:
+        pass
+    knobs = len(cm.knob_extents(factors, params.pq_limbs))
+    assert calls["peaks"] <= 2 * knobs + 1, calls
+    assert calls["checks"] == 1, calls
 
 
 def test_tradeoff_curve_shape_and_tags():

@@ -113,6 +113,65 @@ def test_store_range_read_over_a_spent_object_raises_and_meters_nothing():
     assert store.live() == ["x:0", "x:1", "x:3"]
 
 
+def test_store_repeated_read_meters_each_transfer_and_frees_at_zero():
+    meter, store = dp.MemoryMeter(), dp.OffchipStore()
+    store.write(meter, 1, "x", 0, 3, 5, ["p0", "p1", "p2"], reads=4)
+    store.write(meter, 1, "x", 1, 2, 5, ["q1"], reads=2)
+    assert store.read(meter, 2, "x", 0, 3, times=2) == ["p0", "q1", "p2"]
+    assert meter.offchip[2]["poly_read"] == 2 * 3 * 5
+    # q1 had exactly two reads due: its payload is gone, the others keep theirs
+    assert store.live() == ["x:0", "x:2"]
+    assert store.read(meter, 3, "x", 0, 1, times=2) == ["p0"]
+    assert store.read(meter, 3, "x", 2, 3, times=2) == ["p2"]
+    assert store.live() == [] and meter.offchip[3]["poly_read"] == 2 * 2 * 5
+
+
+def test_store_repeated_read_short_of_its_count_raises_and_meters_nothing():
+    meter, store = dp.MemoryMeter(), dp.OffchipStore()
+    store.write(meter, 1, "x", 0, 4, 3, ["p0", "p1", "p2", "p3"], reads=3)
+    store.write(meter, 1, "x", 2, 3, 3, ["q2"], reads=1)
+    store.write(meter, 1, "x", 3, 4, 3, ["q3"], reads=2)
+    before = {p: dict(row) for p, row in meter.offchip.items()}
+    # x:2 and x:3 both have fewer than 3 reads due; the first is named
+    with pytest.raises(KeyError, match="x:2 has fewer than 3 reads due"):
+        store.read(meter, 2, "x", 0, 4, times=3)
+    # past the last written index
+    with pytest.raises(KeyError, match="x:4 has fewer than 1 reads due"):
+        store.read(meter, 2, "x", 0, 5)
+    with pytest.raises(KeyError, match="y:0"):
+        store.read(meter, 2, "y", 0, 1, times=2)
+    assert meter.offchip == before
+    assert store.read(meter, 2, "x", 0, 2, times=3) == ["p0", "p1"]
+
+
+def _store_calls_per_phase(monkeypatch, params, factors, cfg) -> dict:
+    calls = {}
+    for name in ("read", "write"):
+        method = getattr(dp.OffchipStore, name)
+
+        def counted(self, meter, phase, *args, _method=method, **kw):
+            calls[phase] = calls.get(phase, 0) + 1
+            return _method(self, meter, phase, *args, **kw)
+
+        monkeypatch.setattr(dp.OffchipStore, name, counted)
+    dp.simulate(params, factors, cfg)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("set_name", ["set-a", "set-b", "set-c"])
+def test_phase_3_makes_one_store_call_per_transfer_whatever_its_key_batches(
+        monkeypatch, set_name):
+    # every key batch re-reads all (a_i, d_i): one read of each range with
+    # the batch count, and one write of each output range, at any m3
+    params, factors, cfg = cm.reference_config(set_name)
+    n2 = factors[1]
+    calls = [_store_calls_per_phase(monkeypatch, params, factors,
+                                    dataclasses.replace(cfg, m3=m3))[3]
+             for m3 in (1, n2 - 1)]
+    assert calls == [4, 4]
+
+
 def test_object_live_at_end_of_walk_raises(monkeypatch):
     params, factors, cfg = cm.reference_config("set-a")
     write = dp.OffchipStore.write
