@@ -6,6 +6,12 @@ as a cyclic slot shift by r. Ciphertexts are held in NTT form over the
 active level basis; switching keys are held in NTT form over PQ with the
 special limbs first.
 
+A rotation is a key switch followed by the automorphism
+(:func:`hoisted_rotation`), with one key per offset stored twisted by the
+inverse automorphism. Hoisting only decides which rotations share a digit
+decomposition and where ModDown runs: :func:`rotate_many` gives each
+rotation its own decomposition and ModDown, the hoisted routes share them.
+
 NOT FOR PRODUCTION CRYPTOGRAPHY: parameter profiles here are sized for
 verifying algorithmic behavior, not for security.
 """
@@ -66,7 +72,8 @@ class NotReal(ValueError):
 
 
 class MissingKey(ValueError):
-    """A required switching key was not supplied, or one of the wrong kind."""
+    """A required switching key was not supplied, or one for another offset
+    or digit count."""
 
 
 @dataclass
@@ -137,18 +144,15 @@ class Ciphertext:
         """L for a ciphertext over q_0..q_L."""
         return len(self.c0.moduli) - 1
 
-    def copy(self) -> "Ciphertext":
-        return Ciphertext(self.c0.copy(), self.c1.copy(), self.scale)
-
 
 @dataclass
 class SwitchingKey:
     """beta digit pairs over PQ, NTT domain.
 
-    hoist_offset r != 0 marks a key stored pre-twisted by the inverse
-    automorphism, so the rotation can be applied after the inner product.
-    It is the key's only record of its kind: ``hoisted_rotation`` accepts
-    only a key twisted for its rotation, ``rotate_many`` only untwisted ones.
+    A rotation key is stored twisted by the inverse automorphism of its
+    offset ``hoist_offset``, so the rotation runs after the inner product;
+    ``hoisted_rotation`` accepts only a key twisted for its rotation. A
+    plain key switch (offset 0) is untwisted.
     """
 
     digits: list[tuple[RnsPoly, RnsPoly]]
@@ -284,20 +288,15 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> tuple[SecretKey, Pub
     return sk, PublicKey(k0, a)
 
 
-def encrypt(pt: Plaintext, key, params: CkksParams,
+def encrypt(pt: Plaintext, key: PublicKey, params: CkksParams,
             rng: np.random.Generator) -> Ciphertext:
-    """Fresh encryption under a PublicKey or (for tests) a SecretKey."""
+    """Fresh encryption under a public key."""
     m = to_ntt(pt.poly)
-    if isinstance(key, SecretKey):
-        c1 = uniform_rns(rng, m.context, params.ring_dim)
-        e = gaussian_rns(rng, m.context, params.ring_dim)
-        c0 = rns_sub(rns_add(m, e), mul_secret(c1, key))
-    else:
-        u = SecretKey(sample_ternary(rng, params.ring_dim))
-        e0 = gaussian_rns(rng, m.context, params.ring_dim)
-        e1 = gaussian_rns(rng, m.context, params.ring_dim)
-        c0 = rns_add(rns_add(mul_secret(key.k0, u), e0), m)
-        c1 = rns_add(mul_secret(key.k1, u), e1)
+    u = SecretKey(sample_ternary(rng, params.ring_dim))
+    e0 = gaussian_rns(rng, m.context, params.ring_dim)
+    e1 = gaussian_rns(rng, m.context, params.ring_dim)
+    c0 = rns_add(rns_add(mul_secret(key.k0, u), e0), m)
+    c1 = rns_add(mul_secret(key.k1, u), e1)
     return Ciphertext(c0, c1, pt.scale)
 
 
@@ -346,21 +345,15 @@ def swk_gen(s_ntt: RnsPoly, s_to: SecretKey, params: CkksParams,
 
 
 def rotation_keygen(sk: SecretKey, r: int, params: CkksParams,
-                    rng: np.random.Generator, hoisted: bool = False) -> SwitchingKey:
-    """Key for rotating by r slots: switches phi_r(s) back to s.
-
-    Hoisted keys carry phi_r^-1 applied to both components so the
-    automorphism can run after the inner product.
-    """
+                    rng: np.random.Generator) -> SwitchingKey:
+    """Key for rotating by r slots: the key switching phi_r(s) back to s,
+    with phi_r^-1 applied to both components so the automorphism runs
+    after the inner product."""
     rot = RotationIndex(r, params.ring_dim)
     s_rot = automorphism_eval(sk.ntt_form(params.basis.pq_context), rot)
-    key = swk_gen(s_rot, sk, params, rng)
-    if hoisted and rot.r != 0:
-        inv = rot.inverse()
-        twisted = [(automorphism_eval(k0, inv), automorphism_eval(k1, inv))
-                   for k0, k1 in key.digits]
-        key = SwitchingKey(twisted, hoist_offset=r)
-    return key
+    inv = rot.inverse()
+    return SwitchingKey([(automorphism_eval(k0, inv), automorphism_eval(k1, inv))
+                         for k0, k1 in swk_gen(s_rot, sk, params, rng).digits], r)
 
 
 def hoist_digits(c1: RnsPoly, basis: RnsBasis) -> list[RnsPoly]:
@@ -396,9 +389,9 @@ def moddown_ntt(p: RnsPoly, basis: RnsBasis) -> RnsPoly:
 
 def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
                      rot: RotationIndex) -> tuple[RnsPoly, RnsPoly]:
-    """Rotate the PQ pair (a + <digits, k0>, <digits, k1>) with a hoisted key:
-    the inner product runs first, the automorphism after it. A key not
-    twisted for this rotation raises ``MissingKey``."""
+    """Rotate the PQ pair (a + <digits, k0>, <digits, k1>): the inner product
+    runs first, the automorphism after it. A key not twisted for this
+    rotation raises ``MissingKey``."""
     if RotationIndex(swk.hoist_offset, rot.ring_dim) != rot:
         raise MissingKey(f"key is twisted for offset {swk.hoist_offset}, not {rot.r}")
     u0, u1 = key_switch(digits, swk)
@@ -406,28 +399,24 @@ def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
 
 
 def rotate_many(jobs, params: CkksParams) -> list[Ciphertext]:
-    """Reference (non-hoisted) rotations of ``(ct, r, swk)`` jobs: each is the
-    automorphism then a full key switch with a plain key, and an offset of 0
-    is a copy.
+    """Unhoisted rotations of ``(ct, r, swk)`` jobs: each is a
+    :func:`hoisted_rotation` over the decomposition of its own c1, followed
+    by ModDown.
 
-    Each rotation still pays its own Decompose and its own two ModDowns,
-    but the Decomposes run as one batch and the ModDowns as two, the u0
-    halves and the u1 halves (one stack of both would hold twice the
-    converted limbs at once).
+    Each rotation pays its own Decompose and its own two ModDowns, but the
+    Decomposes run as one batch and the ModDowns as two, the c0 halves and
+    the c1 halves (one stack of both would hold twice the converted limbs
+    at once).
     """
-    jobs = [(ct, RotationIndex(r, params.ring_dim), swk) for ct, r, swk in jobs]
-    moving = [(ct, rot, swk) for ct, rot, swk in jobs if rot.r]
-    if any(swk.hoist_offset != 0 for _, _, swk in moving):
-        raise MissingKey("rotate expects a plain (non-hoisted) key")
-    digits = decompose_many((automorphism_eval(ct.c1, rot) for ct, rot, _ in moving),
-                            params.basis)
-    switched = [key_switch(d, swk) for (_, _, swk), d in zip(moving, digits)]
+    jobs = list(jobs)
+    digits = decompose_many((ct.c1 for ct, _, _ in jobs), params.basis)
+    rotated = [hoisted_rotation(raise_to_pq(ct.c0, params.basis), d, swk,
+                                RotationIndex(r, params.ring_dim))
+               for (ct, r, swk), d in zip(jobs, digits)]
     del digits
-    d0 = moddown_many([u0 for u0, _ in switched], params.basis)
-    d1 = moddown_many([u1 for _, u1 in switched], params.basis)
-    rotated = iter(Ciphertext(rns_add(automorphism_eval(ct.c0, rot), a), b, ct.scale)
-                   for (ct, rot, _), a, b in zip(moving, d0, d1))
-    return [next(rotated) if rot.r else ct.copy() for ct, rot, _ in jobs]
+    c0 = moddown_many([a for a, _ in rotated], params.basis)
+    c1 = moddown_many([b for _, b in rotated], params.basis)
+    return [Ciphertext(a, b, ct.scale) for (ct, _, _), a, b in zip(jobs, c0, c1)]
 
 
 def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:

@@ -336,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("simulate", cmd_simulate), ("validate", cmd_validate)):
         s = command(name, func, tuple(PROFILES))
         s.add_argument("--factors", type=int_list, default=None)
-        s.add_argument("--parallelism", type=int_list, default=None,
-                       help="m1,...,m6,l1,...,l5")
         s.add_argument("--dp", type=int, default=None,
                        help="bank count (default: the reference config's, else 2)")
-        s.add_argument("--budget-bytes", type=int, default=0)
+        knobs = s.add_mutually_exclusive_group()
+        knobs.add_argument("--parallelism", type=int_list, default=None,
+                           help="m1,...,m6,l1,...,l5")
+        knobs.add_argument("--budget-bytes", type=int, default=0,
+                           help="search the knobs that fit this on-chip budget")
     return parser
 
 

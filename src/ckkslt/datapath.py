@@ -198,7 +198,7 @@ class ComputeContext:
     params_arith: object  # ckks.CkksParams
     ct: object            # ckks.Ciphertext, top level, NTT domain
     dm: object            # linear.DiagMatrix packed for a hoisted plan on these layers
-    keys: object          # linear.RotationKeys of hoisted keys
+    keys: object          # linear.RotationKeys for the layers' offsets
 
 
 def simulate(params: HeParams, factors, cfg: ParallelismConfig,

@@ -5,8 +5,9 @@ switching-key storage:
 
 * diagonal: one product per matrix diagonal, every rotation hoisted over
   a single shared digit decomposition.
-* bsgs: two-layer baby-step giant-step split n = n1*n2 with full
-  (unhoisted) rotations.
+* bsgs: two-layer baby-step giant-step split n = n1*n2 with unhoisted
+  rotations: each decomposes its own ciphertext and ends in its own
+  ModDown.
 * dh-bsgs: the two-layer split with hoisting in both layers and the
   inner-layer ModDown delayed onto the accumulated sum.
 * th-bsgs: a three-layer split n = n1*n2*n3 with hoisting across all
@@ -18,7 +19,9 @@ diagonal is (1, n, 1) and a two-layer split (a, b) is (1, a, b), so key
 offsets and diagonal pre-rotation follow one stride rule, and the three
 hoisted routes are one algorithm on different layers. Its one
 implementation is the six-phase walk in ``datapath.simulate``, which
-``lt_hoisted`` runs; ``lt_bsgs`` rotates over Q without hoisting.
+``lt_hoisted`` runs; ``lt_bsgs`` rotates over Q without hoisting. Every
+route rotates through ``ckks.hoisted_rotation`` with the same keys, one
+per offset, twisted for it.
 
 Every evaluator records an operation trace (Decompose / ModDown /
 coefficient-wise limb multiplies / key offsets touched) that the cost
@@ -93,9 +96,9 @@ class LtPlan:
 
     @property
     def hoisted(self) -> bool:
-        """Whether the layers share digit decompositions: hoisted keys, and
-        diagonals packed over PQ. Only plain BSGS rotates and multiplies
-        over Q."""
+        """Whether the layers share digit decompositions and accumulate over
+        PQ, with diagonals packed over PQ. Only plain BSGS decomposes per
+        rotation, moves down at once and multiplies over Q."""
         return self.method != LtMethod.BSGS
 
 
@@ -121,9 +124,9 @@ class DiagMatrix:
 
 
 class RotationKeys(dict):
-    """Switching keys by rotation offset; each key knows whether it is
-    hoisted (``SwitchingKey.hoist_offset``), and the rotation that uses it
-    rejects the wrong kind."""
+    """Switching keys by rotation offset, each twisted for its offset
+    (``SwitchingKey.hoist_offset``); a rotation handed a key for another
+    offset raises ``MissingKey``."""
 
     def __missing__(self, offset: int):
         raise MissingKey(f"no key for rotation offset {offset}")
@@ -131,7 +134,7 @@ class RotationKeys(dict):
 
 def required_offsets(plan: LtPlan) -> tuple[list[int], bool]:
     """Rotation offsets a plan consumes, layer by layer at strides
-    (1, n1, n1*n2), and whether it wants hoisted keys."""
+    (1, n1, n1*n2), and ``plan.hoisted``; the keys do not depend on it."""
     n1, n2, n3 = plan.layers
     offs = [stride * k for stride, count in ((1, n1), (n1, n2), (n1 * n2, n3))
             for k in range(1, count)]
@@ -140,9 +143,8 @@ def required_offsets(plan: LtPlan) -> tuple[list[int], bool]:
 
 def generate_lt_keys(sk: SecretKey, plan: LtPlan, params: CkksParams,
                      rng: np.random.Generator) -> RotationKeys:
-    offsets, hoisted = required_offsets(plan)
-    return RotationKeys((off, rotation_keygen(sk, off, params, rng, hoisted=hoisted))
-                        for off in offsets)
+    offsets, _ = required_offsets(plan)
+    return RotationKeys((off, rotation_keygen(sk, off, params, rng)) for off in offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +204,8 @@ def diagonalize(f_matrix: np.ndarray, plan: LtPlan, params: CkksParams) -> DiagM
 
 def _rotate_traced(jobs, keys: RotationKeys, trace: OpTrace,
                    params: CkksParams) -> list[Ciphertext]:
-    """Full rotations (automorphism + complete key switch) of (ct, r) pairs
-    with r != 0, trace-counted, run as one batch."""
+    """Unhoisted rotations (own Decompose, key switch, automorphism, two
+    ModDowns) of (ct, r) pairs with r != 0, trace-counted, run as one batch."""
     keyed = [(ct, r, keys[r]) for ct, r in jobs]
     for _, r, swk in keyed:
         trace.key_offsets.add(r)
@@ -216,7 +218,7 @@ def _rotate_traced(jobs, keys: RotationKeys, trace: OpTrace,
 
 def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
             params: CkksParams) -> tuple[Ciphertext, OpTrace]:
-    """Two-layer split with full rotations; products stay over Q. The baby
+    """Two-layer split with unhoisted rotations; products stay over Q. The baby
     steps rotate as one batch, and the giant steps as another once every
     inner sum is formed."""
     plan = dm.plan

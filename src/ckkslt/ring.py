@@ -141,14 +141,14 @@ def _mul_exact(a, b, q):
     return (a.astype(object) * b.astype(object) % q.astype(object)).astype(np.uint64)
 
 
-def mod_mul_vec(a: np.ndarray, b: np.ndarray, q, quot=None) -> np.ndarray:
+def mod_mul_vec(a: np.ndarray, b: np.ndarray, q: Moduli, quot=None) -> np.ndarray:
     """Elementwise a*b mod q for uint64 operands, result in [0, q).
 
     ``q`` is a :class:`Moduli` operand, as a :class:`BasisContext` builds them,
-    or a uint64 array or int, classified on the call; either has the limb axis
-    first and broadcasts against the operands. ``quot`` is fl(b/q) when the
-    caller holds it (:func:`pointwise_mul_many`, the context's tables), so the
-    call skips the division.
+    with the limb axis first and broadcasting against the operands; its float
+    copy selects the route, so ``Moduli(q, None)`` is the exact one. ``quot``
+    is fl(b/q) when the caller holds it (:func:`pointwise_mul_many`, the
+    context's tables), so the call skips the division.
 
     The whole block takes one route: if every q is below FAST_LIMIT (2^51),
     the float-quotient path, whose operands must both lie below FAST_LIMIT
@@ -157,9 +157,6 @@ def mod_mul_vec(a: np.ndarray, b: np.ndarray, q, quot=None) -> np.ndarray:
     operands. A caller that multiplies residues of a wider modulus by a
     narrower one reduces them first (see :func:`ckkslt.rns.bconv`).
     """
-    if not isinstance(q, Moduli):
-        q = np.asarray(q, np.uint64)
-        q = Moduli(q, q.astype(np.float64) if q.max() < FAST_LIMIT else None)
     return _mul_exact(a, b, q.q) if q.qf is None else _mul_fast(a, b, q, quot)
 
 

@@ -49,6 +49,21 @@ def diagonalize_one_at_a_time(f_matrix: np.ndarray, plan, params) -> list:
     return out
 
 
+def rotate_automorphism_first(ct, r: int, swk, params):
+    """A rotation by r in the other order: the automorphism, then a full key
+    switch of phi_r(c1) with the plain key, then ModDown. The plain key is
+    phi_r of the stored twisted key ``swk``, an exact permutation."""
+    from ckkslt import ckks, ring
+
+    rot = ring.RotationIndex(r, params.ring_dim)
+    plain = ckks.SwitchingKey([(ring.automorphism_eval(k0, rot), ring.automorphism_eval(k1, rot))
+                               for k0, k1 in swk.digits])
+    digits = ckks.hoist_digits(ring.automorphism_eval(ct.c1, rot), params.basis)
+    u0, u1 = ckks.key_switch(digits, plain)
+    c0 = ckks.rns_add(ring.automorphism_eval(ct.c0, rot), ckks.moddown_ntt(u0, params.basis))
+    return ckks.Ciphertext(c0, ckks.moddown_ntt(u1, params.basis), ct.scale)
+
+
 def dump_schedule(steps) -> str:
     """A permutation schedule as "step, src_bank, src_addr, dst_bank, dst_addr" lines."""
     lines = []

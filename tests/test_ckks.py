@@ -7,6 +7,7 @@ import pytest
 from ckkslt import ckks, ring
 from ckkslt.ring import BasisMismatch, Domain, RotationIndex, automorphism_coef, automorphism_eval
 from ckkslt.rns import RnsPoly, SingleLimb, crt_reconstruct, crt_reconstruct_centered
+from oracles import rotate_automorphism_first
 
 
 def test_encode_decode_zero(toy_params):
@@ -72,15 +73,6 @@ def test_encrypt_decrypt_roundtrip(toy_params, toy_keys):
     rng = np.random.default_rng(2)
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
-    back = ckks.decode(ckks.decrypt(ct, sk), toy_params)
-    assert np.max(np.abs(back - v)) < 2**-15
-
-
-def test_secret_key_encrypt(toy_params, toy_keys):
-    sk, _ = toy_keys
-    rng = np.random.default_rng(3)
-    v = rng.uniform(-1, 1, toy_params.slots)
-    ct = ckks.encrypt(ckks.encode(v, toy_params), sk, toy_params, rng)
     back = ckks.decode(ckks.decrypt(ct, sk), toy_params)
     assert np.max(np.abs(back - v)) < 2**-15
 
@@ -163,9 +155,9 @@ def test_full_key_switch_recovers_message(toy_params, toy_keys):
     # encrypt under a fresh key, switch to sk, decrypt under sk
     sk, _ = toy_keys
     rng = np.random.default_rng(10)
-    other, _ = ckks.keygen(toy_params, rng)
+    other, other_pk = ckks.keygen(toy_params, rng)
     v = rng.uniform(-1, 1, toy_params.slots)
-    ct = ckks.encrypt(ckks.encode(v, toy_params), other, toy_params, rng)
+    ct = ckks.encrypt(ckks.encode(v, toy_params), other_pk, toy_params, rng)
     swk = ckks.swk_gen(other.ntt_form(toy_params.basis.pq_context), sk, toy_params, rng)
     digits = ckks.hoist_digits(ct.c1, toy_params.basis)
     u0, u1 = ckks.key_switch(digits, swk)
@@ -177,12 +169,17 @@ def test_full_key_switch_recovers_message(toy_params, toy_keys):
 
 
 def test_rotate_identity(toy_params, toy_keys):
+    # offset 0 is a rotation like any other, not a copy: it takes the key for
+    # offset 0, and a key for another offset raises
     sk, pk = toy_keys
     rng = np.random.default_rng(11)
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     swk = ckks.rotation_keygen(sk, 1, toy_params, rng)
-    [out] = ckks.rotate_many([(ct, 0, swk)], toy_params)
+    for r in (0, 2):
+        with pytest.raises(ckks.MissingKey):
+            ckks.rotate_many([(ct, r, swk)], toy_params)
+    [out] = ckks.rotate_many([(ct, 0, ckks.rotation_keygen(sk, 0, toy_params, rng))], toy_params)
     back = ckks.decode(ckks.decrypt(out, sk), toy_params)
     assert np.max(np.abs(back - v)) < 2**-15
 
@@ -228,64 +225,71 @@ def test_rotation_offset_is_taken_mod_slot_count(toy_params, toy_keys):
     for out in wrapped_outs:
         assert np.array_equal(out.c0.coeffs, ref.c0.coeffs)
         assert np.array_equal(out.c1.coeffs, ref.c1.coeffs)
-    # a hoisted key records its offset as given and serves the reduced rotation
-    hoisted = ckks.rotation_keygen(sk, 5 + half, toy_params, rng, hoisted=True)
-    assert hoisted.hoist_offset == 5 + half
+    # a key records its offset as given and serves the reduced rotation
+    assert wrapped.hoist_offset == 5 + half
     digits = ckks.hoist_digits(ct.c1, toy_params.basis)
     a0 = ckks.raise_to_pq(ct.c0, toy_params.basis)
-    ckks.hoisted_rotation(a0, digits, hoisted, RotationIndex(5, toy_params.ring_dim))
+    ckks.hoisted_rotation(a0, digits, wrapped, RotationIndex(5, toy_params.ring_dim))
     with pytest.raises(ckks.MissingKey):
-        ckks.hoisted_rotation(a0, digits, hoisted, RotationIndex(6, toy_params.ring_dim))
+        ckks.hoisted_rotation(a0, digits, wrapped, RotationIndex(6, toy_params.ring_dim))
+
+
+def _swk_gen_for(sk, r, params, seed):
+    """swk_gen's key from phi_r(s) to s, drawn from ``seed``, untwisted."""
+    s_rot = automorphism_eval(sk.ntt_form(params.basis.pq_context),
+                              RotationIndex(r, params.ring_dim))
+    return ckks.swk_gen(s_rot, sk, params, np.random.default_rng(seed))
+
+
+def _assert_same_key(got, want):
+    assert len(got.digits) == len(want.digits)
+    for pair, want_pair in zip(got.digits, want.digits):
+        for k, w in zip(pair, want_pair):
+            assert k.context is w.context and np.array_equal(k.coeffs, w.coeffs)
 
 
 def test_hoisted_key_twist_is_exact_inverse(toy_params, toy_keys):
+    # every rotation key is swk_gen's key from the same draws, permuted by phi_r^-1
     sk, _ = toy_keys
-    rng = np.random.default_rng(14)
-    plain = ckks.rotation_keygen(sk, 6, toy_params, rng)
-    hoisted = ckks.rotation_keygen(
-        sk, 6, toy_params, np.random.default_rng(14), hoisted=True)
-    rot = RotationIndex(6, toy_params.ring_dim)
-    for (p0, p1), (h0, h1) in zip(plain.digits, hoisted.digits):
-        back0 = automorphism_eval(h0, rot)
-        back1 = automorphism_eval(h1, rot)
-        for a, b in zip(back0.limbs, p0.limbs):
-            assert np.array_equal(a.coeffs, b.coeffs)
-        for a, b in zip(back1.limbs, p1.limbs):
-            assert np.array_equal(a.coeffs, b.coeffs)
+    for r in (6, 100):
+        inv = RotationIndex(r, toy_params.ring_dim).inverse()
+        key = ckks.rotation_keygen(sk, r, toy_params, np.random.default_rng(14))
+        plain = _swk_gen_for(sk, r, toy_params, 14)
+        assert key.hoist_offset == r
+        _assert_same_key(key, ckks.SwitchingKey([(automorphism_eval(k0, inv),
+                                                  automorphism_eval(k1, inv))
+                                                 for k0, k1 in plain.digits]))
 
 
 def test_hoisted_zero_offset_equals_plain(toy_params, toy_keys):
+    # phi_0 is the identity, so the key for offset 0 is swk_gen's, untwisted
     sk, _ = toy_keys
-    plain = ckks.rotation_keygen(sk, 0, toy_params, np.random.default_rng(15))
-    hoisted = ckks.rotation_keygen(sk, 0, toy_params,
-                                   np.random.default_rng(15), hoisted=True)
-    assert hoisted.hoist_offset == 0
-    for (p0, _), (h0, _) in zip(plain.digits, hoisted.digits):
-        for a, b in zip(p0.limbs, h0.limbs):
-            assert np.array_equal(a.coeffs, b.coeffs)
+    key = ckks.rotation_keygen(sk, 0, toy_params, np.random.default_rng(15))
+    assert key.hoist_offset == 0
+    _assert_same_key(key, _swk_gen_for(sk, 0, toy_params, 15))
 
 
 @pytest.mark.parametrize("r", [1, 7, 100])
-def test_hoisted_rotation_equals_plain(toy_params, toy_keys, r):
-    sk, pk = toy_keys
-    rng = np.random.default_rng(16 + r)
-    v = rng.uniform(-1, 1, toy_params.slots)
-    ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
-    plain = ckks.rotation_keygen(sk, r, toy_params, rng)
-    hoisted = ckks.rotation_keygen(sk, r, toy_params, rng, hoisted=True)
-    [ref] = ckks.rotate_many([(ct, r, plain)], toy_params)
-    rot = RotationIndex(r, toy_params.ring_dim)
-    digits = ckks.hoist_digits(ct.c1, toy_params.basis)
-    u0, u1 = ckks.key_switch(digits, hoisted)
-    a0 = ckks.raise_to_pq(ct.c0, toy_params.basis)
-    c0 = ckks.moddown_ntt(automorphism_eval(ckks.rns_add(a0, u0), rot),
-                          toy_params.basis)
-    c1 = ckks.moddown_ntt(automorphism_eval(u1, rot), toy_params.basis)
-    got = ckks.Ciphertext(c0, c1, ct.scale)
-    d_ref = ckks.decode(ckks.decrypt(ref, sk), toy_params)
-    d_got = ckks.decode(ckks.decrypt(got, sk), toy_params)
-    assert np.max(np.abs(d_ref - d_got)) < 2**-12
-    assert np.max(np.abs(d_got - np.roll(v, -r))) < 2**-12
+def test_hoisted_rotation_equals_plain(toy_params, r):
+    # rotate_many against the automorphism-first oracle and against np.roll,
+    # on the toy shape and at N=2^6 with beta = 1 and 3 on the float and the
+    # exact multiply route; one key serves r, r + N/2 and r - N/2
+    small = [ckks.CkksParams.make(ring_dim=2**6, levels=5, alpha=alpha, prime_bits=bits)
+             for bits in (44, 54) for alpha in (5, 2)]
+    for i, params in enumerate((toy_params, *small)):
+        rng = np.random.default_rng(16 + 1000 * i + r)
+        sk, pk = ckks.keygen(params, rng)
+        v = rng.uniform(-1, 1, params.slots)
+        ct = ckks.encrypt(ckks.encode(v, params), pk, params, rng)
+        swk = ckks.rotation_keygen(sk, r, params, rng)
+        offsets = (r, r + params.slots, r - params.slots)
+        got = ckks.rotate_many([(ct, off, swk) for off in offsets], params)
+        for off, out in zip(offsets, got):
+            ref = rotate_automorphism_first(ct, off, swk, params)
+            d_ref = ckks.decode(ckks.decrypt(ref, sk), params)
+            d_got = ckks.decode(ckks.decrypt(out, sk), params)
+            assert np.max(np.abs(d_got - d_ref)) < 2**-12, (params.basis, off)
+            assert np.max(np.abs(d_got - np.roll(v, -off))) < 2**-12, (params.basis, off)
 
 
 def test_pt_ct_mult_ones_identity(toy_params, toy_keys):
@@ -387,15 +391,14 @@ def test_rescale_of_components_over_different_bases_is_a_basis_mismatch(
 
 @pytest.mark.parametrize("bits, alpha", [(44, 5), (44, 2), (54, 5), (54, 2)])
 def test_batched_rotation_equals_one_at_a_time(bits, alpha):
-    # beta = 1 and 3 on the float and the exact multiply route; a zero offset
-    # in the batch is a copy and takes no key switch
+    # beta = 1 and 3 on the float and the exact multiply route
     params = ckks.CkksParams.make(ring_dim=2**6, levels=5, alpha=alpha, prime_bits=bits)
     rng = np.random.default_rng(bits * alpha)
     sk, pk = ckks.keygen(params, rng)
     keys = {r: ckks.rotation_keygen(sk, r, params, rng) for r in (1, 3, 7)}
     vs = [rng.uniform(-1, 1, params.slots) for _ in range(2)]
     cts = [ckks.encrypt(ckks.encode(v, params), pk, params, rng) for v in vs]
-    jobs = [(cts[0], 1, keys[1]), (cts[1], 3, keys[3]), (cts[0], 0, keys[7]), (cts[1], 7, keys[7])]
+    jobs = [(cts[0], 1, keys[1]), (cts[1], 3, keys[3]), (cts[1], 7, keys[7])]
     got = ckks.rotate_many(iter(jobs), params)
     assert len(got) == len(jobs)
     for out, job in zip(got, jobs):
@@ -403,8 +406,11 @@ def test_batched_rotation_equals_one_at_a_time(bits, alpha):
         assert out.scale == want.scale
         for a, b in ((out.c0, want.c0), (out.c1, want.c1)):
             assert a.context is b.context and np.array_equal(a.coeffs, b.coeffs)
-    back = ckks.decode(ckks.decrypt(got[3], sk), params)
+    back = ckks.decode(ckks.decrypt(got[2], sk), params)
     assert np.max(np.abs(back - np.roll(vs[1], -7))) < 2**-10
+    # a zero-offset job is a rotation too, and the key for 7 is not its key
+    with pytest.raises(ckks.MissingKey):
+        ckks.rotate_many([*jobs, (cts[0], 0, keys[7])], params)
 
 
 def test_one_level_is_rejected_before_any_work():

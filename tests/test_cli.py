@@ -328,6 +328,11 @@ def test_config_switch_yields_to_its_negated_flag(capsys, tmp_path):
     # n = 1 needs no rotation keys, so the dh/th key ratio has no divisor
     ["analyze", "--params", "toy-small", "--n", "1"],
     ["analyze", "--params", "toy-small", "--n", "1", "--format", "csv"],
+    # the budget search would replace the explicit knobs without a word
+    ["simulate", "--params", "set-a", "--parallelism", "1,1,1,1,1,1,1,1,1,1,1",
+     "--budget-bytes", str(64 * 2**20)],
+    ["validate", "--params", "set-a", "--budget-bytes", str(64 * 2**20),
+     "--parallelism", "1,1,1,1,1,1,1,1,1,1,1"],
 ])
 def test_usage_errors_exit_1_with_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -56,9 +56,9 @@ GOLDEN = {
     'diagonals:diagonal': 'cd8417418f9d4a20',
     'ciphertext:diagonal': 'fc46e0042960e09a',
     'trace:diagonal': '38a0dfa734bdcdbb',
-    'keys:bsgs': '4c8e773c8db9ac92',
+    'keys:bsgs': 'ca1e0128064ab941',
     'diagonals:bsgs': 'a318f34136ebc309',
-    'ciphertext:bsgs': 'fb3604c4139284b2',
+    'ciphertext:bsgs': '8402153ad36bd784',
     'trace:bsgs': '5a2f022c7b0d17cc',
     'keys:dh-bsgs': '3d53229dc43a3b0f',
     'diagonals:dh-bsgs': 'cf5a42da0de10f6b',
@@ -78,9 +78,9 @@ GOLDEN_WIDE = {
     '54-bit diagonals:diagonal': '1913fbdd01b5e118',
     '54-bit ciphertext:diagonal': '50276e462a8da387',
     '54-bit trace:diagonal': '16e630de01412310',
-    '54-bit keys:bsgs': 'af135b21664b4705',
+    '54-bit keys:bsgs': '68556bb02c92c8ce',
     '54-bit diagonals:bsgs': '5a6ea2a6a6da481c',
-    '54-bit ciphertext:bsgs': '8d7b845e7ebd490a',
+    '54-bit ciphertext:bsgs': 'a07d2b2d9c54de3d',
     '54-bit trace:bsgs': 'ce57c1b5cccc223b',
     '54-bit keys:dh-bsgs': '40d90dcd6a69b6d9',
     '54-bit diagonals:dh-bsgs': '48aed1bc7ebc7039',
@@ -94,9 +94,9 @@ GOLDEN_WIDE = {
     '44q54p diagonals:diagonal': 'af7465455099f94d',
     '44q54p ciphertext:diagonal': 'e98282cde4b0ca5f',
     '44q54p trace:diagonal': 'e7514e25dadd2e57',
-    '44q54p keys:bsgs': 'd499334e3087b03b',
+    '44q54p keys:bsgs': 'c5a4702e3d83fff6',
     '44q54p diagonals:bsgs': '8a56e0cb1b7fb745',
-    '44q54p ciphertext:bsgs': '3a1ab3cb6b7d91bf',
+    '44q54p ciphertext:bsgs': '040346baba168a86',
     '44q54p trace:bsgs': 'f74fc638f6feb3ef',
     '44q54p keys:dh-bsgs': 'b14124165071bdf5',
     '44q54p diagonals:dh-bsgs': '04d9ffd7ba0b63df',
@@ -130,8 +130,8 @@ GOLDEN_CLI = {
     'validate --params set-b': '0:15d6ff03d4ac0c62',
     'analyze --params set-c --format csv': '0:77bdb1e72db9f9ac',
     'analyze --params set-a': '0:e3e224a6c3f7b71a',
-    'demo --params toy-small --method all --n 16 --seed 3 --compare': '0:f237293a707d2281',
-    'demo --params toy-small --method all --n 16 --seed 3 --compare --format json': '0:c7dde5544aed1078',
+    'demo --params toy-small --method all --n 16 --seed 3 --compare': '0:8f929f8104f7c125',
+    'demo --params toy-small --method all --n 16 --seed 3 --compare --format json': '0:26fc234b7b2806d7',
 }
 
 GOLDEN_SWEEP = {

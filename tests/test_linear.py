@@ -569,23 +569,6 @@ def test_plan_mismatch_raises(env, toy_params, toy_keys):
         linear.lt_hoisted(ct, dm, keys["th-bsgs"], toy_params)
 
 
-def test_keys_of_the_other_kind_raise_missing_key(env, toy_params, toy_keys):
-    # every offset the plan needs is present, so only each key's own kind
-    # (twisted for its rotation or not) can reject them
-    plans, _, _ = env
-    sk, pk = toy_keys
-    rng = np.random.default_rng(14)
-    ct = encrypt_vec(np.ones(N1), toy_params, pk, rng)
-    for plan in plans.values():
-        offsets, hoisted = linear.required_offsets(plan)
-        keys = linear.RotationKeys(
-            (off, ckks.rotation_keygen(sk, off, toy_params, rng, hoisted=not hoisted))
-            for off in offsets)
-        dm = linear.diagonalize(np.eye(N1), plan, toy_params)
-        with pytest.raises(ckks.MissingKey):
-            linear.evaluate_lt(ct, dm, keys, toy_params)
-
-
 # ---------------------------------------------------------------------------
 # stacked transforms at the acceptance shape
 

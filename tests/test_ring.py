@@ -216,6 +216,12 @@ def test_rotation_index_reduces_any_offset():
         assert ring.RotationIndex(r + 5 * n, n) == rot
 
 
+def _moduli(q) -> ring.Moduli:
+    """``q`` as a context builds it: with its float copy below FAST_LIMIT."""
+    q = np.asarray(q, np.uint64)
+    return ring.Moduli(q, q.astype(np.float64) if q.max() < ring.FAST_LIMIT else None)
+
+
 def test_vector_kernel_against_wide_oracle_large():
     # >= 1e6 randomized cases against exact big-int products
     q = find_ntt_primes(50, 2**4, 1)[0].q
@@ -224,7 +230,7 @@ def test_vector_kernel_against_wide_oracle_large():
     for _ in range(4):
         a = rng.integers(0, q, 1 << 18, dtype=np.uint64)
         b = rng.integers(0, q, 1 << 18, dtype=np.uint64)
-        got = ring.mod_mul_vec(a, b, q)
+        got = ring.mod_mul_vec(a, b, _moduli(q))
         ref = (a.astype(object) * b.astype(object)) % q
         assert np.array_equal(got.astype(object), ref)
         total += len(a)
@@ -236,7 +242,7 @@ def test_vector_kernel_object_path_matches():
     rng = np.random.default_rng(10)
     a = rng.integers(0, q, 4096, dtype=np.uint64)
     b = rng.integers(0, q, 4096, dtype=np.uint64)
-    got = ring.mod_mul_vec(a, b, q)
+    got = ring.mod_mul_vec(a, b, ring.Moduli(np.uint64(q), None))
     ref = (a.astype(object) * b.astype(object)) % q
     assert np.array_equal(got.astype(object), ref)
 
@@ -280,8 +286,8 @@ def _column(bits, rows):
 L, N, S, D = 3, 16, 3, 2
 # (a, b, q) shapes of the callers: pointwise blocks, per-limb constants, the
 # stage shapes of an earlier in-place transform (mm = 4 blocks, t = 2), and
-# bconv's source rows against per-target constants, with q an array that
-# mod_mul_vec classifies; then the operands a context builds, q its (L, N)
+# bconv's source rows against per-target constants, with q a column of
+# moduli; then the operands a context builds, q its (L, N)
 # block viewed at a's last two axes, with or without a precomputed quotient
 # of b: a transform stage's upper halves, one block or a stack of two,
 # against the stage's twiddles; a product sharing its operand's quotient;
@@ -326,16 +332,16 @@ def test_mod_mul_vec_matches_big_int_oracle(shapes, bits, b_below_q, fill_a, fil
         assert (q.qf is None) == (bits >= 52)  # a wide basis holds no float table
         q_cap = _column(bits, L)
     else:
-        q = q_cap = _column(bits, q_shape[0]).reshape(q_shape)
+        q_cap = _column(bits, q_shape[0]).reshape(q_shape)
+        q = _moduli(q_cap)
         if np.broadcast_shapes(b_shape, q_shape) != b_shape:
-            q_cap = q.min()
-    q_int = q.q if q_shape == "block" else q
-    assert (q_int.max() < ring.FAST_LIMIT) == (bits < 52)
+            q_cap = q_cap.min()
+    assert (q.q.max() < ring.FAST_LIMIT) == (bits < 52)
     rng = np.random.default_rng(seed)
     b = _operand(rng, b_shape, q_cap, fill_b)
-    a_cap = q_int.min() if b_below_q else ring.FAST_LIMIT
+    a_cap = q.q.min() if b_below_q else ring.FAST_LIMIT
     a = _operand(rng, a_shape, a_cap, fill_a)
-    want = (a.astype(object) * b.astype(object)) % q_int.astype(object)
+    want = (a.astype(object) * b.astype(object)) % q.q.astype(object)
     pairs = [(a, b, None), (b, a, None)]
     if quot and quot[0]:
         table, b_quot = ring._operand(b, q)
