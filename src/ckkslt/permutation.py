@@ -18,12 +18,16 @@ structural properties this module exploits:
 
 ``target`` returns one value's destination (bank, address) through the
 per-field split of that formula, asserted against the direct formula.
+
+A ``Schedule`` is one read-only (N/dp, dp, 4) int64 move array, built by
+numpy from the source positions the walk records; its steps are (dp, 4)
+views of that array, and ``apply_schedule`` and ``mux_controls`` read the
+array itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -64,7 +68,9 @@ class BankLayout:
 def _storage_permutation(r: int, n: int) -> np.ndarray:
     """dst[s] for each storage position s: the inverse of the gather index
     ``automorphism_eval`` applies for rotation r."""
-    return np.argsort(eval_permutation(n, RotationIndex(r, n).g_r))
+    dst = np.empty(n, dtype=np.int64)
+    dst[eval_permutation(n, RotationIndex(r, n).g_r)] = np.arange(n)
+    return dst
 
 
 def source_index(f: int, n_f: int, layout: BankLayout) -> tuple[int, int, int, int]:
@@ -118,31 +124,48 @@ def bank_map(r: int, layout: BankLayout) -> np.ndarray:
     return _storage_permutation(r, layout.ring_dim)[::per_bank] // per_bank
 
 
-@dataclass
-class MoveStep:
-    """One full-occupancy step: dp moves (src_bank, src_addr, dst_bank, dst_addr)."""
+class Step:
+    """One full-occupancy step: ``moves`` is a (dp, 4) view of its
+    schedule's move array."""
 
-    moves: list[tuple[int, int, int, int]]
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: np.ndarray):
+        self.moves = moves
 
 
-def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
+@dataclass(frozen=True)
+class Schedule:
+    """A move schedule as one (steps, dp, 4) int64 array: row [s, lane] is
+    the move (src_bank, src_addr, dst_bank, dst_addr) of that lane in step
+    s. ``len`` counts steps and iterating yields each step as a view."""
+
+    moves: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+    def __iter__(self):
+        return map(Step, self.moves)
+
+
+def schedule(r: int, layout: BankLayout) -> Schedule:
     """Displacement-walk schedule: N/dp steps, one read and one write per
-    bank per step, at most dp values in flight.
+    bank per step, at most dp values in flight, returned read-only.
 
     Lanes chase the permutation; when a lane's next position was already
     consumed (a chain closed onto an earlier start) it reopens at the
-    lowest unvisited address of the bank it is currently serving.
+    lowest unvisited address of the bank it is currently serving. The walk
+    records each move's source position; the moves are built from those
+    and their destinations once it is done.
     """
     n, dp = layout.ring_dim, layout.dp
     per_bank = n // dp
     dst_np = _storage_permutation(r, n)
     dst_flat = dst_np.tolist()
-    # the move (src_bank, src_addr, dst_bank, dst_addr) out of each position
-    move_of = list(zip(*(v.tolist() for v in np.divmod(np.arange(n), per_bank)
-                                              + np.divmod(dst_np, per_bank))))
     visited = bytearray(n)
     next_free = [0] * dp  # per-bank cursor over unvisited addresses
-    steps: list[MoveStep] = []
+    order: list[int] = []  # the source position of each move, in step order
 
     def fresh(bank: int) -> int:
         a = next_free[bank]
@@ -158,10 +181,9 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
     visited[::per_bank] = bytes([1]) * dp
     seen = dp  # visited positions, so a closing chain knows whether any are left
     for _ in range(per_bank):
-        moves = []
+        order += lanes
         new_lanes = []
         for pos in lanes:
-            moves.append(move_of[pos])
             dst = dst_flat[pos]
             if visited[dst]:
                 # chain closed: reopen in the bank this lane is writing to
@@ -172,35 +194,45 @@ def schedule(r: int, layout: BankLayout) -> list[MoveStep]:
             visited[dst] = 1
             seen += 1
             new_lanes.append(dst)
-        steps.append(MoveStep(moves))
         lanes = new_lanes
         if not lanes:
             break
-    return steps
+    # no step holds more than dp moves, so N moves in at most N/dp steps
+    # means every step moved dp values and the reshape below keeps steps whole
+    if len(order) != n:
+        raise RuntimeError(f"walk ended after {len(order)} of {n} moves")
+    src = np.array(order, dtype=np.int64)
+    moves = np.stack(np.divmod(src, per_bank) + np.divmod(dst_np[src], per_bank), axis=-1)
+    moves = moves.reshape(per_bank, dp, 4)
+    moves.flags.writeable = False
+    return Schedule(moves)
 
 
-def _move_array(steps: list[MoveStep]) -> np.ndarray:
-    """A schedule's moves as (M, 4) int64 rows in step order, read flat by
-    fromiter: np.array on the move tuples takes twice as long."""
-    flat = chain.from_iterable(chain.from_iterable(step.moves for step in steps))
-    return np.fromiter(flat, np.int64).reshape(-1, 4)
-
-
-def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
+def apply_schedule(layout: BankLayout, steps: Schedule) -> None:
     """Execute in place, enforcing the read-before-write step discipline:
     within each step all dp reads land before any write; no position is
     read twice, written twice, or read after a write to it has landed (a
     write lands once its position has been read); every position is
     written; and no step holds more than dp writes waiting for a later
     read, so the walk needs no scratch buffer. A schedule that breaks a
-    rule raises ``ScheduleViolation`` and leaves the banks untouched."""
-    n, per_bank = layout.ring_dim, layout.ring_dim // layout.dp
-    moves = _move_array(steps)
-    when = np.repeat(np.arange(len(steps)), [len(step.moves) for step in steps])
+    rule, or whose moves are not a (steps, dp, 4) int64 array of banks and
+    addresses inside the layout, raises ``ScheduleViolation`` and leaves
+    the banks untouched."""
+    n, dp = layout.ring_dim, layout.dp
+    per_bank = n // dp
+    moves = steps.moves
+    if not isinstance(moves, np.ndarray) or moves.dtype != np.int64 \
+            or moves.ndim != 3 or moves.shape[1:] != (dp, 4):
+        raise ScheduleViolation(f"moves are not a (steps, {dp}, 4) int64 array")
+    count = len(moves)
+    moves = moves.reshape(-1, 4)
+    if ((moves < 0) | (moves >= (dp, per_bank, dp, per_bank))).any():
+        raise ScheduleViolation("move outside the layout")
+    when = np.repeat(np.arange(count), dp)
     src = moves[:, 0] * per_bank + moves[:, 1]
     dst = moves[:, 2] * per_bank + moves[:, 3]
-    first_read = np.full(n, len(steps))
-    first_write = np.full(n, len(steps))
+    first_read = np.full(n, count)
+    first_write = np.full(n, count)
     np.minimum.at(first_read, src, when)
     np.minimum.at(first_write, dst, when)
     landed = first_read <= first_write
@@ -213,9 +245,9 @@ def apply_schedule(layout: BankLayout, steps: list[MoveStep]) -> None:
     if dst.size != n:
         raise ScheduleViolation("schedule did not cover every position")
     held = first_read[dst] > when  # lands only at a later step's read
-    waiting = np.cumsum(np.bincount(when[held], minlength=len(steps) + 1)
-                        - np.bincount(first_read[dst[held]], minlength=len(steps) + 1))
-    if waiting.max() > layout.dp:
+    waiting = np.cumsum(np.bincount(when[held], minlength=count + 1)
+                        - np.bincount(first_read[dst[held]], minlength=count + 1))
+    if waiting.max() > dp:
         raise ScheduleViolation("more than dp values in flight")
     # every read sees the value from before the schedule ran
     layout.banks[moves[:, 2], moves[:, 3]] = layout.banks[moves[:, 0], moves[:, 1]]
@@ -225,7 +257,7 @@ def mux_controls(r: int, layout: BankLayout) -> np.ndarray:
     """Per-step dp-to-1 selector settings: entry [step, out_bank] names the
     source bank feeding that output bank. Constant across steps because the
     bank map is address-independent."""
-    moves = _move_array(schedule(r, layout)).reshape(-1, layout.dp, 4)
+    moves = schedule(r, layout).moves
     table = np.empty(moves.shape[:2], dtype=np.int64)
     np.put_along_axis(table, moves[:, :, 2], moves[:, :, 0], axis=1)
     return table

@@ -67,10 +67,59 @@ def rotate_automorphism_first(ct, r: int, swk, params):
 def dump_schedule(steps) -> str:
     """A permutation schedule as "step, src_bank, src_addr, dst_bank, dst_addr" lines."""
     lines = []
-    for s, step in enumerate(steps):
-        for sb, sa, db, da in step.moves:
+    for s, step in enumerate(steps.moves.tolist()):
+        for sb, sa, db, da in step:
             lines.append(f"{s}, {sb}, {sa}, {db}, {da}")
     return "\n".join(lines)
+
+
+def schedule_tuples(r: int, layout) -> list[list[tuple[int, int, int, int]]]:
+    """``permutation.schedule`` as a walk that emits one move tuple per
+    position it reads, per step; destinations come from ``argsort`` of
+    ``ring.eval_permutation``."""
+    from ckkslt import ring
+
+    n, dp = layout.ring_dim, layout.dp
+    per_bank = n // dp
+    dst_np = np.argsort(ring.eval_permutation(n, ring.RotationIndex(r, n).g_r))
+    dst_flat = dst_np.tolist()
+    move_of = list(zip(*(v.tolist() for v in np.divmod(np.arange(n), per_bank)
+                                              + np.divmod(dst_np, per_bank))))
+    visited = bytearray(n)
+    next_free = [0] * dp
+    steps = []
+
+    def fresh(bank: int) -> int:
+        a = next_free[bank]
+        while a < per_bank and visited[bank * per_bank + a]:
+            a += 1
+        next_free[bank] = a
+        if a >= per_bank:
+            raise RuntimeError("bank exhausted early")
+        return a
+
+    lanes = list(range(0, n, per_bank))
+    visited[::per_bank] = bytes([1]) * dp
+    seen = dp
+    for _ in range(per_bank):
+        moves = []
+        new_lanes = []
+        for pos in lanes:
+            moves.append(move_of[pos])
+            dst = dst_flat[pos]
+            if visited[dst]:
+                if seen == n:
+                    continue
+                bank = dst // per_bank
+                dst = bank * per_bank + fresh(bank)
+            visited[dst] = 1
+            seen += 1
+            new_lanes.append(dst)
+        steps.append(moves)
+        lanes = new_lanes
+        if not lanes:
+            break
+    return steps
 
 
 def search_parallelism_stepping(params, factors, onchip_budget_bytes: int,

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckkslt import permutation as pm
 from ckkslt import ring
 from ckkslt.costmodel import ConfigOutOfRange
 from ckkslt.modarith import find_ntt_primes
-from oracles import dump_schedule
+from oracles import dump_schedule, schedule_tuples
 
 
 def layout_for(n, dp, fill=None):
@@ -84,9 +86,9 @@ def test_bank_map_independent_of_address():
 
 def test_schedule_zero_rotation_all_fixed_points():
     lay = layout_for(64, 4)
-    steps = pm.schedule(0, lay)
-    assert len(steps) == 16
-    assert all(m[0] == m[2] and m[1] == m[3] for s in steps for m in s.moves)
+    moves = pm.schedule(0, lay).moves
+    assert moves.shape == (16, 4, 4)
+    assert (moves[..., :2] == moves[..., 2:]).all()
 
 
 def test_schedule_matches_reference_automorphism():
@@ -115,16 +117,17 @@ def test_apply_schedule_inplace_discipline():
 @pytest.mark.parametrize("tamper", ["read", "write", "drop"])
 def test_apply_schedule_rejects_tampered_schedule(tamper):
     lay = layout_for(64, 4)
-    steps = pm.schedule(5, lay)
-    first, last = steps[0].moves[0], steps[-1].moves[-1]
+    before = lay.banks.copy()
+    moves = pm.schedule(5, lay).moves.copy()
     if tamper == "read":  # the last move reads the first move's source again
-        steps[-1].moves[-1] = (first[0], first[1], last[2], last[3])
+        moves[-1, -1, :2] = moves[0, 0, :2]
     elif tamper == "write":  # the last move writes the first move's target again
-        steps[-1].moves[-1] = (last[0], last[1], first[2], first[3])
-    else:
-        del steps[-1].moves[-1]
+        moves[-1, -1, 2:] = moves[0, 0, 2:]
+    else:  # the last step is missing
+        moves = moves[:-1]
     with pytest.raises(pm.ScheduleViolation):
-        pm.apply_schedule(lay, steps)
+        pm.apply_schedule(lay, pm.Schedule(moves))
+    assert np.array_equal(lay.banks, before)
 
 
 def test_apply_schedule_rejects_double_write_under_optimize():
@@ -134,11 +137,10 @@ import sys
 import numpy as np
 from ckkslt import permutation as pm
 lay = pm.BankLayout.from_storage(np.arange(64, dtype=np.uint64), 4)
-steps = pm.schedule(5, lay)
-first, last = steps[0].moves[0], steps[-1].moves[-1]
-steps[-1].moves[-1] = (last[0], last[1], first[2], first[3])
+moves = pm.schedule(5, lay).moves.copy()
+moves[-1, -1, 2:] = moves[0, 0, 2:]
 try:
-    pm.apply_schedule(lay, steps)
+    pm.apply_schedule(lay, pm.Schedule(moves))
 except pm.ScheduleViolation as exc:
     print(sys.flags.optimize, exc)
 """
@@ -157,39 +159,99 @@ def test_apply_schedule_rejects_more_than_dp_in_flight(n, dp):
     # writes wait for reads many steps later, so it needs scratch storage
     lay = layout_for(n, dp)
     per_bank = n // dp
-    dst = pm._storage_permutation(5, n)
-    steps = [pm.MoveStep([(f, a, *divmod(int(dst[f * per_bank + a]), per_bank))
-                          for f in range(dp)]) for a in range(per_bank)]
+    dst = pm._storage_permutation(5, n).reshape(dp, per_bank).T
+    bank, addr = np.divmod(np.arange(n).reshape(dp, per_bank).T, per_bank)
+    moves = np.stack((bank, addr) + np.divmod(dst, per_bank), axis=-1)
+    assert moves.shape == (per_bank, dp, 4)
     with pytest.raises(pm.ScheduleViolation, match="in flight"):
-        pm.apply_schedule(lay, steps)
+        pm.apply_schedule(lay, pm.Schedule(moves))
+
+
+@pytest.mark.parametrize("field,value", [
+    (0, 4),    # source bank past dp
+    (3, 16),   # destination address past N/dp
+    (1, -1),   # negative addresses would alias through numpy's indexing
+    (3, -16),
+    (2, -1),
+])
+def test_apply_schedule_rejects_move_outside_layout(field, value):
+    lay = layout_for(64, 4)
+    before = lay.banks.copy()
+    moves = pm.schedule(5, lay).moves.copy()
+    moves[3, 1, field] = value
+    with pytest.raises(pm.ScheduleViolation, match="outside the layout"):
+        pm.apply_schedule(lay, pm.Schedule(moves))
+    assert np.array_equal(lay.banks, before)
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda m: m.astype(np.int32),
+    lambda m: m.astype(np.float64),
+    lambda m: m.reshape(-1, 4),                 # flat moves, no steps
+    lambda m: m.reshape(8, 8, 4),               # steps of 2*dp moves
+    lambda m: m[..., :3],                       # a field short
+    lambda m: m.tolist(),
+])
+def test_apply_schedule_rejects_malformed_move_array(reshape):
+    lay = layout_for(64, 4)
+    before = lay.banks.copy()
+    with pytest.raises(pm.ScheduleViolation, match="int64 array"):
+        pm.apply_schedule(lay, pm.Schedule(reshape(pm.schedule(5, lay).moves)))
+    assert np.array_equal(lay.banks, before)
+
+
+def test_schedule_steps_are_views_of_one_array():
+    lay = layout_for(256, 8)
+    sched = pm.schedule(7, lay)
+    steps = list(sched)
+    assert len(sched) == len(steps) == 32
+    for s, step in enumerate(steps):
+        assert step.moves.shape == (8, 4) and np.shares_memory(step.moves, sched.moves)
+        assert np.array_equal(step.moves, sched.moves[s])
+
+
+# N from 2^4 to 2^12 with every bank count dp, dp^2 <= N
+sizes = st.integers(4, 12).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k // 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(sizes=(4, 1), r=0)
+@example(sizes=(12, 6), r=2**11)
+@example(sizes=(8, 4), r=-3)
+@given(sizes=sizes, r=st.integers(-2**13, 2**13))
+def test_schedule_moves_equal_tuple_walk(sizes, r):
+    log_n, log_dp = sizes
+    lay = layout_for(2**log_n, 2**log_dp)
+    assert np.array_equal(pm.schedule(r, lay).moves, np.array(schedule_tuples(r, lay)))
 
 
 def test_schedule_coverage_and_occupancy():
     n, dp = 128, 8
     lay = layout_for(n, dp)
     for r in range(n // 2):
-        steps = pm.schedule(r, lay)
-        assert len(steps) == n // dp
-        reads = [(m[0], m[1]) for s in steps for m in s.moves]
-        writes = [(m[2], m[3]) for s in steps for m in s.moves]
-        assert len(reads) == len(set(reads)) == n
-        assert len(writes) == len(set(writes)) == n
-        for s in steps:
-            assert sorted(m[0] for m in s.moves) == list(range(dp))
-            assert sorted(m[2] for m in s.moves) == list(range(dp))
+        moves = pm.schedule(r, lay).moves
+        assert moves.shape == (n // dp, dp, 4) and moves.dtype == np.int64
+        assert not moves.flags.writeable
+        reads = moves[..., 0] * (n // dp) + moves[..., 1]
+        writes = moves[..., 2] * (n // dp) + moves[..., 3]
+        assert np.array_equal(np.sort(reads, axis=None), np.arange(n))
+        assert np.array_equal(np.sort(writes, axis=None), np.arange(n))
+        banks = np.broadcast_to(np.arange(dp), (n // dp, dp))
+        assert np.array_equal(np.sort(moves[..., 0], axis=1), banks)
+        assert np.array_equal(np.sort(moves[..., 2], axis=1), banks)
 
 
 def test_mux_controls_permutation_and_consistency():
     lay = layout_for(256, 8)
     for r in (0, 3, 50):
         table = pm.mux_controls(r, lay)
-        steps = pm.schedule(r, lay)
-        assert table.shape == (len(steps), 8)
+        moves = pm.schedule(r, lay).moves
+        assert table.shape == (len(moves), 8)
         for row in table:
             assert sorted(row.tolist()) == list(range(8))
         # selectors reproduce the schedule's bank movement
-        for s, step in enumerate(steps):
-            for src_bank, _, dst_bank, _ in step.moves:
+        for s, step in enumerate(moves.tolist()):
+            for src_bank, _, dst_bank, _ in step:
                 assert table[s, dst_bank] == src_bank
 
 
