@@ -10,7 +10,8 @@ A rotation is a key switch followed by the automorphism
 (:func:`hoisted_rotation`), with one key per offset stored twisted by the
 inverse automorphism. Hoisting only decides which rotations share a digit
 decomposition and where ModDown runs: :func:`rotate_many` gives each
-rotation its own decomposition and ModDown, the hoisted routes share them.
+rotation its own decomposition and ModDown, and keeps c0 over Q, the hoisted
+routes share them.
 
 NOT FOR PRODUCTION CRYPTOGRAPHY: parameter profiles here are sized for
 verifying algorithmic behavior, not for security.
@@ -37,7 +38,7 @@ from .ring import (
     ntt_many,
     pointwise_add,
     pointwise_mul,
-    pointwise_mul_many,
+    pointwise_mul_acc,
     pointwise_sub,
     scalar_mul,
     to_coef,
@@ -367,11 +368,7 @@ def key_switch(digits: list[RnsPoly], swk: SwitchingKey) -> tuple[RnsPoly, RnsPo
         raise MissingKey(
             f"digit count {len(digits)} != key digit count {len(swk.digits)}"
         )
-    acc0 = acc1 = None
-    for d, (k0, k1) in zip(digits, swk.digits):
-        t0, t1 = pointwise_mul_many(d, (k0, k1))
-        acc0 = t0 if acc0 is None else rns_add(acc0, t0)
-        acc1 = t1 if acc1 is None else rns_add(acc1, t1)
+    acc0, acc1 = pointwise_mul_acc(zip(digits, swk.digits))
     return acc0, acc1
 
 
@@ -387,42 +384,55 @@ def moddown_ntt(p: RnsPoly, basis: RnsBasis) -> RnsPoly:
     return to_ntt(moddown(p, basis))
 
 
-def hoisted_rotation(a: RnsPoly, digits: list[RnsPoly], swk: SwitchingKey,
+def hoisted_rotation(a: RnsPoly | None, digits: list[RnsPoly], swk: SwitchingKey,
                      rot: RotationIndex) -> tuple[RnsPoly, RnsPoly]:
     """Rotate the PQ pair (a + <digits, k0>, <digits, k1>): the inner product
-    runs first, the automorphism after it. A key not twisted for this
-    rotation raises ``MissingKey``."""
+    runs first, the automorphism after it; with ``a`` None the pair is the
+    inner product alone. A key not twisted for this rotation raises
+    ``MissingKey``."""
     if RotationIndex(swk.hoist_offset, rot.ring_dim) != rot:
         raise MissingKey(f"key is twisted for offset {swk.hoist_offset}, not {rot.r}")
     u0, u1 = key_switch(digits, swk)
-    return automorphism_eval(rns_add(a, u0), rot), automorphism_eval(u1, rot)
+    if a is not None:
+        u0 = rns_add(a, u0)
+    return automorphism_eval(u0, rot), automorphism_eval(u1, rot)
 
 
 def rotate_many(jobs, params: CkksParams) -> list[Ciphertext]:
     """Unhoisted rotations of ``(ct, r, swk)`` jobs: each is a
-    :func:`hoisted_rotation` over the decomposition of its own c1, followed
-    by ModDown.
+    :func:`hoisted_rotation` of the decomposition of its own c1, followed by
+    ModDown, with c0 kept over Q. The result's c0 is phi(c0) + ModDown(phi(u0)),
+    which is ModDown(phi(P*c0 + u0)) bit for bit: P*c0 is 0 mod every special
+    prime, and ModDown divides its data limbs by P exactly.
 
     Each rotation pays its own Decompose and its own two ModDowns, but the
-    Decomposes run as one batch and the ModDowns as two, the c0 halves and
-    the c1 halves (one stack of both would hold twice the converted limbs
+    Decomposes run as one batch and the ModDowns as two, the u0 halves and
+    the u1 halves (one stack of both would hold twice the converted limbs
     at once).
     """
     jobs = list(jobs)
     digits = decompose_many((ct.c1 for ct, _, _ in jobs), params.basis)
-    rotated = [hoisted_rotation(raise_to_pq(ct.c0, params.basis), d, swk,
-                                RotationIndex(r, params.ring_dim))
-               for (ct, r, swk), d in zip(jobs, digits)]
+    rots = [RotationIndex(r, params.ring_dim) for _, r, _ in jobs]
+    rotated = [hoisted_rotation(None, d, swk, rot)
+               for (_, _, swk), d, rot in zip(jobs, digits, rots)]
     del digits
-    c0 = moddown_many([a for a, _ in rotated], params.basis)
+    u0 = moddown_many([a for a, _ in rotated], params.basis)
     c1 = moddown_many([b for _, b in rotated], params.basis)
-    return [Ciphertext(a, b, ct.scale) for (ct, _, _), a, b in zip(jobs, c0, c1)]
+    return [Ciphertext(rns_add(automorphism_eval(ct.c0, rot), a), b, ct.scale)
+            for (ct, _, _), rot, a, b in zip(jobs, rots, u0, c1)]
 
 
-def pt_ct_mult(pt: Plaintext, ct: Ciphertext) -> Ciphertext:
-    """Raises ``BasisMismatch`` for a plaintext over another basis."""
-    c0, c1 = pointwise_mul_many(to_ntt(pt.poly), (ct.c0, ct.c1))
-    return Ciphertext(c0, c1, ct.scale * pt.scale)
+def pt_ct_dot(pairs) -> Ciphertext:
+    """The sum of pt*ct over ``(pt, ct)`` pairs, each limb's sum reduced once
+    (``ring.pointwise_mul_acc``). Raises ``BasisMismatch`` for a plaintext or
+    ciphertext over another basis, and ``LevelMismatch`` for products of
+    different scales."""
+    pairs = list(pairs)
+    scales = {pt.scale * ct.scale for pt, ct in pairs}
+    if len(scales) != 1:
+        raise LevelMismatch("a sum of products requires one product scale")
+    c0, c1 = pointwise_mul_acc((to_ntt(pt.poly), (ct.c0, ct.c1)) for pt, ct in pairs)
+    return Ciphertext(c0, c1, scales.pop())
 
 
 def rescale_ct(ct: Ciphertext, params: CkksParams) -> Ciphertext:

@@ -20,7 +20,8 @@ of every hoisted plan (diagonal as (1, n, 1), dh-bsgs (a, b) as
 (1, a, b), th-bsgs), and ``linear.lt_hoisted`` runs it. A compute batch
 is one stacked call: phase 2 runs its batch's ModDowns, then its
 Decomposes, phase 5 its batch's u1 ModDowns and Decomposes, and phase 6
-its ModDown pair, each through one transform per direction and digit.
+its ModDown pair, each through one transform per direction and digit;
+phase 4's sums of products are reduced once, when the last chunk writes them.
 The operation trace (Decompose, ModDown, coefficient-wise
 limb multiplies) is counted in both modes; key offsets are recorded only
 where a key is actually fetched, so shape-only runs leave that set empty.
@@ -319,16 +320,15 @@ def simulate(params: HeParams, factors, cfg: ParallelismConfig,
             pairs = [(a_in[m], b_in[m]) if m < n1 else rotate(*a_in[m]) for m in mbatch]
             # the chunk is read out: hold its operands no longer than the store would
             a_in[m0:mbatch.stop] = b_in[m0:mbatch.stop] = [None] * len(mbatch)
+            # the partial sums stay unreduced until the last chunk writes them
             for k in range(n3):
-                for m, (a_m, b_m) in zip(mbatch, pairs):
-                    f = inputs.dm.diagonal(total_m * k + m).poly
-                    t0, t1 = ck.pointwise_mul_many(f, (a_m, b_m))
-                    if u0_acc[k] is not None:
-                        t0, t1 = ck.rns_add(u0_acc[k], t0), ck.rns_add(u1_acc[k], t1)
-                    u0_acc[k], u1_acc[k] = t0, t1
+                u0_acc[k], u1_acc[k] = ck.pointwise_mul_acc(
+                    ((inputs.dm.diagonal(total_m * k + m).poly, pair)
+                     for m, pair in zip(mbatch, pairs)),
+                    (u0_acc[k], u1_acc[k]), reduce=mbatch.stop == total_m)
         store.write(meter, 4, "u0", 0, n3, limbs, u0_acc)
         store.write(meter, 4, "u1", 0, n3, limbs, u1_acc)
-    a_in = b_in = pairs = u0_acc = u1_acc = a_m = b_m = t0 = t1 = None
+    a_in = b_in = pairs = u0_acc = u1_acc = None
 
     # ---- phase 5: outer-layer rotations with delayed ModDown -------------
     acc_pair = [None, None]

@@ -52,7 +52,7 @@ from .ckks import (
     encode_rows,
     encrypt,
     keygen,
-    pt_ct_mult,
+    pt_ct_dot,
     real_array,
     rescale_ct,
     rotate_many,
@@ -220,7 +220,7 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
             params: CkksParams) -> tuple[Ciphertext, OpTrace]:
     """Two-layer split with unhoisted rotations; products stay over Q. The baby
     steps rotate as one batch, and the giant steps as another once every
-    inner sum is formed."""
+    inner sum is formed, each sum reduced once (``ckks.pt_ct_dot``)."""
     plan = dm.plan
     if plan.hoisted:
         raise PlanMismatch("plan is not bsgs")
@@ -228,7 +228,7 @@ def lt_bsgs(ct: Ciphertext, dm: DiagMatrix, keys: RotationKeys,
     trace = OpTrace()
     q_limbs = params.basis.level_count
     baby = [ct, *_rotate_traced([(ct, i) for i in range(1, n1)], keys, trace, params)]
-    inner = [reduce(add_ct, (pt_ct_mult(dm.diagonal(n1 * j + i), b) for i, b in enumerate(baby)))
+    inner = [pt_ct_dot((dm.diagonal(n1 * j + i), b) for i, b in enumerate(baby))
              for j in range(n2)]
     trace.cwise_mult_limbs += 2 * q_limbs * n1 * n2
     del baby  # freed before the giant steps' batch, where the evaluation peaks

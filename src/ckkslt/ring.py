@@ -22,8 +22,10 @@ Vectorized modular multiplication: for q < 2^51 the quotient of the
 128-bit product is estimated in float64 and rounded to nearest, which
 leaves the residual, recovered exactly through uint64 wraparound, in
 (-q, q); one wraparound minimum then gives the residue, with no integer
-division (the bound is proved next to ``_mul_fast``). A block with any
-wider row takes object-dtype (native big-int) arithmetic on every row.
+division (the bound is proved next to ``_residual``). A block with any
+wider row takes object-dtype (native big-int) arithmetic on every row. A sum
+of products (:func:`mod_mul_acc`) adds the signed residuals in int64 and
+reduces once per sum, in the manner of Harvey's lazy reduction.
 
 The butterfly stages keep their operands contiguous: in Pease's constant
 geometry every stage reads its pairs from the two halves of the block and
@@ -45,7 +47,8 @@ packing does, and does not spread: it returns the gap and the (B, L, N/g) stack
 of values, and :func:`spread` repeats a row g times when a product reads it, so
 the dense (L, N) blocks are never held together. The inverse always runs at
 length N, over a stack too (:func:`intt_many`, of which :func:`intt` is the
-one-block case).
+one-block case), and its last stage's constant twiddle rides in the multiply
+by its output scale.
 
 The coefficient automorphism x -> x^{g_r} maps Z_q[X^g] to itself: on B it is
 y -> y^{g_r} at ring dimension N/g. Its kernel, :func:`automorphism_block`,
@@ -57,6 +60,7 @@ one-polynomial case.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -67,9 +71,11 @@ import numpy as np
 
 from .modarith import Modulus
 
-FAST_LIMIT = 1 << 51  # the bound proved next to _mul_fast
+FAST_LIMIT = 1 << 51  # the bound proved next to _residual
 _ROUND = np.float64(2.0**52)
 _ROUND_BITS = _ROUND.view(np.uint64)
+_SIGNED_ROUND = np.float64(1.5 * 2.0**52)  # rounds any |x| < 2^51 to the integer nearest
+_SIGNED_ROUND_BITS = _SIGNED_ROUND.view(np.uint64)
 
 
 class DomainMismatch(ValueError):
@@ -110,7 +116,9 @@ def _quotient(b, q: Moduli):
     return None if q.qf is None else np.true_divide(np.asarray(b, np.uint64).view(np.int64), q.qf)
 
 
-def _mul_fast(a, b, q: Moduli, quot):
+def _residual(a, b, q: Moduli, quot) -> tuple[np.ndarray, np.ndarray]:
+    """r = ab - tq with t the integer nearest fl(a * fl(b/q)): r lies in (-q, q),
+    held as wrapping uint64 (the bound below), and a scratch array of its shape."""
     # Error bound (a float-quotient reduction in the manner of Harvey,
     # J. Symb. Comp. 2014). Let q < 2^51 and a, b < 2^51 with one of them < q,
     # so a, b, q are exact in float64 and ab/q < 2^51 - 1.
@@ -120,8 +128,6 @@ def _mul_fast(a, b, q: Moduli, quot):
     #   x; its low 52 bits are t, and |x - t| <= 1/2.
     # - Hence |ab/q - t| < 1: the residual r = ab - tq lies in (-q, q) and is
     #   exact through uint64 wraparound.
-    # - min(r, r + q) as uint64 is r mod q: a negative r wraps above 2^63,
-    #   where r + q lands in [0, q).
     # A precomputed quotient (a table's, or one shared by several products) is
     # the same float fl(b/q): b and q are exact in float64 and IEEE division
     # rounds correctly.
@@ -133,6 +139,13 @@ def _mul_fast(a, b, q: Moduli, quot):
     t *= q.q
     r = np.multiply(a, b, out=np.empty_like(t))
     r -= t
+    return r, t
+
+
+def _mul_fast(a, b, q: Moduli, quot):
+    # min(r, r + q) as uint64 is r mod q: a negative r wraps above 2^63, where
+    # r + q lands in [0, q)
+    r, t = _residual(a, b, q, quot)
     np.add(r, q.q, out=t)
     return np.minimum(r, t, out=r)
 
@@ -147,8 +160,8 @@ def mod_mul_vec(a: np.ndarray, b: np.ndarray, q: Moduli, quot=None) -> np.ndarra
     ``q`` is a :class:`Moduli` operand, as a :class:`BasisContext` builds them,
     with the limb axis first and broadcasting against the operands; its float
     copy selects the route, so ``Moduli(q, None)`` is the exact one. ``quot``
-    is fl(b/q) when the caller holds it (:func:`pointwise_mul_many`, the
-    context's tables), so the call skips the division.
+    is fl(b/q) when the caller holds it (the context's tables), so the call
+    skips the division.
 
     The whole block takes one route: if every q is below FAST_LIMIT (2^51),
     the float-quotient path, whose operands must both lie below FAST_LIMIT
@@ -158,6 +171,86 @@ def mod_mul_vec(a: np.ndarray, b: np.ndarray, q: Moduli, quot=None) -> np.ndarra
     narrower one reduces them first (see :func:`ckkslt.rns.bconv`).
     """
     return _mul_exact(a, b, q.q) if q.qf is None else _mul_fast(a, b, q, quot)
+
+
+class PartialSum(NamedTuple):
+    """A sum of products that :func:`mod_mul_acc` left unreduced: ``total``'s
+    words hold the running sum (of int64 residuals in (-q, q), wrapping, on the
+    float route; of canonical products on the exact one) and ``terms`` counts
+    its summands."""
+
+    total: np.ndarray
+    terms: int
+
+
+def _sum_limit(q: Moduli) -> int:
+    """How many summands a running sum of products takes before it is reduced.
+    A float-route residual lies in (-q, q), so floor(2^63/q_max) - 1 of them,
+    one of which may be the sum reduced so far, keep the int64 total from
+    overflowing; the cap 2^50 keeps the total's float quotient within 1/4 of
+    s/q (:func:`_reduce_sum`). An exact-route product lies in [0, q), and
+    floor((2^64 - 1)/q_max) - 1 of them keep the uint64 total below 2^64."""
+    top = int(q.q[..., :1].max())  # rows are constant along the last axis
+    if q.qf is None:
+        return ((1 << 64) - 1) // top - 1
+    return min((1 << 63) // top, 1 << 50) - 1
+
+
+def _reduce_sum(total: np.ndarray, terms: int, q: Moduli) -> np.ndarray:
+    """The residues of a running sum of ``terms`` summands, in place.
+
+    On the float route ``total`` holds an int64 sum s with |s| < terms*q: at
+    |s/q| < 2^50 - 1 two roundings put x = fl(fl(s)/q) within
+    |s/q| (2^-52 + 2^-106) < 1/4 of s/q, so with t the integer nearest x,
+    s - tq lies in (-q, q) and one wraparound minimum gives s mod q. A single
+    summand is already in (-q, q).
+    """
+    if q.qf is None:
+        return total if terms == 1 else np.remainder(total, q.q, out=total)
+    if terms > 1:
+        x = np.true_divide(total.view(np.int64), q.qf)
+        x += _SIGNED_ROUND  # for |x| < 2^51 this rounds x to t, held in the low bits
+        t = x.view(np.uint64)
+        t -= _SIGNED_ROUND_BITS
+        t *= q.q
+        total -= t
+    return np.minimum(total, total + q.q, out=total)
+
+
+def mod_mul_acc(terms, q: Moduli, partials=None, reduce: bool = True) -> list:
+    """Sums of products mod q with one reduction each. ``terms`` yields (f,
+    operands) pairs, and sum i is the sum over the terms of operands[i] * f mod
+    q, bit for bit the sum of :func:`mod_mul_vec` products: operands follow its
+    contract and broadcast as it does, blocks or stacks. f's quotient is
+    computed once per term.
+
+    On the float route each product enters as its residual in (-q, q), summed
+    in int64 with no per-term correction; the exact route sums canonical
+    products in uint64. Either reduces a sum before it can overflow
+    (:func:`_sum_limit`). ``partials`` continues, and consumes, the
+    :class:`PartialSum` list an earlier call over the same moduli returned with
+    ``reduce=False`` (a None entry starts empty); ``reduce`` decides whether
+    this call returns the residues or partial sums again."""
+    sums, limit = list(partials or ()), _sum_limit(q)
+    for f, operands in terms:
+        sums = sums or [None] * len(operands)
+        if len(operands) != len(sums):
+            raise BasisMismatch(f"{len(operands)} products for {len(sums)} sums")
+        quot = _quotient(f, q)
+        for i, a in enumerate(operands):
+            if q.qf is None:
+                product = _mul_exact(a, f, q.q)
+            else:
+                product = _residual(a, f, q, quot)[0]
+            if sums[i] is None:
+                sums[i] = PartialSum(product, 1)
+                continue
+            total, count = sums[i]
+            if count == limit:  # in place: the reduced sum is one summand
+                total, count = _reduce_sum(total, count, q), 1
+            total += product
+            sums[i] = PartialSum(total, count + 1)
+    return [_reduce_sum(*s, q) for s in sums] if reduce else sums
 
 
 def mod_add_vec(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
@@ -238,10 +331,26 @@ class BasisContext:
                 for mm in (1 << s for s in range(n.bit_length() - 1))]
 
     @cached_property
-    def n_inverse(self) -> tuple:
-        """N^-1 mod each modulus as an (L, N) block, with its quotients."""
+    def hat_inverse(self) -> np.ndarray:
+        """[q̂_j^-1]_{q_j}, with q̂_j the product of the other moduli, as an (L, 1)
+        column: the first constant of a basis conversion out of this basis."""
+        values = [m.q for m in self.moduli]
+        big = math.prod(values)
+        return _readonly([[pow(big // q % q, -1, q)] for q in values])
+
+    @cache
+    def last_stage(self, hat_inverse: bool) -> tuple:
+        """The inverse transform's last multiply as one (L, N) table with its
+        quotients: the mm = 1 stage's twiddle w0, constant per row, and the output
+        scale N^-1, times q̂_j^-1 when ``hat_inverse``; the lower half holds the
+        scale, the upper half w0 times it. Callers pass the flag positionally, so
+        each table has one cache key."""
         n = self.moduli[0].ring_dim
-        return _operand(np.repeat([[m.n_inv] for m in self.moduli], n, axis=1), self.block(n))
+        w0 = self.stages(n, True)[0][0][:, 0]
+        hat = self.hat_inverse[:, 0].tolist() if hat_inverse else [1] * len(self.moduli)
+        scales = [m.n_inv * h % m.q for m, h in zip(self.moduli, hat)]
+        rows = [[s, s * w % m.q] for m, s, w in zip(self.moduli, scales, w0.tolist())]
+        return _operand(np.repeat(np.array(rows, np.uint64), n // 2, axis=1), self.block(n))
 
     @cached_property
     def top_inverse(self) -> np.ndarray:
@@ -333,15 +442,18 @@ def spread(values: np.ndarray, gap: int) -> np.ndarray:
     return np.repeat(values, gap, axis=-1) if gap > 1 else values
 
 
-def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
+def _inverse_ntt(values: np.ndarray, context: BasisContext, hat_inverse: bool) -> np.ndarray:
     """The forward stages undone in reverse order: each reads the interleaved
-    pairs and writes the two halves. ``values``, a block or stack the caller
-    owns, is overwritten."""
+    pairs and writes the two halves. The last stage's constant twiddle and the
+    output scale are one multiply (:meth:`BasisContext.last_stage`), so the
+    result is scaled by q̂_j^-1 too when ``hat_inverse``. ``values``, a block or
+    stack the caller owns, is overwritten."""
     n, h = values.shape[-1], values.shape[-1] // 2
     q = context.block(n)
     half = q.view(len(context.moduli), h)
     a, out = values, np.empty(values.shape, np.uint64)
-    for w, wq in reversed(context.stages(n, True)):
+    stages = context.stages(n, True)
+    for s in reversed(range(len(stages))):
         pairs = a.reshape(*a.shape[:-1], h, 2)
         lo, hi = pairs[..., 0], pairs[..., 1]
         # lo + hi and lo - hi + q, both in [0, 2q), then one reduction
@@ -349,9 +461,12 @@ def _inverse_ntt(values: np.ndarray, context: BasisContext) -> np.ndarray:
         np.subtract(lo, hi, out=out[..., h:])
         out[..., h:] += half.q
         np.minimum(out, out - q.q, out=out)
+        if not s:
+            w, wq = context.last_stage(hat_inverse)
+            return mod_mul_vec(out, w, q, wq)
+        w, wq = stages[s]
         out[..., h:] = mod_mul_vec(out[..., h:], w, half, wq)
         a, out = out, a
-    return mod_mul_vec(a, context.n_inverse[0], q, context.n_inverse[1])
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +605,18 @@ def ntt_subring(stacks, context: BasisContext) -> tuple[int, np.ndarray]:
     return _forward_ntt(list(stacks), context)
 
 
-def intt_many(polys) -> list[Poly]:
+def intt_many(polys, hat_inverse: bool = False) -> list[Poly]:
     """``[intt(p) for p in polys]`` bit for bit, over one context, in one stacked
-    transform ([] for none); every polynomial is checked before it runs."""
+    transform ([] for none); every polynomial is checked before it runs. With
+    ``hat_inverse`` row j of every result is also multiplied by
+    :attr:`BasisContext.hat_inverse`'s q̂_j^-1, in the same last multiply: the
+    first step of a basis conversion (``rns.bconv``)."""
     polys, context = list(polys), None
     for p in polys:
         context = _member(p, context, Domain.NTT)
     if context is None:
         return []
-    out = _inverse_ntt(np.stack([_block(p) for p in polys]), context)
+    out = _inverse_ntt(np.stack([_block(p) for p in polys]), context, hat_inverse)
     return [p.like(block, Domain.COEF) for p, block in zip(polys, out)]
 
 
@@ -522,22 +640,33 @@ def _same_basis(a, b) -> Moduli:
     return a.context.block(a.n)
 
 
-def pointwise_mul_many(f, polys) -> list[Poly]:
-    """``[pointwise_mul(p, f) for p in polys]`` bit for bit ([] for none), with
-    f's quotient computed once for all the products; every polynomial is
-    checked before any runs."""
-    polys = list(polys)
-    for p in polys:
-        _same_basis(p, f)
-    if not polys:
-        return []
-    q, shared = f.context.block(f.n), _block(f)
-    quot = _quotient(shared, q)
-    return [p.like(mod_mul_vec(_block(p), shared, q, quot), p.domain) for p in polys]
-
-
 def pointwise_mul(a, b):
-    return pointwise_mul_many(b, [a])[0]
+    return pointwise_mul_acc([(b, [a])])[0]
+
+
+def pointwise_mul_acc(terms, partials=None, reduce: bool = True) -> list:
+    """:func:`mod_mul_acc` over polynomials: for (f, polys) terms, sum i is the
+    pointwise sum of polys[i] * f over the terms; a single term multiplies
+    several polynomials by one shared operand. Each term must be over the
+    first's basis and domain and is checked before its products run, reading
+    its ``polys`` once; ``partials`` and ``reduce`` pass through, and reduced
+    sums come back as polynomials like the first term's."""
+    terms = iter(terms)
+    f0, like = next(terms, (None, ()))
+    if f0 is None:
+        raise BasisMismatch("a sum of products needs at least one term")
+    like = list(like)
+
+    def blocks():
+        for f, polys in itertools.chain([(f0, like)], terms):
+            _same_basis(f, f0)
+            polys = list(polys)
+            for p in polys:
+                _same_basis(p, f)
+            yield _block(f), [_block(p) for p in polys]
+
+    sums = mod_mul_acc(blocks(), f0.context.block(f0.n), partials, reduce)
+    return [p.like(s, p.domain) for p, s in zip(like, sums)] if reduce else sums
 
 
 def pointwise_add(a, b):

@@ -104,16 +104,14 @@ class RnsBasis:
 
 
 @lru_cache(maxsize=None)
-def _conversion_tables(src: BasisContext, dst: BasisContext):
-    """bconv constants: the (S, 1) column [qhat_j^-1]_{q_j} and the
-    (D, S, 1) array qhat_j mod p_i."""
+def _hat_mod_target(src: BasisContext, dst: BasisContext) -> np.ndarray:
+    """bconv's second constant, the (D, S, 1) array qhat_j mod p_i (its first is
+    ``src.hat_inverse``)."""
     src_vals = [m.q for m in src.moduli]
     if set(src_vals) & {m.q for m in dst.moduli}:
         raise BasisOverlap("source and target bases overlap")
     hat = [prod(src_vals) // qj for qj in src_vals]
-    hat_inv = [[pow(h % qj, -1, qj)] for h, qj in zip(hat, src_vals)]
-    hat_mod_dst = [[[h % p.q] for h in hat] for p in dst.moduli]
-    return np.array(hat_inv, dtype=np.uint64), np.array(hat_mod_dst, dtype=np.uint64)
+    return np.array([[[h % p.q] for h in hat] for p in dst.moduli], dtype=np.uint64)
 
 
 def _sum_limbs(terms: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,15 +130,22 @@ def bconv(p: RnsPoly, target) -> RnsPoly:
 
     Output limb over p_i is sum_j [qhat_j^-1 a_j]_{q_j} * qhat_j mod p_i,
     which equals the exact value plus u * prod(src) with 0 <= u < len(src).
-    The residues of a source that is not on the float path are reduced
-    mod p_i first when the target is, as that path's contract requires.
     """
     if p.domain != Domain.COEF:
         raise DomainMismatch("bconv requires coefficient domain")
-    src, dst = p.context, basis_context(target)
-    hat_inv, hat_mod_dst = _conversion_tables(src, dst)
-    scaled = mod_mul_vec(p.coeffs, hat_inv, src.block(p.n))[None]
+    src = p.context
+    return _convert_scaled(mod_mul_vec(p.coeffs, src.hat_inverse, src.block(p.n)), src,
+                           basis_context(target))
+
+
+def _convert_scaled(scaled: np.ndarray, src: BasisContext, dst: BasisContext) -> RnsPoly:
+    """bconv past its first multiply: ``scaled``, an (S, N) block over ``src``,
+    holds [qhat_j^-1 a_j]_{q_j}. The residues of a source that is not on the
+    float path are reduced mod p_i first when the target is, as that path's
+    contract requires."""
+    hat_mod_dst = _hat_mod_target(src, dst)
     q = dst.block(1).view(-1, 1, 1)
+    scaled = scaled[None]
     if dst.fast and not src.fast:
         scaled = np.remainder(scaled, q.q)
     terms = mod_mul_vec(scaled, hat_mod_dst, q)
@@ -149,12 +154,15 @@ def bconv(p: RnsPoly, target) -> RnsPoly:
 
 def _convert_many(parts: list[RnsPoly], target: BasisContext) -> list[RnsPoly]:
     """``bconv`` of every part to ``target``, in the parts' one domain. From the
-    NTT domain they take one stacked inverse transform and the conversions one
-    forward transform; ``bconv`` itself runs per part, as a stacked
-    (B, D, S, N) term tensor would multiply its memory by B."""
+    NTT domain they take one stacked inverse transform, which multiplies by
+    qhat_j^-1 in its last step, so no conversion multiplies by it again, and the
+    conversions one forward transform; the conversions run per part, as a
+    stacked (B, D, S, N) term tensor would multiply its memory by B."""
     if not parts or parts[0].domain != Domain.NTT:
         return [bconv(p, target) for p in parts]
-    return ntt_many(bconv(p, target) for p in intt_many(parts))
+    dst = basis_context(target)
+    return ntt_many(_convert_scaled(p.coeffs, p.context, dst)
+                    for p in intt_many(parts, hat_inverse=True))
 
 
 def decompose_many(polys, basis: RnsBasis) -> list[list[RnsPoly]]:

@@ -298,7 +298,7 @@ def test_pt_ct_mult_ones_identity(toy_params, toy_keys):
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     ones = ckks.encode(np.ones(toy_params.slots), toy_params)
-    out = ckks.rescale_ct(ckks.pt_ct_mult(ones, ct), toy_params)
+    out = ckks.rescale_ct(ckks.pt_ct_dot([(ones, ct)]), toy_params)
     back = ckks.decode(ckks.decrypt(out, sk), toy_params)
     assert np.max(np.abs(back - v)) < 2**-10
     assert out.level == ct.level - 1
@@ -310,7 +310,7 @@ def test_pt_ct_mult_pointwise(toy_params, toy_keys):
     v = rng.uniform(-1, 1, toy_params.slots)
     f = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
-    out = ckks.rescale_ct(ckks.pt_ct_mult(ckks.encode(f, toy_params), ct),
+    out = ckks.rescale_ct(ckks.pt_ct_dot([(ckks.encode(f, toy_params), ct)]),
                           toy_params)
     back = ckks.decode(ckks.decrypt(out, sk), toy_params)
     assert np.max(np.abs(back - f * v)) < 2**-10
@@ -322,7 +322,7 @@ def test_pt_ct_mult_zero(toy_params, toy_keys):
     v = rng.uniform(-1, 1, toy_params.slots)
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     zero = ckks.encode(np.zeros(toy_params.slots), toy_params)
-    out = ckks.rescale_ct(ckks.pt_ct_mult(zero, ct), toy_params)
+    out = ckks.rescale_ct(ckks.pt_ct_dot([(zero, ct)]), toy_params)
     back = ckks.decode(ckks.decrypt(out, sk), toy_params)
     assert np.max(np.abs(back)) < 2**-10
 
@@ -333,7 +333,7 @@ def test_scale_bookkeeping(toy_params, toy_keys):
     v = rng.uniform(-1, 1, toy_params.slots)
     pt = ckks.encode(v, toy_params)
     ct = ckks.encrypt(pt, pk, toy_params, rng)
-    prod_ct = ckks.pt_ct_mult(pt, ct)
+    prod_ct = ckks.pt_ct_dot([(pt, ct)])
     assert prod_ct.scale == pt.scale * ct.scale
     dropped = ct.c0.limbs[-1].modulus.q
     assert ckks.rescale_ct(prod_ct, toy_params).scale == prod_ct.scale / dropped
@@ -348,7 +348,7 @@ def test_end_to_end_pipeline(toy_params, toy_keys):
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     swk = ckks.rotation_keygen(sk, 2, toy_params, rng)
     [ct] = ckks.rotate_many([(ct, 2, swk)], toy_params)
-    ct = ckks.rescale_ct(ckks.pt_ct_mult(ckks.encode(f, toy_params), ct),
+    ct = ckks.rescale_ct(ckks.pt_ct_dot([(ckks.encode(f, toy_params), ct)]),
                          toy_params)
     back = ckks.decode(ckks.decrypt(ct, sk), toy_params)
     assert np.max(np.abs(back - f * np.roll(v, -2))) < 2**-10
@@ -366,7 +366,7 @@ def test_operands_over_different_bases_are_a_basis_mismatch(toy_params, toy_keys
     ct = ckks.encrypt(ckks.encode(v, toy_params), pk, toy_params, rng)
     low = ckks.rescale_ct(ct, toy_params)  # one limb fewer
     with pytest.raises(BasisMismatch):
-        ckks.pt_ct_mult(ckks.encode(v, toy_params), low)
+        ckks.pt_ct_dot([(ckks.encode(v, toy_params), low)])
     with pytest.raises(BasisMismatch):
         ckks.decrypt(ckks.Ciphertext(ct.c0, low.c1, ct.scale), sk)
 

@@ -64,15 +64,16 @@ def test_negacyclic_wrap_sign(mod64):
 
 @pytest.mark.parametrize("wrap", [tuple, list, iter, lambda ps: (p for p in ps)],
                          ids=["tuple", "list", "iterator", "generator"])
-def test_pointwise_mul_many_reads_its_input_once(mod64, wrap):
-    # one pass over the input, so a one-shot iterator is read once; none gives []
+def test_pointwise_mul_acc_reads_its_input_once(mod64, wrap):
+    # one pass over a term's polynomials, so a one-shot iterator is read once;
+    # none gives []
     rng = np.random.default_rng(13)
     f, a, b = (ring.ntt(ring.random_poly(mod64, rng)) for _ in range(3))
-    got = ring.pointwise_mul_many(f, wrap([a, b]))
+    got = ring.pointwise_mul_acc([(f, wrap([a, b]))])
     assert len(got) == 2
     for p, out in zip((a, b), got):
         assert np.array_equal(out.coeffs, ring.pointwise_mul(p, f).coeffs)
-    assert ring.pointwise_mul_many(f, wrap([])) == []
+    assert ring.pointwise_mul_acc([(f, wrap([]))]) == []
 
 
 def test_pointwise_identities(mod64):
@@ -245,6 +246,73 @@ def test_vector_kernel_object_path_matches():
     got = ring.mod_mul_vec(a, b, ring.Moduli(np.uint64(q), None))
     ref = (a.astype(object) * b.astype(object)) % q
     assert np.array_equal(got.astype(object), ref)
+
+
+@lru_cache(maxsize=None)
+def _row_primes(bits, n):
+    return find_ntt_primes(bits, n, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(widths=st.lists(st.integers(20, 60), min_size=1, max_size=3), log_n=st.integers(1, 4),
+       stack=st.integers(0, 3), outputs=st.integers(1, 3), count=st.integers(1, 40),
+       near_bound=st.integers(-2, 20), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_mod_mul_acc_matches_big_int_sums(widths, log_n, stack, outputs, count, near_bound,
+                                          data, seed):
+    # widths from 51 bits on send the whole block down the exact route, so a
+    # mixed list covers both routes and a mixed-width block; a draw with
+    # near_bound <= 2 is a 51-bit block at N = 2 summing limit + near_bound
+    # terms, either side of the float route's int64 chunk bound (4,095 terms)
+    if near_bound <= 2:
+        widths, log_n, stack = [51], 1, 0
+    n = 2**log_n
+    context = ring.basis_context([_row_primes(bits, n)[j] for j, bits in enumerate(widths)])
+    q = context.block(n)
+    limit = ring._sum_limit(q)
+    if near_bound <= 2:
+        assert limit == 4095
+        count = limit + near_bound
+    rng = np.random.default_rng(seed)
+    shape = (stack, len(widths), n) if stack else (len(widths), n)
+    # a few distinct terms, repeated in turn; column 0 of the first adds the
+    # most a product can to a sum: the residual (q-1)/2 on the float route,
+    # the product q-1 on the exact one
+    distinct = [(rng.integers(0, context.q, shape, dtype=np.uint64),
+                 [rng.integers(0, context.q, shape, dtype=np.uint64) for _ in range(outputs)])
+                for _ in range(min(count, 3))]
+    distinct[0][0][..., 0] = context.q[:, 0] // 2 if context.fast else context.q[:, 0] - 1
+    for a in distinct[0][1]:
+        a[..., 0] = 1
+    terms = [distinct[t % len(distinct)] for t in range(count)]
+    big_q = context.q.astype(object)
+    times = [len(range(t, count, len(distinct))) for t in range(len(distinct))]
+    want = [sum(k * f.astype(object) * ops[i].astype(object)
+                for k, (f, ops) in zip(times, distinct)) % big_q for i in range(outputs)]
+    split = data.draw(st.integers(0, count), label="terms before the partial sums")
+    partials = ring.mod_mul_acc(terms[:split], q, reduce=False) if split else None
+    got = ring.mod_mul_acc(terms[split:], q, partials)
+    assert len(got) == outputs
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint64 and g.shape == shape
+        assert np.array_equal(g.astype(object), w)
+
+
+def test_pointwise_mul_acc_checks_every_term(mod64):
+    # a term over another basis or domain, or with the wrong product count,
+    # raises; a sum needs a term to take its basis from
+    rng = np.random.default_rng(14)
+    f, a, b = (ring.ntt(ring.random_poly(mod64, rng)) for _ in range(3))
+    other = ring.ntt(ring.random_poly(find_ntt_primes(30, 64, 2)[1], rng))
+    [got] = ring.pointwise_mul_acc([(f, [a]), (b, [f])])
+    want = ring.pointwise_add(ring.pointwise_mul(a, f), ring.pointwise_mul(f, b))
+    assert np.array_equal(got.coeffs, want.coeffs) and got.domain == ring.Domain.NTT
+    for terms, error in (([(f, [a]), (other, [other])], ring.BasisMismatch),
+                         ([(f, [other])], ring.BasisMismatch),
+                         ([(f, [ring.intt(a)])], ring.DomainMismatch),
+                         ([(f, [a]), (b, [a, b])], ring.BasisMismatch),
+                         ([], ring.BasisMismatch)):
+        with pytest.raises(error):
+            ring.pointwise_mul_acc(terms)
 
 
 def test_mixed_width_block_matches_single_limbs():
@@ -481,7 +549,9 @@ def _tables(context, n):
     """Every array a context's kernels read at transform length n."""
     stages = [table for inverse in (False, True) for stage in context.stages(n, inverse)
               for table in stage]
-    return [context.q, *context.block(n), *context.n_inverse, context.top_inverse, *stages]
+    last = [table for hat in (False, True) for table in context.last_stage(hat)]
+    return [context.q, *context.block(n), *last, context.hat_inverse, context.top_inverse,
+            *stages]
 
 
 def test_context_tables_are_read_only():
@@ -498,9 +568,10 @@ def test_wide_basis_holds_no_float_table(monkeypatch):
 
     context = _context(4, 55, 3)
     tables = [t for t in _tables(context, 16) if t is not None]
-    # the column, the block, N^-1, the top inverse, and per stage and direction
-    # the twiddles: no float copy of the block and no quotient
-    assert len(tables) == 4 + 2 * 4
+    # the column, the block, the two last-stage scales, the hat and top
+    # inverses, and per stage and direction the twiddles: no float copy of the
+    # block and no quotient
+    assert len(tables) == 6 + 2 * 4
     assert all(t.dtype == np.uint64 for t in tables)
     monkeypatch.setattr(ring, "_mul_fast", lambda *args: pytest.fail("float route taken"))
     rng = np.random.default_rng(12)

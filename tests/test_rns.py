@@ -301,6 +301,27 @@ def test_bconv_overshoot_bound_mixed_widths(src_bits, src, dst_bits, dst, seed):
             assert any((vals[t] + u * big) % m.q == got for u in range(src))
 
 
+@settings(max_examples=30, deadline=None)
+@example(src_bits=58, src=3, dst_bits=44, dst=2, count=2, seed=0)
+@given(src_bits=width, src=st.integers(1, 6), dst_bits=width, dst=st.integers(1, 4),
+       count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_ntt_domain_conversion_scales_in_the_inverse_transform(src_bits, src, dst_bits, dst,
+                                                               count, seed):
+    # the stacked inverse multiplies by N^-1 * qhat_j^-1 in its last step, so the
+    # conversions skip bconv's first multiply; a wide source feeding a narrow
+    # target still reduces its residues first
+    q_src, p_dst = _disjoint(src_bits, src, dst_bits, dst)
+    rng = np.random.default_rng(seed)
+    parts = [ntt(random_rns(rng, q_src, 16)[1]) for _ in range(count)]
+    target = ring.basis_context(p_dst)
+    got = rns._convert_many(parts, target)
+    want = ring.ntt_many(rns.bconv(p, target) for p in ring.intt_many(parts))
+    assert len(got) == count
+    for g, w in zip(got, want):
+        assert g.context is target and g.domain == Domain.NTT
+        assert np.array_equal(g.coeffs, w.coeffs)
+
+
 @settings(max_examples=40, deadline=None)
 @example(p_bits=58, alpha=3, q_bits=44, levels=2, seed=0)
 @given(p_bits=width, alpha=st.integers(1, 4), q_bits=width, levels=st.integers(1, 4),
